@@ -30,7 +30,6 @@ def main():
         ("clinic::ict", "ict", "cyber-infrastructure", {
             "vulnerability": 1.0,
             "recovery_ticks": 3,
-            "service_capacity": 1.0,
             "district": "demo",
         }),
     ])

@@ -20,7 +20,7 @@ from .hazards import resolve_selector
 from .kernel import BuildError, World
 from .rng import Stream
 from .routing import StreetGraph
-from .scenario import DISEASE_DEFAULTS, ScenarioConfig
+from .scenario import ScenarioConfig
 from .systems import default_registry
 
 VARIANT_BASELINE = "baseline"
@@ -31,104 +31,86 @@ def subagent_id(agent_id: str, system: str) -> str:
     return f"{agent_id}::{system}"
 
 
+def _ict_node(agent_id: str, spec: dict, district: str | None) -> tuple:
+    """The ICT subagent of an ict.nodes entry or of a hospital's or light's ict block."""
+    return (subagent_id(agent_id, "ict"), "ict", "cyber-infrastructure", {
+        "vulnerability": spec["vulnerability"],
+        "recovery_ticks": spec["recovery_ticks"],
+        "district": district,
+    })
+
+
 def build_world(config: ScenarioConfig, variant: str = VARIANT_RISK) -> World:
     """Instantiate all agents, layers and services for one scenario variant.
 
     baseline and risk share the same world; a mitigation variant applies
     its override bundle to the assembled parameters before initial states
     are derived, mirroring how the alternative would be provisioned up
-    front in the real city.
+    front in the real city.  Reads a config whose defaults parse_config
+    has filled in.
     """
     registry = default_registry()
     world = World(config.seed, registry)
     raw = config.raw
-
-    land = raw.get("landscape", {})
-    nodes = {n["id"]: n for n in land.get("nodes", [])}
+    land, ict, mobility = raw["landscape"], raw["ict"], raw["mobility"]
+    hospitals = raw["health"]["hospitals"]
     place_nodes: dict[str, str] = {}
 
-    ict = raw.get("ict", {})
-    for node in ict.get("nodes", []):
-        world.add_agent(node["id"], [(
-            subagent_id(node["id"], "ict"), "ict", "cyber-infrastructure", {
-                "vulnerability": node.get("vulnerability", 0.5),
-                "recovery_ticks": node.get("recovery_ticks", 24),
-                "service_capacity": node.get("service_capacity", 1.0),
-                "district": node.get("district"),
-            })])
-    for atk in ict.get("attackers", []):
-        params = {
-            "target": subagent_id(atk["target"], "ict"),
-            "attack_type": atk["attack_type"],
-            "district": atk.get("district"),
-        }
-        if "propagation_probability" in atk:
-            params["propagation_probability"] = atk["propagation_probability"]
+    for node in ict["nodes"]:
+        world.add_agent(node["id"], [_ict_node(node["id"], node, node["district"])])
+    for atk in ict["attackers"]:
         world.add_agent(atk["id"], [(
-            subagent_id(atk["id"], "ict"), "ict", "cyber-attacker", params)])
+            subagent_id(atk["id"], "ict"), "ict", "cyber-attacker", {
+                "target": subagent_id(atk["target"], "ict"),
+                "attack_type": atk["attack_type"],
+                "propagation_probability": atk["propagation_probability"],
+                "district": atk["district"],
+            })])
 
-    health = raw.get("health", {})
-    disease = {**DISEASE_DEFAULTS, **health.get("disease", {})}
-    hospitals = health.get("hospitals", [])
     for hosp in hospitals:
         hid = hosp["id"]
         members = [(
             subagent_id(hid, "healthcare"), "healthcare", "hospital", {
                 "nominal_general_capacity": hosp["general_beds"],
                 "nominal_icu_capacity": hosp["icu_beds"],
-                "base_care_quality": hosp.get("care_quality", 1.0),
+                "base_care_quality": hosp["care_quality"],
                 "referral_peers": [
-                    subagent_id(p, "healthcare") for p in hosp.get("referral_peers", [])
+                    subagent_id(p, "healthcare") for p in hosp["referral_peers"]
                 ],
-                "district": hosp.get("district"),
-                "capacity_degradation_factor": hosp.get("capacity_degradation_factor", 0.5),
-                "quality_degradation_factor": hosp.get("quality_degradation_factor", 0.75),
+                "district": hosp["district"],
+                "capacity_degradation_factor": hosp["capacity_degradation_factor"],
+                "quality_degradation_factor": hosp["quality_degradation_factor"],
             })]
-        ict_spec = hosp.get("ict")
-        if ict_spec is not None:
-            members.append((
-                subagent_id(hid, "ict"), "ict", "cyber-infrastructure", {
-                    "vulnerability": ict_spec.get("vulnerability", 0.5),
-                    "recovery_ticks": ict_spec.get("recovery_ticks", 24),
-                    "service_capacity": ict_spec.get("service_capacity", 1.0),
-                    "district": hosp.get("district"),
-                }))
+        if "ict" in hosp:
+            members.append(_ict_node(hid, hosp["ict"], hosp["district"]))
         members.append((
             subagent_id(hid, "urban_landscape"), "urban_landscape", "place", {
                 "place_id": hid,
                 "kind": "hospital",
                 "node": hosp["node"],
-                "district": hosp.get("district"),
+                "district": hosp["district"],
                 "capacity": None,
             }))
         world.add_agent(hid, members)
         place_nodes[hid] = hosp["node"]
 
-    mobility = raw.get("mobility", {})
-    for light in mobility.get("traffic_lights", []):
+    for light in mobility["traffic_lights"]:
         lid = light["id"]
         members = [(
             subagent_id(lid, "mobility"), "mobility", "traffic-light", {
-                "roadways": [subagent_id(r, "mobility") for r in light.get("roadways", [])],
-                "district": light.get("district"),
+                "roadways": [subagent_id(r, "mobility") for r in light["roadways"]],
+                "district": light["district"],
             })]
-        ict_spec = light.get("ict")
-        if ict_spec is not None:
-            members.append((
-                subagent_id(lid, "ict"), "ict", "cyber-infrastructure", {
-                    "vulnerability": ict_spec.get("vulnerability", 0.5),
-                    "recovery_ticks": ict_spec.get("recovery_ticks", 24),
-                    "service_capacity": ict_spec.get("service_capacity", 1.0),
-                    "district": light.get("district"),
-                }))
+        if "ict" in light:
+            members.append(_ict_node(lid, light["ict"], light["district"]))
         members.append((
             subagent_id(lid, "urban_landscape"), "urban_landscape", "fixed-entity", {
-                "node": light.get("node"),
-                "district": light.get("district"),
+                "node": light["node"],
+                "district": light["district"],
             }))
         world.add_agent(lid, members)
 
-    for rw in land.get("roadways", []):
+    for rw in land["roadways"]:
         rid = rw["id"]
         world.add_agent(rid, [
             (subagent_id(rid, "mobility"), "mobility", "roadway", {
@@ -136,49 +118,45 @@ def build_world(config: ScenarioConfig, variant: str = VARIANT_RISK) -> World:
                 "length_m": rw["length_m"],
                 "free_flow_mps": rw["free_flow_mps"],
                 "capacity": rw["capacity"],
-                "station": bool(rw.get("station", False)),
-                "district": rw.get("district"),
+                "station": rw["station"],
+                "district": rw["district"],
             }),
             (subagent_id(rid, "urban_landscape"), "urban_landscape", "street", {
-                "a": rw["a"], "b": rw["b"], "district": rw.get("district"),
+                "a": rw["a"], "b": rw["b"], "district": rw["district"],
             }),
         ])
 
-    for pl in land.get("places", []):
+    for pl in land["places"]:
         world.add_agent(pl["id"], [(
             subagent_id(pl["id"], "urban_landscape"), "urban_landscape", "place", {
                 "place_id": pl["id"],
-                "kind": pl.get("kind", "generic"),
+                "kind": pl["kind"],
                 "node": pl["node"],
-                "district": pl.get("district"),
-                "capacity": pl.get("capacity"),
+                "district": pl["district"],
+                "capacity": pl["capacity"],
             })])
         place_nodes[pl["id"]] = pl["node"]
 
-    _build_population(world, config, disease, hospitals, nodes, land, place_nodes)
+    _build_population(world, config, place_nodes)
 
     # layer edges, declared after all endpoints exist
-    for node in ict.get("nodes", []):
-        for up in node.get("depends_on", []):
+    for node in ict["nodes"]:
+        for up in node["depends_on"]:
             world.add_edge("ict", subagent_id(node["id"], "ict"),
                            subagent_id(up, "ict"), "depends_on")
+    for owner in hospitals + mobility["traffic_lights"]:
+        if "ict" in owner and owner["ict"]["upstream"] is not None:
+            world.add_edge("ict", subagent_id(owner["id"], "ict"),
+                           subagent_id(owner["ict"]["upstream"], "ict"), "depends_on")
     for hosp in hospitals:
-        ict_spec = hosp.get("ict")
-        if ict_spec is not None and ict_spec.get("upstream"):
-            world.add_edge("ict", subagent_id(hosp["id"], "ict"),
-                           subagent_id(ict_spec["upstream"], "ict"), "depends_on")
-        for peer in hosp.get("referral_peers", []):
+        for peer in hosp["referral_peers"]:
             world.add_edge("healthcare", subagent_id(hosp["id"], "healthcare"),
                            subagent_id(peer, "healthcare"), "refers")
-    for light in mobility.get("traffic_lights", []):
-        ict_spec = light.get("ict")
-        if ict_spec is not None and ict_spec.get("upstream"):
-            world.add_edge("ict", subagent_id(light["id"], "ict"),
-                           subagent_id(ict_spec["upstream"], "ict"), "depends_on")
-        for rid in light.get("roadways", []):
+    for light in mobility["traffic_lights"]:
+        for rid in light["roadways"]:
             world.add_edge("mobility", subagent_id(light["id"], "mobility"),
                            subagent_id(rid, "mobility"), "controls")
-    for atk in ict.get("attackers", []):
+    for atk in ict["attackers"]:
         world.add_edge("ict", subagent_id(atk["id"], "ict"),
                        subagent_id(atk["target"], "ict"), "attacks")
 
@@ -190,35 +168,31 @@ def build_world(config: ScenarioConfig, variant: str = VARIANT_RISK) -> World:
     return world
 
 
-def _build_population(world: World, config: ScenarioConfig, disease: dict,
-                      hospitals: list[dict], nodes: dict, land: dict,
+def _build_population(world: World, config: ScenarioConfig,
                       place_nodes: dict[str, str]) -> None:
-    pop = config.raw.get("population", {})
-    templates = pop.get("timetables", {})
-    mix = pop.get("timetable_mix") or {name: 1.0 for name in sorted(templates)}
-    contact_k = pop.get("contact_k", 3)
-    jitter = pop.get("boundary_jitter_h", 1)
-    lockdown = bool(pop.get("lockdown", False))
+    raw = config.raw
+    pop, land, disease = raw["population"], raw["landscape"], raw["health"]["disease"]
+    templates = pop["timetables"]
+    mix = pop["timetable_mix"] or {name: 1.0 for name in sorted(templates)}
+    contact_k, jitter, lockdown = pop["contact_k"], pop["boundary_jitter_h"], pop["lockdown"]
     hospital_of_district = {
-        h.get("district"): subagent_id(h["id"], "healthcare") for h in hospitals
+        h["district"]: subagent_id(h["id"], "healthcare") for h in raw["health"]["hospitals"]
     }
     places_by_kind: dict[str | None, dict[str, list[str]]] = {}
-    for pl in land.get("places", []):
-        places_by_kind.setdefault(pl.get("district"), {}).setdefault(
-            pl.get("kind", "generic"), []).append(pl["id"])
+    for pl in land["places"]:
+        places_by_kind.setdefault(pl["district"], {}).setdefault(
+            pl["kind"], []).append(pl["id"])
     for district in places_by_kind.values():
         for kind in district.values():
             kind.sort()
 
-    for district in sorted(pop.get("districts", {})):
+    for district in sorted(pop["districts"]):
         dspec = pop["districts"][district]
-        count = dspec.get("citizens", 0)
+        count = dspec["citizens"]
         if count == 0:
             continue
-        lo, hi = dspec.get("household_size", [2, 4])
-        district_nodes = sorted(
-            nid for nid, n in nodes.items() if n.get("district") == district
-        )
+        lo, hi = dspec["household_size"]
+        district_nodes = sorted(n["id"] for n in land["nodes"] if n["district"] == district)
         hh_rng = Stream(config.seed, f"population:{district}").at(0, "households")
         sizes: list[int] = []
         remaining = count
@@ -311,7 +285,7 @@ def _build_schedule(seed: int, agent_id: str, templates: dict, mix: dict,
 
 
 def _apply_mitigation(world: World, config: ScenarioConfig, variant: str) -> None:
-    bundle = config.raw.get("mitigations", {}).get(variant)
+    bundle = config.raw["mitigations"].get(variant)
     if bundle is None:
         raise BuildError(
             f"unknown variant {variant!r}; declared mitigations: {config.mitigation_names}"
@@ -335,16 +309,16 @@ def _apply_mitigation(world: World, config: ScenarioConfig, variant: str) -> Non
 
 def _attach_services(world: World, config: ScenarioConfig, land: dict,
                      mobility: dict, place_nodes: dict[str, str]) -> None:
-    roadways = land.get("roadways", [])
-    if not mobility and not roadways:
+    roadways = land["roadways"]
+    if not roadways and not mobility["traffic_lights"]:
         return
     graph = StreetGraph()
     network: dict = {"roadways": {}, "lights": []}
     controlled: dict[str, list[str]] = {}
-    for light in mobility.get("traffic_lights", []):
+    for light in mobility["traffic_lights"]:
         lid = subagent_id(light["id"], "mobility")
         network["lights"].append(lid)
-        for rid in light.get("roadways", []):
+        for rid in light["roadways"]:
             controlled.setdefault(subagent_id(rid, "mobility"), []).append(lid)
     for rw in roadways:
         rid = subagent_id(rw["id"], "mobility")
@@ -356,10 +330,9 @@ def _attach_services(world: World, config: ScenarioConfig, land: dict,
             "lights": sorted(controlled.get(rid, [])),
         }
     graph.finalize()
-    adapter_cls = ADAPTERS[mobility.get("adapter", "reference")]
-    adapter = adapter_cls(
-        v_min_frac=mobility.get("v_min_frac", 0.1),
-        light_off_factor=mobility.get("light_off_factor", 0.4),
+    adapter = ADAPTERS[mobility["adapter"]](
+        v_min_frac=mobility["v_min_frac"],
+        light_off_factor=mobility["light_off_factor"],
     )
     adapter.initialize(network, config.seed)
     world.services["traffic"] = adapter

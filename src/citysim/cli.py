@@ -76,8 +76,13 @@ def _load(path: str, seed_flag: int | None):
         print(f"note: seed overridden to {seed_flag} by --seed", file=sys.stderr)
         config = config.with_seed(seed_flag)
     elif env_seed is not None:
-        print(f"note: seed overridden to {env_seed} by CITYSIM_SEED", file=sys.stderr)
-        config = config.with_seed(int(env_seed))
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            print(f"error: CITYSIM_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
+            return None
+        print(f"note: seed overridden to {seed} by CITYSIM_SEED", file=sys.stderr)
+        config = config.with_seed(seed)
     return config
 
 

@@ -24,7 +24,6 @@ the dict handed to them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Callable
 
 from .rng import Stream, TickRng
@@ -135,14 +134,6 @@ class SystemLayer:
                 mapping[sid].sort()
 
 
-@dataclass(frozen=True)
-class WorldSnapshot:
-    """Frozen view of all subagent states at one tick."""
-
-    tick: int
-    states: MappingProxyType
-
-
 class RuleContext:
     """Read interface handed to rules; enforces the stage read discipline.
 
@@ -247,11 +238,6 @@ class CoordinatorContext:
             raise KernelError(f"{self.system} settlement wrote to foreign subagent {sid!r}")
         self._nxt[sid] = state
 
-    def post_internal(self, sid: str) -> dict:
-        if sid not in self._members:
-            raise KernelError(f"{self.system} settlement read snapshot of foreign subagent {sid!r}")
-        return self._prev[sid]
-
     def params(self, sid: str) -> dict:
         return self._world.records[sid].params
 
@@ -261,19 +247,19 @@ class CoordinatorContext:
     def service(self, name: str):
         return self._world.services[name]
 
-    def counterpart(self, sid: str, system: str) -> str | None:
-        return self._world.counterpart(sid, system)
-
     def providers(self, sid: str, label: str) -> list[str]:
         layer = self._world.layers[self.system]
         return [to for to, lab in layer.out_edges.get(sid, ()) if lab == label]
 
-    def dependents(self, sid: str, label: str) -> list[str]:
-        layer = self._world.layers[self.system]
-        return [frm for frm, lab in layer.in_edges.get(sid, ()) if lab == label]
-
     def log(self, message: str) -> None:
         self._world.run_log.append((self.tick, message))
+
+    def derived(self, name: str, compute: Callable[[], object]):
+        """A value computed once per world from its frozen structure (members
+        and edges), such as a settlement's evaluation order."""
+        if name not in self._world.derived:
+            self._world.derived[name] = compute()
+        return self._world.derived[name]
 
 
 class World:
@@ -289,6 +275,7 @@ class World:
         self.states: dict[str, dict] = {}
         self.services: dict[str, object] = {}
         self.run_log: list[tuple[int, str]] = []
+        self.derived: dict[str, object] = {}
         self._counterparts: dict[tuple[str, str], str] = {}
         self._stage_plan: dict[str, list[tuple[str, Callable]]] = {}
         self.layer_order: dict[str, list[str]] = {}
@@ -369,9 +356,6 @@ class World:
 
     def role_members(self, role: str) -> list[str]:
         return [sid for sid in sorted(self.records) if self.records[sid].role == role]
-
-    def snapshot(self) -> WorldSnapshot:
-        return WorldSnapshot(self.tick, MappingProxyType(dict(self.states)))
 
     # -- dynamics -----------------------------------------------------------
 

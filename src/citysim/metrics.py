@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .kernel import SubAgentRecord, World
@@ -30,12 +30,6 @@ class MetricSample:
     scope: str  # subagent id, system name, or "city"
     name: str
     value: float | int | str
-
-
-@dataclass
-class ServiceLevelSeries:
-    system: str
-    values: list[float] = field(default_factory=list)
 
 
 # -- service level formulas --------------------------------------------------
@@ -134,10 +128,7 @@ class Recorder:
             if world.records[sid].role in roles
         ]
         self.rows: list[MetricSample] = []
-        self.sl: dict[str, ServiceLevelSeries] = {
-            "ict": ServiceLevelSeries("ict"),
-            "healthcare": ServiceLevelSeries("healthcare"),
-        }
+        self.sl: dict[str, list[float]] = {"ict": [], "healthcare": []}
         self.deaths: list[int] = []
         self.station_speeds: dict[str, list[float]] = {
             sid: [] for sid in sorted(world.records)
@@ -157,7 +148,7 @@ class Recorder:
         if self._ict_nodes:
             flags = [world.states[s]["effective_available"] for s in self._ict_nodes]
             value = sl_ict(flags)
-            self.sl["ict"].values.append(value)
+            self.sl["ict"].append(value)
             self.rows.append(MetricSample(tick, "ict", "service_level", value))
         if self._hospitals:
             terms = [
@@ -165,7 +156,7 @@ class Recorder:
                 for s in self._hospitals
             ]
             value = sl_healthcare(terms)
-            self.sl["healthcare"].values.append(value)
+            self.sl["healthcare"].append(value)
             self.rows.append(MetricSample(tick, "healthcare", "service_level", value))
         deaths = city_deaths(world.states[s]["infection"] for s in self._patients)
         self.deaths.append(deaths)

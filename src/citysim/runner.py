@@ -164,7 +164,7 @@ def run_variant(config: ScenarioConfig, variant: str = "risk", *,
     else:
         schedule = config.schedule()
     if observed_roles is None:
-        configured = config.raw.get("observe", {}).get("subagent_roles")
+        configured = config.raw["observe"]["subagent_roles"]
         observed_roles = tuple(configured) if configured else None
     recorder = Recorder(world, observed_roles)
     observers: list = [lambda w: recorder.observe()]
@@ -181,7 +181,7 @@ def run_variant(config: ScenarioConfig, variant: str = "risk", *,
         ticks_per_day=config.ticks_per_day,
         config_digest=config.digest,
         samples=recorder.rows,
-        sl={name: series.values for name, series in recorder.sl.items()},
+        sl=recorder.sl,
         deaths=recorder.deaths,
         station_speeds=recorder.station_speeds,
         applied_events=events,

@@ -7,37 +7,204 @@ lights), hazards (time-stamped events) and mitigations (named parameter
 override bundles applied on top of the risk scenario).  The seed is
 explicit and mandatory; there is no implicit randomness anywhere.
 
-Validation collects every problem it can find instead of failing fast and
-returns them as a list of human-readable diagnostics.
+``SCHEMA`` is the one list of fields, each with its type, its default (or
+REQUIRED) and its range or allowed set.  One walk over it reports type,
+range, missing-field and unknown-key errors and fills defaults in place,
+so the program reads a parsed config with ``[]`` only.  Validation
+collects every problem instead of failing fast, and never raises.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
+from .federation import ADAPTERS
 from .hazards import HazardSchedule, KINDS
+from .systems.ict import ATTACK_TYPES, dependency_order
 
-TOP_SECTIONS = {
-    "name", "seed", "horizon_days", "ticks_per_day",
-    "landscape", "population", "ict", "health", "mobility",
-    "hazards", "mitigations", "observe",
-}
+REQUIRED, OPTIONAL = object(), object()  # OPTIONAL: may be absent, nothing is filled in
 
-DISEASE_DEFAULTS = {
-    "beta": 0.0,
-    "p_severe": 0.0,
-    "p_worsen": 0.0,
-    "p_die_treated": 0.0,
-    "p_die_untreated": 0.0,
-    "mild_hours": [24, 48],
-    "severe_hours": [24, 48],
-    "critical_hours": [24, 48],
-    "convalescence_hours": 168,
-    "vaccination_factor": 1.0,
-}
+
+def _spell(where: tuple) -> str:
+    """A path kept as nested (parent, key) pairs, () at the top, is only
+    spelled out for a diagnostic."""
+    if not where:
+        return ""
+    head = _spell(where[0])
+    key = where[1]
+    return f"{head}[{key}]" if isinstance(key, int) else f"{head}.{key}" if head else key
+
+
+def _say(errors: list[str], where: tuple, message: str) -> None:
+    errors.append(f"{_spell(where) or 'scenario'}: {message}")
+
+
+class Value:
+    """A JSON scalar of exactly the given types (so bool is no number; no
+    types: any value), optionally limited to a range (``lo``/``hi``
+    inclusive, ``above`` exclusive), an allowed set, or an ``ok`` predicate
+    that ``what`` describes.  A default of None also accepts null."""
+
+    def __init__(self, types: tuple, what: str, default=REQUIRED, lo=None, hi=None,
+                 above=None, choices=None, ok=None):
+        self.types, self.default = frozenset(types), default
+        self.what = what + (" or null" if default is None else "")
+        self.lo, self.hi, self.above, self.choices, self.ok = lo, hi, above, choices, ok
+
+    def walk(self, value, where: tuple, errors: list[str]) -> None:
+        if self.types and type(value) not in self.types:
+            if value is not None or self.default is not None:
+                _say(errors, where, f"expected {self.what}, got {value!r}")
+        elif self.choices is not None and value not in self.choices:
+            _say(errors, where, f"{value!r} is not one of {sorted(self.choices)}")
+        elif self.above is not None and not value > self.above:
+            _say(errors, where, f"{value!r} must be > {self.above}")
+        elif self.lo is not None and not (value >= self.lo and (self.hi is None or value <= self.hi)):
+            bound = f">= {self.lo}" if self.hi is None else f"in [{self.lo}, {self.hi}]"
+            _say(errors, where, f"{value!r} must be {bound}")
+        elif self.ok is not None and not self.ok(value):
+            _say(errors, where, f"expected {self.what}, got {value!r}")
+
+
+text = partial(Value, (str,), "a string")
+integer = partial(Value, (int,), "an integer")
+number = partial(Value, (int, float), "a number")
+flag = partial(Value, (bool,), "true or false")
+ANY = Value((), "any value")  # a parameter value a mitigation or hazard sets
+# [lo, hi] hours or household sizes; a timetable's [start hour, place kind]
+window = partial(Value, (list, tuple), "[lo, hi] integers with 1 <= lo <= hi", ok=lambda w: (
+    len(w) == 2 and type(w[0]) is int and type(w[1]) is int and 1 <= w[0] <= w[1]))
+TIMETABLE_WINDOW = Value((list, tuple), "[hour 0-23, place kind]", ok=lambda w: (
+    len(w) == 2 and type(w[0]) is int and 0 <= w[0] <= 23 and type(w[1]) is str))
+
+
+class Record:
+    """A JSON object with a fixed set of keys; unknown keys are errors."""
+
+    def __init__(self, fields: dict, default=REQUIRED):
+        self.fields, self.keys, self.default = fields, frozenset(fields), default
+
+    def walk(self, value, where: tuple, errors: list[str]) -> None:
+        if not isinstance(value, dict):
+            _say(errors, where, f"expected an object, got {value!r}")
+            return
+        if not self.keys.issuperset(value):
+            for name in value:
+                if name not in self.keys:
+                    _say(errors, where, f"unknown key {name!r}")
+        for name, spec in self.fields.items():
+            if name in value:
+                spec.walk(value[name], (where, name), errors)
+            elif spec.default is REQUIRED:
+                _say(errors, (where, name), "missing")
+            elif spec.default is not OPTIONAL:
+                value[name] = copy.deepcopy(spec.default)
+                spec.walk(value[name], (where, name), errors)
+
+
+class ListOf:
+    """Items of one spec: a list, or with ``named`` an object of free names.
+    Absent from a record, it defaults to empty."""
+
+    def __init__(self, item, named: bool = False):
+        self.item, self.named = item, named
+        self.default = {} if named else []
+
+    def walk(self, value, where: tuple, errors: list[str]) -> None:
+        if not isinstance(value, dict if self.named else (list, tuple)):
+            _say(errors, where, f"expected {'an object' if self.named else 'a list'}, got {value!r}")
+            return
+        for key, item in value.items() if self.named else enumerate(value):
+            self.item.walk(item, (where, key), errors)
+
+
+MapOf = partial(ListOf, named=True)
+
+
+def selector(default=REQUIRED) -> Record:
+    """Subagents by id, or by role and district; {} matches every one."""
+    return Record({"id": text(OPTIONAL), "role": text(OPTIONAL), "district": text(OPTIONAL)},
+                  default)
+
+
+PROBABILITY = number(0.0, lo=0, hi=1)
+FRACTION = partial(number, lo=0, hi=1)
+DISTRICT = text(None)
+ICT_NODE = {"vulnerability": FRACTION(0.5), "recovery_ticks": integer(24, lo=1)}
+# a hospital's or traffic light's own ICT node, a leaf under `upstream`
+EMBEDDED_ICT = Record({"upstream": text(None), **ICT_NODE}, default=OPTIONAL)
+DISEASE = Record({
+    "beta": PROBABILITY, "p_severe": PROBABILITY, "p_worsen": PROBABILITY,
+    "p_die_treated": PROBABILITY, "p_die_untreated": PROBABILITY,
+    "mild_hours": window([24, 48]), "severe_hours": window([24, 48]),
+    "critical_hours": window([24, 48]), "convalescence_hours": integer(168, lo=0),
+    "vaccination_factor": number(1.0, lo=0),
+}, default={})
+
+SCHEMA = Record({
+    "name": text(), "seed": integer(), "horizon_days": integer(lo=1),
+    "ticks_per_day": integer(24, lo=1),
+    "landscape": Record({
+        "nodes": ListOf(Record({
+            "id": text(), "district": DISTRICT, "x": number(OPTIONAL), "y": number(OPTIONAL)})),
+        "roadways": ListOf(Record({
+            "id": text(), "a": text(), "b": text(), "length_m": number(above=0),
+            "free_flow_mps": number(above=0), "capacity": number(above=0),
+            "station": flag(False), "district": DISTRICT})),
+        "places": ListOf(Record({
+            "id": text(), "node": text(), "district": DISTRICT, "kind": text("generic"),
+            "capacity": integer(None, lo=0)})),  # null: unlimited
+    }, default={}),
+    "population": Record({
+        "districts": MapOf(Record({
+            "citizens": integer(0, lo=0), "household_size": window([2, 4])})),
+        "timetables": MapOf(ListOf(TIMETABLE_WINDOW)),
+        "timetable_mix": MapOf(number(lo=0)),  # template weights; {}: all the same
+        "contact_k": integer(3, lo=0), "boundary_jitter_h": integer(1, lo=0),
+        "lockdown": flag(False),
+    }, default={}),
+    "ict": Record({
+        "nodes": ListOf(Record({
+            "id": text(), "depends_on": ListOf(text()), **ICT_NODE, "district": DISTRICT})),
+        "attackers": ListOf(Record({
+            "id": text(), "target": text(), "attack_type": text(choices=ATTACK_TYPES),
+            # null: the attack type's own propagation probability
+            "propagation_probability": FRACTION(None), "district": DISTRICT})),
+    }, default={}),
+    "health": Record({
+        "hospitals": ListOf(Record({
+            "id": text(), "node": text(), "district": DISTRICT,
+            "general_beds": integer(lo=0), "icu_beds": integer(lo=0),
+            "care_quality": FRACTION(1.0), "referral_peers": ListOf(text()),
+            "ict": EMBEDDED_ICT, "capacity_degradation_factor": FRACTION(0.5),
+            "quality_degradation_factor": FRACTION(0.75)})),
+        "disease": DISEASE,
+    }, default={}),
+    "mobility": Record({
+        "adapter": text("reference", choices=ADAPTERS),
+        "v_min_frac": FRACTION(0.1), "light_off_factor": FRACTION(0.4),
+        "traffic_lights": ListOf(Record({
+            "id": text(), "node": text(None), "district": DISTRICT,
+            "roadways": ListOf(text()), "ict": EMBEDDED_ICT})),
+    }, default={}),
+    "hazards": ListOf(Record({
+        # one of the two triggers; tick wins when both are given
+        "tick": integer(OPTIONAL, lo=0), "day": integer(OPTIONAL, lo=0),
+        "kind": text(choices=KINDS), "selector": selector({}), "overrides": MapOf(ANY),
+        "payload": Record({"count": integer(OPTIONAL, lo=0)}, default={})})),
+    "mitigations": MapOf(ListOf(Record({
+        "selector": selector(), "param": text(), "op": text(choices=("scale", "set")),
+        "value": ANY}))),
+    # roles with per-subagent rows; [] means the recorder's default set
+    "observe": Record({"subagent_roles": ListOf(text())}, default={}),
+})
+
+DISEASE_DEFAULTS = {key: spec.default for key, spec in DISEASE.fields.items()}
 
 
 @dataclass
@@ -56,34 +223,26 @@ class ScenarioConfig:
 
     @property
     def mitigation_names(self) -> list[str]:
-        return sorted(self.raw.get("mitigations", {}))
+        return sorted(self.raw["mitigations"])
 
     def schedule(self) -> HazardSchedule:
-        return HazardSchedule.from_config(self.raw.get("hazards", []), self.ticks_per_day)
+        return HazardSchedule.from_config(self.raw["hazards"], self.ticks_per_day)
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        raw = dict(self.raw)
-        raw["seed"] = seed
-        return ScenarioConfig(
-            name=self.name, seed=seed, horizon_days=self.horizon_days,
-            ticks_per_day=self.ticks_per_day, raw=raw, digest=self.digest,
-            path=self.path,
-        )
+        return replace(self, seed=seed, raw={**self.raw, "seed": seed})
 
 
 def parse_config(raw: dict, digest: str, path: str | None = None) -> tuple[ScenarioConfig | None, list[str]]:
-    errors = structural_errors(raw)
+    """Validate a scenario document and fill its defaults in place; the
+    caller's dict becomes ``config.raw``.  Parsing a filled document again
+    changes nothing."""
+    errors: list[str] = []
+    SCHEMA.walk(raw, (), errors)
+    errors = errors or reference_errors(raw)
     if errors:
         return None, errors
-    config = ScenarioConfig(
-        name=raw["name"],
-        seed=int(raw["seed"]),
-        horizon_days=int(raw["horizon_days"]),
-        ticks_per_day=int(raw.get("ticks_per_day", 24)),
-        raw=raw,
-        digest=digest,
-        path=path,
-    )
+    config = ScenarioConfig(raw["name"], raw["seed"], raw["horizon_days"],
+                            raw["ticks_per_day"], raw, digest, path)
     return config, cross_errors(config)
 
 
@@ -103,183 +262,77 @@ def load_scenario(path: str | Path) -> tuple[ScenarioConfig | None, list[str]]:
     return parse_config(raw, hashlib.sha256(blob).hexdigest(), str(path))
 
 
-def structural_errors(raw: dict) -> list[str]:
-    """Shape and range checks that do not need the world built."""
+def reference_errors(raw: dict) -> list[str]:
+    """Ids, references and rules between fields, on a document the schema
+    walk accepted: every field is present and well typed."""
     errors: list[str] = []
-    for key in raw:
-        if key not in TOP_SECTIONS:
-            errors.append(f"unknown section {key!r}")
-    if "name" not in raw:
-        errors.append("missing name")
-    if "seed" not in raw:
-        errors.append("missing seed: every scenario must pin its randomness explicitly")
-    elif not isinstance(raw["seed"], int):
-        errors.append("seed must be an integer")
-    if "horizon_days" not in raw:
-        errors.append("missing horizon_days")
-    elif not isinstance(raw["horizon_days"], int) or raw["horizon_days"] < 1:
-        errors.append("horizon_days must be an integer >= 1")
-    if not isinstance(raw.get("ticks_per_day", 24), int) or raw.get("ticks_per_day", 24) < 1:
-        errors.append("ticks_per_day must be an integer >= 1")
-    if errors:
-        return errors
-
-    land = raw.get("landscape", {})
-    node_ids = {n["id"] for n in land.get("nodes", []) if "id" in n}
-    if len(node_ids) != len(land.get("nodes", [])):
-        errors.append("landscape.nodes: duplicate or missing ids")
-    roadway_ids = set()
-    for i, rw in enumerate(land.get("roadways", [])):
-        where = f"landscape.roadways[{i}]"
-        if rw.get("id") in roadway_ids:
-            errors.append(f"{where}: duplicate id {rw.get('id')!r}")
-        roadway_ids.add(rw.get("id"))
-        for end in ("a", "b"):
-            if rw.get(end) not in node_ids:
-                errors.append(f"{where}: endpoint {rw.get(end)!r} is not a landscape node")
-        if rw.get("length_m", 1) <= 0 or rw.get("free_flow_mps", 1) <= 0:
-            errors.append(f"{where}: length_m and free_flow_mps must be positive")
-        if rw.get("capacity", 1) <= 0:
-            errors.append(f"{where}: capacity must be positive")
-    place_ids = set()
-    for i, pl in enumerate(land.get("places", [])):
-        where = f"landscape.places[{i}]"
-        if pl.get("id") in place_ids:
-            errors.append(f"{where}: duplicate id {pl.get('id')!r}")
-        place_ids.add(pl.get("id"))
-        if pl.get("node") not in node_ids:
-            errors.append(f"{where}: node {pl.get('node')!r} is not a landscape node")
-
-    ict = raw.get("ict", {})
-    ict_ids = set()
-    for i, node in enumerate(ict.get("nodes", [])):
-        where = f"ict.nodes[{i}]"
-        if node.get("id") in ict_ids:
-            errors.append(f"{where}: duplicate id {node.get('id')!r}")
-        ict_ids.add(node.get("id"))
-        if not 0.0 <= node.get("vulnerability", 0.5) <= 1.0:
-            errors.append(f"{where}: vulnerability outside [0, 1]")
-        if node.get("recovery_ticks", 24) < 1:
-            errors.append(f"{where}: recovery_ticks must be >= 1")
-    for i, node in enumerate(ict.get("nodes", [])):
-        for up in node.get("depends_on", []):
-            if up not in ict_ids:
-                errors.append(f"ict.nodes[{i}]: depends_on {up!r} unknown")
-    if _ict_cycle(ict.get("nodes", [])):
+    land, pop, ict = raw["landscape"], raw["population"], raw["ict"]
+    hospitals, lights = raw["health"]["hospitals"], raw["mobility"]["traffic_lights"]
+    known: dict[str, set[str]] = {}
+    for where, items in (("landscape.nodes", land["nodes"]), ("landscape.roadways", land["roadways"]),
+                         ("landscape.places", land["places"]), ("ict.nodes", ict["nodes"]),
+                         ("health.hospitals", hospitals)):
+        known[where] = set()
+        for i, item in enumerate(items):
+            if item["id"] in known[where]:
+                errors.append(f"{where}[{i}]: duplicate id {item['id']!r}")
+            known[where].add(item["id"])
+    embedded = [dict(owner["ict"], id=owner["id"]) for owner in hospitals + lights if "ict" in owner]
+    for where, items, key, target in (
+        ("landscape.roadways", land["roadways"], "a", "landscape.nodes"),
+        ("landscape.roadways", land["roadways"], "b", "landscape.nodes"),
+        ("landscape.places", land["places"], "node", "landscape.nodes"),
+        ("ict.nodes", ict["nodes"], "depends_on", "ict.nodes"),
+        ("ict.attackers", ict["attackers"], "target", "ict.nodes"),
+        ("health.hospitals", hospitals, "node", "landscape.nodes"),
+        ("health.hospitals", hospitals, "referral_peers", "health.hospitals"),
+        ("mobility.traffic_lights", lights, "node", "landscape.nodes"),
+        ("mobility.traffic_lights", lights, "roadways", "landscape.roadways"),
+        ("ict upstream of", embedded, "upstream", "ict.nodes"),
+    ):
+        for item in items:
+            for ref in item[key] if isinstance(item[key], list) else [item[key]]:
+                if ref is not None and ref not in known[target]:
+                    errors.append(f"{where} {item['id']!r}: {key} {ref!r} is not in {target}")
+    deps = {node["id"]: node["depends_on"] for node in ict["nodes"]}
+    if dependency_order(list(deps), deps.__getitem__) is None:
         errors.append("ict.nodes: dependency graph has a cycle")
-    from .systems.ict import ATTACK_TYPES
-    for i, atk in enumerate(ict.get("attackers", [])):
-        where = f"ict.attackers[{i}]"
-        if atk.get("target") not in ict_ids:
-            errors.append(f"{where}: target {atk.get('target')!r} is not an ict node")
-        if atk.get("attack_type") not in ATTACK_TYPES:
-            errors.append(f"{where}: unknown attack type {atk.get('attack_type')!r}")
 
-    health = raw.get("health", {})
-    hospital_ids = {h.get("id") for h in health.get("hospitals", [])}
-    for i, hosp in enumerate(health.get("hospitals", [])):
-        where = f"health.hospitals[{i}]"
-        if hosp.get("node") not in node_ids:
-            errors.append(f"{where}: node {hosp.get('node')!r} is not a landscape node")
-        for peer in hosp.get("referral_peers", []):
-            if peer not in hospital_ids:
-                errors.append(f"{where}: referral peer {peer!r} unknown")
-        up = hosp.get("ict", {}).get("upstream")
-        if up is not None and up not in ict_ids:
-            errors.append(f"{where}: ict upstream {up!r} unknown")
-        if hosp.get("general_beds", 0) < 0 or hosp.get("icu_beds", 0) < 0:
-            errors.append(f"{where}: negative bed count")
-    disease = {**DISEASE_DEFAULTS, **health.get("disease", {})}
-    for key in ("beta", "p_severe", "p_worsen", "p_die_treated", "p_die_untreated"):
-        if not 0.0 <= disease[key] <= 1.0:
-            errors.append(f"health.disease.{key}: {disease[key]} outside [0, 1]")
-    for key in ("mild_hours", "severe_hours", "critical_hours"):
-        window = disease[key]
-        if not (isinstance(window, (list, tuple)) and len(window) == 2
-                and 1 <= window[0] <= window[1]):
-            errors.append(f"health.disease.{key}: need [lo, hi] with 1 <= lo <= hi")
-
-    pop = raw.get("population", {})
-    templates = pop.get("timetables", {})
-    jitter = pop.get("boundary_jitter_h", 1)
+    templates, jitter = pop["timetables"], pop["boundary_jitter_h"]
     for name, entries in templates.items():
         where = f"population.timetables.{name}"
-        hours = [e[0] for e in entries]
-        if not entries or hours[0] != 0:
+        hours = [hour for hour, _ in entries]
+        # a window must survive the jitter plus one tick in transit, or
+        # citizens would miss boundaries while on the road; the last window
+        # runs to midnight
+        gaps = [b - a for a, b in zip(hours, hours[1:] + [24])]
+        if not hours or hours[0] != 0:
             errors.append(f"{where}: first window must start at hour 0")
-        if hours != sorted(hours) or len(set(hours)) != len(hours):
+        elif min(gaps) <= 0:
             errors.append(f"{where}: window starts must be strictly increasing")
-        if any(not 0 <= h < 24 for h in hours):
-            errors.append(f"{where}: hours must be in [0, 24)")
-        elif len(hours) > 1:
-            # a window must survive the jitter plus one tick in transit,
-            # or citizens would miss boundaries while on the road
-            gaps = [b - a for a, b in zip(hours, hours[1:])]
-            gaps.append(24 + hours[0] - hours[-1])
-            if min(gaps) < 2 * jitter + 2:
-                errors.append(
-                    f"{where}: windows narrower than {2 * jitter + 2}h cannot "
-                    f"absorb a +-{jitter}h jitter plus travel time"
-                )
-    for name in pop.get("timetable_mix", {}):
-        if name not in templates:
-            errors.append(f"population.timetable_mix: unknown template {name!r}")
-    kinds_available: dict[str, set[str]] = {}
-    for pl in land.get("places", []):
-        kinds_available.setdefault(pl.get("district"), set()).add(pl.get("kind"))
-    for dname, dspec in pop.get("districts", {}).items():
+        elif len(hours) > 1 and min(gaps) < 2 * jitter + 2:
+            errors.append(f"{where}: windows narrower than {2 * jitter + 2}h cannot "
+                          f"absorb a +-{jitter}h jitter plus travel time")
+    for name in sorted(pop["timetable_mix"].keys() - templates.keys()):
+        errors.append(f"population.timetable_mix: unknown template {name!r}")
+    needed = {kind for entries in templates.values() for _, kind in entries if kind != "home"}
+    for dname, dspec in pop["districts"].items():
         where = f"population.districts.{dname}"
-        if dspec.get("citizens", 0) < 0:
-            errors.append(f"{where}: negative citizen count")
-        size = dspec.get("household_size", [2, 4])
-        if not (isinstance(size, (list, tuple)) and len(size) == 2 and 1 <= size[0] <= size[1]):
-            errors.append(f"{where}: household_size needs [lo, hi] with 1 <= lo <= hi")
-        if dspec.get("citizens", 0) > 0:
-            needed = {
-                kind for entries in templates.values() for _, kind in entries
-                if kind != "home"
-            }
-            missing = needed - kinds_available.get(dname, set())
-            if missing and not pop.get("lockdown"):
-                errors.append(f"{where}: no place of kind {sorted(missing)!r} in district")
-        district_nodes = [n for n in land.get("nodes", []) if n.get("district") == dname]
-        if dspec.get("citizens", 0) > 0 and not district_nodes:
+        missing = needed - {pl["kind"] for pl in land["places"] if pl["district"] == dname}
+        if dspec["citizens"] and missing and not pop["lockdown"]:
+            errors.append(f"{where}: no place of kind {sorted(missing)!r} in district")
+        if dspec["citizens"] and not any(node["district"] == dname for node in land["nodes"]):
             errors.append(f"{where}: district has no landscape nodes to host homes")
 
-    mob = raw.get("mobility", {})
-    if mob and mob.get("adapter", "reference") != "reference":
-        errors.append(f"mobility.adapter: unknown adapter {mob.get('adapter')!r}")
-    for i, light in enumerate(mob.get("traffic_lights", [])):
-        where = f"mobility.traffic_lights[{i}]"
-        for rid in light.get("roadways", []):
-            if rid not in roadway_ids:
-                errors.append(f"{where}: roadway {rid!r} unknown")
-        up = light.get("ict", {}).get("upstream")
-        if up is not None and up not in ict_ids:
-            errors.append(f"{where}: ict upstream {up!r} unknown")
-        if light.get("node") is not None and light.get("node") not in node_ids:
-            errors.append(f"{where}: node {light.get('node')!r} unknown")
-
-    for i, ev in enumerate(raw.get("hazards", [])):
-        where = f"hazards[{i}]"
-        if ev.get("kind") not in KINDS:
-            errors.append(f"{where}: unknown kind {ev.get('kind')!r}")
+    for i, ev in enumerate(raw["hazards"]):
         if "tick" not in ev and "day" not in ev:
-            errors.append(f"{where}: needs a trigger tick or day")
-        trigger = ev.get("tick", ev.get("day", 0))
-        if not isinstance(trigger, int) or trigger < 0:
-            errors.append(f"{where}: trigger must be a non-negative integer")
-
-    for name, bundle in raw.get("mitigations", {}).items():
+            errors.append(f"hazards[{i}]: needs a trigger tick or day")
+    for name, bundle in raw["mitigations"].items():
         if name in ("baseline", "risk"):
             errors.append(f"mitigations.{name}: reserved variant name")
         for i, op in enumerate(bundle):
-            where = f"mitigations.{name}[{i}]"
-            if op.get("op") not in ("scale", "set"):
-                errors.append(f"{where}: op must be scale or set")
-            if "param" not in op or "selector" not in op:
-                errors.append(f"{where}: needs selector and param")
-
+            if op["op"] == "scale" and type(op["value"]) not in (int, float):
+                errors.append(f"mitigations.{name}[{i}]: scale value must be numeric")
     return errors
 
 
@@ -296,7 +349,7 @@ def cross_errors(config: ScenarioConfig) -> list[str]:
     except (BuildError, ValueError) as exc:
         return [f"build: {exc}"]
     errors.extend(hazards.validate(config.schedule(), world))
-    for name, bundle in config.raw.get("mitigations", {}).items():
+    for name, bundle in config.raw["mitigations"].items():
         for i, op in enumerate(bundle):
             where = f"mitigations.{name}[{i}]"
             targets = hazards.resolve_selector(world, op["selector"])
@@ -306,31 +359,6 @@ def cross_errors(config: ScenarioConfig) -> list[str]:
             missing = [s for s in targets if op["param"] not in world.records[s].params]
             if missing:
                 errors.append(f"{where}: param {op['param']!r} not on {missing[0]!r}")
-            if op["op"] == "scale" and not isinstance(op.get("value"), (int, float)):
-                errors.append(f"{where}: scale value must be numeric")
-    roles = config.raw.get("observe", {}).get("subagent_roles")
-    if roles:
-        known = set(world.registry.rules)
-        for role in roles:
-            if role not in known:
-                errors.append(f"observe.subagent_roles: unknown role {role!r}")
+    errors += [f"observe.subagent_roles: unknown role {role!r}"
+               for role in config.raw["observe"]["subagent_roles"] if role not in world.registry.rules]
     return errors
-
-
-def _ict_cycle(nodes: list[dict]) -> bool:
-    deps = {n.get("id"): list(n.get("depends_on", [])) for n in nodes}
-    state: dict[str, int] = {}
-
-    def visit(nid: str) -> bool:
-        if state.get(nid) == 1:
-            return True
-        if state.get(nid) == 2:
-            return False
-        state[nid] = 1
-        for up in deps.get(nid, ()):
-            if up in deps and visit(up):
-                return True
-        state[nid] = 2
-        return False
-
-    return any(visit(nid) for nid in deps)

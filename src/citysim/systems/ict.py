@@ -127,33 +127,50 @@ def node_network(ctx: RuleContext) -> dict | None:
     return new
 
 
+def dependency_order(nodes: list[str], providers) -> list[str] | None:
+    """``nodes`` ordered so that each comes after all its providers, or None
+    if the dependencies have a cycle.  Iterative (Kahn's algorithm), so the
+    depth of a chain is not limited; providers outside ``nodes`` are
+    ignored."""
+    waiting = {sid: 0 for sid in nodes}
+    dependents: dict[str, list[str]] = {sid: [] for sid in nodes}
+    for sid in nodes:
+        for up in providers(sid):
+            if up in waiting:
+                waiting[sid] += 1
+                dependents[up].append(sid)
+    order = [sid for sid in nodes if not waiting[sid]]
+    for sid in order:  # grows while it is walked
+        for dep in dependents[sid]:
+            waiting[dep] -= 1
+            if not waiting[dep]:
+                order.append(dep)
+    return order if len(order) == len(waiting) else None
+
+
+def _settlement_plan(cctx: CoordinatorContext) -> list[tuple[str, list[str]]]:
+    order = dependency_order(cctx.members(ROLE_NODE),
+                             lambda sid: cctx.providers(sid, EDGE_DEPENDS))
+    if order is None:
+        raise ValueError("ICT dependency graph has a cycle")
+    return [(sid, cctx.providers(sid, EDGE_DEPENDS)) for sid in order]
+
+
 def ict_settlement(cctx: CoordinatorContext) -> None:
-    """Effective-availability fixpoint over the acyclic dependency graph.
+    """Effective availability over the acyclic dependency graph.
 
     A whole hierarchy outage shows up in the same tick's metrics: a node is
-    effectively available iff it is up and all its providers are.
+    effectively available iff it is up and all its providers are.  Nodes
+    are visited in dependency order, computed once per world.
     """
-    nodes = cctx.members(ROLE_NODE)
     effective: dict[str, bool] = {}
-
-    def eval_node(sid: str, trail: tuple[str, ...]) -> bool:
-        if sid in effective:
-            return effective[sid]
-        if sid in trail:
-            raise ValueError(f"dependency cycle through {sid!r}")
-        value = cctx.get(sid)["available"] and all(
-            eval_node(p, trail + (sid,)) for p in cctx.providers(sid, EDGE_DEPENDS)
-        )
-        effective[sid] = value
-        return value
-
-    for sid in nodes:
-        eval_node(sid, ())
-    for sid in nodes:
+    for sid, providers in cctx.derived("ict_dependency_order", lambda: _settlement_plan(cctx)):
         state = cctx.get(sid)
-        if state["effective_available"] != effective[sid]:
+        value = state["available"] and all(effective[p] for p in providers)
+        effective[sid] = value
+        if state["effective_available"] != value:
             new = dict(state)
-            new["effective_available"] = effective[sid]
+            new["effective_available"] = value
             cctx.set(sid, new)
 
 

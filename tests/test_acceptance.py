@@ -9,6 +9,7 @@ or bound violation fails the suite immediately.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -430,3 +431,31 @@ def test_criterion_9_conservation(report):
                 assert icu[t] <= max(icu_cap[t], icu[t - 1] if t else 0)
     _pass(9, "population partition, monotone deaths and occupancy bounds held "
              "at every tick of every acceptance run (per-tick monitors active)")
+
+
+# -- golden trajectories -------------------------------------------------------
+
+# sha256 of every exported file of the four-variant case study at seed 10;
+# manifest.json is left out because it records wall times
+GOLDEN_EXPORT = {
+    "comparison.csv": "243b21ddf6a87eca53b88e211323eabe66e04e055c518b1bec0ca73a4c411ab8",
+    "deaths.csv": "5314aa2a453b6f0413dae6bfd3561b2d97c6ceb0f3401cbcdac95c0b02a21d5f",
+    "metrics_baseline.csv": "3d56550bc18f0c0e350d63814a9a5940d612d516dae33cbd67db3d4d4d50c252",
+    "metrics_beds.csv": "3ce4287aaa97fdf1dc152608b349865c9671fa40131a372ace5a1c5976c7e8b9",
+    "metrics_cybersecurity.csv": "ae336b41106754f0257203ca22b304380ce1a1383135e335519061fd0c5fcf82",
+    "metrics_risk.csv": "c70e91460ad8e213cbce805be1cc8e1571c1559ba61ffde04daa18d0c3419d02",
+    "service_levels_baseline.csv": "7df41a3fe3cc76a8737d20a1ec0d5a17a183a1fdbbd97cb32f3b97158e575df2",
+    "service_levels_beds.csv": "8a8df25f87bd1b26c82177d394a3e89958ca9bda1d72815e59d9d7aa363e33e0",
+    "service_levels_cybersecurity.csv": "b9f832123bbc93bc7040c67cdda166c1b718d0d428f4397aa3e3f8a49111bea5",
+    "service_levels_risk.csv": "9f1901873c80d6360311b15f2d7dbb8edc77b63b9f1bdaa95b9e33c61292bb2d",
+    "summary.json": "e42cacb0d7c4b899407f57c90b03fc42e84380075e832510476360cf87440b7a",
+}
+
+
+def test_golden_export_digests(report, tmp_path):
+    export_report(report, tmp_path)
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.iterdir()) if p.name != "manifest.json"
+    }
+    assert digests == GOLDEN_EXPORT

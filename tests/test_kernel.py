@@ -193,15 +193,3 @@ def test_rule_exception_becomes_abort_with_id_and_tick():
         world.step()
     assert err.value.subagent_id == "a::ict"
     assert err.value.tick == 3
-
-
-def test_snapshot_is_immutable_view():
-    registry = toy_registry(n=RuleSet(init_state=blank_state_init({"x": 1})))
-    world = World(1, registry)
-    world.add_agent("a", [("a::ict", "ict", "n", {})])
-    world.finalize()
-    snap = world.snapshot()
-    assert snap.tick == 0
-    assert snap.states["a::ict"]["x"] == 1
-    with pytest.raises(TypeError):
-        snap.states["a::ict"] = {}

@@ -5,12 +5,13 @@ import os
 import stat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from citysim.build import build_world
 from citysim.cli import main
 from citysim.export import export_report
-from citysim.runner import run_paired, run_variant
-from citysim.scenario import load_scenario
+from citysim.runner import run, run_paired, run_variant
+from citysim.scenario import load_scenario, parse_config
 
 from conftest import SCENARIO_PATH, write_scenario
 
@@ -246,6 +247,12 @@ def test_cli_seed_env_override(tmp_path, capsys, monkeypatch):
     assert manifest["seed"] == 12345
 
 
+def test_cli_seed_env_not_an_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CITYSIM_SEED", "abc")
+    assert main(["run", str(small_config(tmp_path)), "--out", str(tmp_path / "o")]) == 2
+    assert "error: CITYSIM_SEED must be an integer" in capsys.readouterr().err
+
+
 def test_cli_runtime_abort_exit_code(tmp_path, monkeypatch):
     from citysim import cli
     from citysim.kernel import SimulationAbort
@@ -298,3 +305,120 @@ def test_seed_change_changes_stochastic_output():
         return series
 
     assert infected_series(1) != infected_series(2)
+
+
+# -- the schema: bad input is a diagnostic, never a traceback -------------------
+
+CASESTUDY = json.loads(SCENARIO_PATH.read_text())
+
+
+def casestudy_copy() -> dict:
+    return json.loads(json.dumps(CASESTUDY))
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(raw):
+        for step in path:
+            raw = raw[step]
+        raw[key] = value
+    return mutate
+
+
+def _drop(*path):
+    *path, key = path
+
+    def mutate(raw):
+        for step in path:
+            raw = raw[step]
+        del raw[key]
+    return mutate
+
+
+BAD_INPUTS = {
+    "hospital-without-general_beds": _drop("health", "hospitals", 0, "general_beds"),
+    "roadway-without-length_m": _drop("landscape", "roadways", 0, "length_m"),
+    "place-without-id": _drop("landscape", "places", 0, "id"),
+    "vulnerability-string": _set("ict", "nodes", 0, "vulnerability", "x"),
+    "beta-string": _set("health", "disease", "beta", "x"),
+    "citizens-string": _set("population", "districts", "center", "citizens", "5"),
+    "landscape-list": _set("landscape", []),
+    "hazards-object": _set("hazards", {"a": 1}),
+    "timetable-entry-too-short": _set("population", "timetables", "worker", 1, [0]),
+    "seed-bool": _set("seed", True),
+    "hazards-empty-object": _set("hazards", {}),
+    "set-without-value": _set("mitigations", "harden", [
+        {"selector": {"role": "cyber-infrastructure"}, "param": "vulnerability",
+         "op": "set"}]),
+}
+
+
+@pytest.mark.parametrize("mutate", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
+def test_bad_input_gives_errors_and_exit_2(tmp_path, capsys, mutate):
+    raw = casestudy_copy()
+    mutate(raw)
+    path = write_scenario(tmp_path, raw)
+    config, errors = load_scenario(path)
+    assert config is None and errors
+    assert main(["validate", str(path)]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def ict_chain(length: int, leaf_first: bool) -> dict:
+    nodes = [{"id": f"n{i}", "depends_on": [f"n{i - 1}"] if i else [],
+              "vulnerability": 1.0} for i in range(length)]
+    if leaf_first:
+        nodes.reverse()
+    return {
+        "name": "chain", "seed": 3, "horizon_days": 1,
+        "ict": {"nodes": nodes,
+                "attackers": [{"id": "atk", "target": "n0", "attack_type": "ddos"}]},
+        "hazards": [{"tick": 2, "kind": "cyberattack", "selector": {"id": "atk::ict"}}],
+        "observe": {"subagent_roles": ["cyber-attacker"]},
+    }
+
+
+@pytest.mark.parametrize("length, leaf_first", [(1500, False), (1500, True), (5000, False)])
+def test_deep_ict_chain_validates_and_runs(tmp_path, length, leaf_first):
+    config, errors = load_scenario(write_scenario(tmp_path, ict_chain(length, leaf_first)))
+    assert errors == []
+    sl = run_variant(config, "risk").sl["ict"]
+    assert len(sl) == 25
+    # the root goes down at tick 3 and takes the whole chain with it
+    assert sl[:3] == [1.0] * 3 and sl[3] == 0.0
+
+
+DELETE = "<delete>"
+
+
+def _slots(node, path=()):
+    """The path of every value in a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _slots(child, path + (key,))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(list(_slots(CASESTUDY))),
+       st.sampled_from([DELETE, None, "x", True, -1, 0, 2.5, [], {}]))
+def test_mutated_casestudy_is_rejected_or_runs(slot, value):
+    raw = casestudy_copy()
+    *path, key = slot
+    if value is DELETE:
+        _drop(*path, key)(raw)
+    else:
+        _set(*path, key, value)(raw)
+    config, errors = parse_config(raw, "fuzz")
+    if errors:
+        return
+    again, errors = parse_config(json.loads(json.dumps(config.raw)), "fuzz")
+    assert errors == [] and again.raw == config.raw
+    world = build_world(config, "risk")
+    run(world, 1, config.schedule())
