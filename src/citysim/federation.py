@@ -32,7 +32,10 @@ class FederationAdapter(ABC):
     def advance(self, tick: int) -> None: ...
 
     @abstractmethod
-    def query(self) -> dict: ...
+    def query(self) -> dict:
+        """Observables of the last advanced tick.  The caller must treat the
+        returned dict and everything in it as read-only; an adapter may hand
+        out the same objects until its next ``advance``."""
 
 
 def roadway_mean_speed(free_flow: float, occupancy: float, capacity: float,
@@ -124,11 +127,9 @@ class ReferenceTrafficSimulator(FederationAdapter):
         self._tick = tick
 
     def query(self) -> dict:
-        """Observables of exactly the last advanced tick (cached)."""
-        return {
-            "roadways": {rid: dict(obs) for rid, obs in self._observables["roadways"].items()},
-            "lights": dict(self._observables["lights"]),
-        }
+        """Observables of exactly the last advanced tick, as ``advance``
+        built them (read-only, see ``FederationAdapter.query``)."""
+        return self._observables
 
 
 ADAPTERS = {"reference": ReferenceTrafficSimulator}

@@ -68,17 +68,30 @@ def resolve_selector(world: World, selector: dict) -> list[str]:
     if "id" in selector:
         sid = selector["id"]
         return [sid] if sid in world.records else []
-    matched = []
     want_role = selector.get("role")
     want_district = selector.get("district")
-    for sid in sorted(world.records):
-        rec = world.records[sid]
-        if want_role is not None and rec.role != want_role:
-            continue
-        if want_district is not None and rec.params.get("district") != want_district:
-            continue
-        matched.append(sid)
-    return matched
+    matched = sorted(world.records) if want_role is None else world.role_members(want_role)
+    if want_district is None:
+        return matched
+    return [sid for sid in matched
+            if world.records[sid].params.get("district") == want_district]
+
+
+def param_kind(value) -> str:
+    """Type class of a parameter value; a bool never counts as a number."""
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return type(value).__name__
+
+
+def replacement_error(current, value) -> str | None:
+    """Why ``value`` may not replace a parameter holding ``current``: it must
+    be of the same kind, unless the parameter is unset (None)."""
+    if current is None or param_kind(value) == param_kind(current):
+        return None
+    return f"expected {param_kind(current)}, got {param_kind(value)}"
 
 
 def validate(schedule: HazardSchedule, world: World) -> list[str]:
@@ -95,12 +108,18 @@ def validate(schedule: HazardSchedule, world: World) -> list[str]:
         if not targets:
             errors.append(f"{where}: selector {ev.selector!r} matches no subagent")
             continue
-        for name in ev.overrides:
+        for name, value in ev.overrides.items():
             missing = [s for s in targets if name not in world.records[s].params]
             if missing:
                 errors.append(
                     f"{where}: override {name!r} not a parameter of {missing[0]!r}"
                 )
+                continue
+            for sid in targets:
+                problem = replacement_error(world.records[sid].params[name], value)
+                if problem:
+                    errors.append(f"{where}: override {name!r} on {sid!r}: {problem}")
+                    break
         if ev.kind == "cyberattack":
             wrong = [s for s in targets if world.records[s].role != "cyber-attacker"]
             if wrong:

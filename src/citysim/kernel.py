@@ -96,6 +96,9 @@ class SubAgentRecord:
     params: dict
     stream: Stream
     world: "World | None" = field(default=None, repr=False)
+    # system -> subagent id for every member of this agent; one dict shared
+    # by all of the agent's records
+    siblings: dict[str, str] = field(default_factory=dict, repr=False)
 
     @property
     def state(self) -> dict:
@@ -105,7 +108,7 @@ class SubAgentRecord:
 @dataclass
 class Agent:
     id: str
-    members: list[str]
+    members: dict[str, str]  # system -> subagent id; its records' siblings
 
 
 class SystemLayer:
@@ -151,10 +154,6 @@ class RuleContext:
         self.tick = tick
         self.sid = ""
         self._record: SubAgentRecord | None = None
-
-    def _bind(self, sid: str) -> None:
-        self.sid = sid
-        self._record = self._world.records[sid]
 
     @property
     def params(self) -> dict:
@@ -223,10 +222,11 @@ class CoordinatorContext:
         self._members = world.layers[system].members
 
     def members(self, role: str | None = None) -> list[str]:
+        """Sorted members of this layer, optionally of one role.  The list is
+        shared by every tick: read it, never mutate it."""
         if role is None:
             return self._world.layer_order[self.system]
-        return [s for s in self._world.layer_order[self.system]
-                if self._world.records[s].role == role]
+        return self._world.layer_role_order.get((self.system, role), [])
 
     def get(self, sid: str) -> dict:
         if sid not in self._members:
@@ -276,23 +276,25 @@ class World:
         self.services: dict[str, object] = {}
         self.run_log: list[tuple[int, str]] = []
         self.derived: dict[str, object] = {}
-        self._counterparts: dict[tuple[str, str], str] = {}
-        self._stage_plan: dict[str, list[tuple[str, Callable]]] = {}
+        self._stage_plan: dict[str, list[tuple[SubAgentRecord, Callable]]] = {}
+        self._role_order: dict[str, list[str]] | None = None
         self.layer_order: dict[str, list[str]] = {}
+        self.layer_role_order: dict[tuple[str, str], list[str]] = {}
         self._finalized = False
 
     # -- assembly -----------------------------------------------------------
 
     def add_agent(self, agent_id: str, subagents: list[tuple[str, str, str, dict]]) -> None:
         """Register an agent and its (subagent id, system, role, params) members."""
+        if self._finalized:
+            raise BuildError("world already finalized")
         if agent_id in self.agents:
             raise BuildError(f"duplicate agent id {agent_id!r}")
-        systems_seen: set[str] = set()
-        member_ids: list[str] = []
+        siblings: dict[str, str] = {}
         for sid, system, role, params in subagents:
             if system not in SYSTEMS:
                 raise BuildError(f"unknown system {system!r} for subagent {sid!r}")
-            if system in systems_seen:
+            if system in siblings:
                 raise BuildError(
                     f"agent {agent_id!r} has two subagents in system {system!r}"
                 )
@@ -300,19 +302,20 @@ class World:
                 raise BuildError(f"duplicate subagent id {sid!r}")
             if role not in self.registry.rules:
                 raise BuildError(f"no rules registered for role {role!r} (subagent {sid!r})")
-            systems_seen.add(system)
+            siblings[system] = sid
             record = SubAgentRecord(
                 id=sid, system=system, agent_id=agent_id, role=role,
                 params=params, stream=Stream(self.master_seed, sid), world=self,
+                siblings=siblings,
             )
             self.records[sid] = record
             self.layers[system].members.add(sid)
-            member_ids.append(sid)
-        self.agents[agent_id] = Agent(agent_id, member_ids)
-        for sid in member_ids:
-            self._counterparts[(agent_id, self.records[sid].system)] = sid
+        self.agents[agent_id] = Agent(agent_id, siblings)
+        self._role_order = None
 
     def add_edge(self, system: str, frm: str, to: str, label: str) -> None:
+        if self._finalized:
+            raise BuildError("world already finalized")
         if system not in SYSTEMS:
             raise BuildError(f"unknown system {system!r}")
         for sid in (frm, to):
@@ -321,33 +324,36 @@ class World:
         self.layers[system].add_edge(frm, to, label)
 
     def finalize(self) -> None:
-        """Freeze structure, derive initial states, precompute stage plans."""
+        """Freeze structure, derive initial states, precompute stage plans and
+        the sorted member lists per layer, per role and per (layer, role)."""
         if self._finalized:
             raise BuildError("world already finalized")
         for layer in self.layers.values():
             layer.finalize()
-        self.layer_order = {
-            s: sorted(layer.members) for s, layer in self.layers.items()
-        }
-        for sid in sorted(self.records):
-            rec = self.records[sid]
+        ordered = [self.records[sid] for sid in sorted(self.records)]
+        self.layer_order = {s: [] for s in SYSTEMS}
+        self._role_order = {}
+        for rec in ordered:
+            self.layer_order[rec.system].append(rec.id)
+            self._role_order.setdefault(rec.role, []).append(rec.id)
+            self.layer_role_order.setdefault((rec.system, rec.role), []).append(rec.id)
             ruleset = self.registry.rules[rec.role]
             if ruleset.observe is None:
                 raise BuildError(f"role {rec.role!r} has no observability function")
-            self.states[sid] = ruleset.init_state(rec.params, rec.stream)
+            self.states[rec.id] = ruleset.init_state(rec.params, rec.stream)
         for stage in STAGES:
-            plan: list[tuple[str, Callable]] = []
-            for sid in sorted(self.records):
-                fn = getattr(self.registry.rules[self.records[sid].role], stage)
+            plan: list[tuple[SubAgentRecord, Callable]] = []
+            for rec in ordered:
+                fn = getattr(self.registry.rules[rec.role], stage)
                 if fn is not None:
-                    plan.append((sid, fn))
+                    plan.append((rec, fn))
             self._stage_plan[stage] = plan
         self._finalized = True
 
     # -- queries ------------------------------------------------------------
 
     def counterpart(self, sid: str, system: str) -> str | None:
-        return self._counterparts.get((self.records[sid].agent_id, system))
+        return self.records[sid].siblings.get(system)
 
     def system_members(self, system: str) -> frozenset[str]:
         if system not in SYSTEMS:
@@ -355,7 +361,19 @@ class World:
         return frozenset(self.layers[system].members)
 
     def role_members(self, role: str) -> list[str]:
-        return [sid for sid in sorted(self.records) if self.records[sid].role == role]
+        """Sorted ids of the subagents with this role (a fresh list)."""
+        return list(self._roles().get(role, ()))
+
+    def _roles(self) -> dict[str, list[str]]:
+        """Role -> sorted member ids.  Finalize derives it; before that it is
+        derived on first use, because mitigations resolve their selectors
+        while the world is being built."""
+        if self._role_order is None:
+            order: dict[str, list[str]] = {}
+            for sid in sorted(self.records):
+                order.setdefault(self.records[sid].role, []).append(sid)
+            self._role_order = order
+        return self._role_order
 
     # -- dynamics -----------------------------------------------------------
 
@@ -368,8 +386,9 @@ class World:
         for stage in STAGES:
             nxt = dict(prev)
             ctx = RuleContext(self, stage, prev, tick)
-            for sid, fn in self._stage_plan[stage]:
-                ctx._bind(sid)
+            for rec, fn in self._stage_plan[stage]:
+                ctx.sid = sid = rec.id
+                ctx._record = rec
                 try:
                     out = fn(ctx)
                 except KernelError:

@@ -123,16 +123,15 @@ class Recorder:
     def __init__(self, world: World, observed_roles: Sequence[str] | None = None):
         self.world = world
         roles = self.DEFAULT_ROLES if observed_roles is None else tuple(observed_roles)
-        self._observed = [
-            sid for sid in sorted(world.records)
-            if world.records[sid].role in roles
-        ]
+        self._observed = sorted(
+            sid for role in set(roles) for sid in world.role_members(role)
+        )
         self.rows: list[MetricSample] = []
         self.sl: dict[str, list[float]] = {"ict": [], "healthcare": []}
         self.deaths: list[int] = []
         self.station_speeds: dict[str, list[float]] = {
-            sid: [] for sid in sorted(world.records)
-            if world.records[sid].role == "roadway" and world.records[sid].params.get("station")
+            sid: [] for sid in world.role_members("roadway")
+            if world.records[sid].params.get("station")
         }
         self._ict_nodes = world.role_members("cyber-infrastructure")
         self._hospitals = world.role_members("hospital")

@@ -10,6 +10,8 @@ attributable to the scenario differences alone.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -28,6 +30,12 @@ def fnv64(text: str) -> int:
         h ^= byte
         h = (h * 0x100000001B3) & _MASK
     return h
+
+
+@lru_cache(maxsize=4096)
+def label_hash(label: str) -> int:
+    """fnv64 of a draw label, memoized: rules reuse a few labels every tick."""
+    return fnv64(label)
 
 
 class Stream:
@@ -54,7 +62,7 @@ class TickRng:
     def __init__(self, base: int, tick: int, label: str):
         h = _splitmix64(base ^ ((tick & _MASK) * 0xD1342543DE82EF95 & _MASK))
         if label:
-            h = _splitmix64(h ^ fnv64(label))
+            h = _splitmix64(h ^ label_hash(label))
         self._origin = h
         self._i = 0
 

@@ -14,9 +14,14 @@ from dataclasses import dataclass, field
 
 @dataclass
 class StreetGraph:
-    """Undirected street network: nodes joined by roadways."""
+    """Undirected street network: nodes joined by roadways.
+
+    ``routes`` memoizes routes by (origin, dest) for callers that route
+    after the graph is finalized; edge costs never change after that.
+    """
 
     adjacency: dict[str, list[tuple[str, str, float]]] = field(default_factory=dict)
+    routes: dict[tuple[str, str], list[str] | None] = field(default_factory=dict, repr=False)
 
     def add_node(self, node: str) -> None:
         self.adjacency.setdefault(node, [])

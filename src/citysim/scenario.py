@@ -24,7 +24,7 @@ from functools import partial
 from pathlib import Path
 
 from .federation import ADAPTERS
-from .hazards import HazardSchedule, KINDS
+from .hazards import KINDS, HazardSchedule, param_kind, replacement_error
 from .systems.ict import ATTACK_TYPES, dependency_order
 
 REQUIRED, OPTIONAL = object(), object()  # OPTIONAL: may be absent, nothing is filled in
@@ -338,7 +338,8 @@ def reference_errors(raw: dict) -> list[str]:
 
 def cross_errors(config: ScenarioConfig) -> list[str]:
     """Checks that need the world actually built: selector resolution,
-    override parameter existence, per-role parameter validation."""
+    override parameter existence and type, per-role parameter validation
+    (of the risk world, and of each mitigation's changed parameters)."""
     from . import hazards
     from .build import build_world
     from .kernel import BuildError
@@ -350,6 +351,7 @@ def cross_errors(config: ScenarioConfig) -> list[str]:
         return [f"build: {exc}"]
     errors.extend(hazards.validate(config.schedule(), world))
     for name, bundle in config.raw["mitigations"].items():
+        trial: dict[str, dict] = {}  # target -> copy of its params, ops so far applied
         for i, op in enumerate(bundle):
             where = f"mitigations.{name}[{i}]"
             targets = hazards.resolve_selector(world, op["selector"])
@@ -359,6 +361,35 @@ def cross_errors(config: ScenarioConfig) -> list[str]:
             missing = [s for s in targets if op["param"] not in world.records[s].params]
             if missing:
                 errors.append(f"{where}: param {op['param']!r} not on {missing[0]!r}")
+                continue
+            problem = _mitigation_problem(world, op, targets, trial)
+            if problem:
+                errors.append(f"{where}: {problem}")
     errors += [f"observe.subagent_roles: unknown role {role!r}"
                for role in config.raw["observe"]["subagent_roles"] if role not in world.registry.rules]
     return errors
+
+
+def _mitigation_problem(world, op: dict, targets: list[str], trial: dict[str, dict]) -> str | None:
+    """Apply one mitigation op to the trial copies of its targets' params and
+    rerun each target role's own parameter checks (its init_state) on them;
+    the first problem found, or None."""
+    name, value = op["param"], op["value"]
+    for sid in targets:
+        record = world.records[sid]
+        params = trial.setdefault(sid, dict(record.params))
+        current = params[name]
+        if op["op"] == "scale":
+            if param_kind(current) != "number":
+                return f"{sid!r}: cannot scale {param_kind(current)} parameter {name!r}"
+            params[name] = current * value
+        else:
+            problem = replacement_error(current, value)
+            if problem:
+                return f"{sid!r}: {name!r} {problem}"
+            params[name] = value
+        try:
+            world.registry.rules[record.role].init_state(params, record.stream)
+        except (TypeError, ValueError) as exc:
+            return f"{sid!r}: {exc}"
+    return None

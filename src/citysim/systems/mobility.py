@@ -12,7 +12,7 @@ only their aggregate effect is mirrored.
 from __future__ import annotations
 
 from ..kernel import CoordinatorContext, Registry, RuleContext, RuleSet
-from ..routing import shortest_route
+from ..routing import StreetGraph, shortest_route
 
 ROLE_PASSENGER = "passenger"
 ROLE_ROADWAY = "roadway"
@@ -59,6 +59,15 @@ def light_coupling(ctx: RuleContext) -> dict | None:
     return {"operation_status": status}
 
 
+def memo_route(graph: StreetGraph, origin: str, dest: str) -> list[str] | None:
+    """``shortest_route`` memoized on the graph, no-route results included.
+    The returned list is shared: never mutate it."""
+    key = (origin, dest)
+    if key not in graph.routes:
+        graph.routes[key] = shortest_route(graph, origin, dest)
+    return graph.routes[key]
+
+
 def mobility_settlement(cctx: CoordinatorContext) -> None:
     """Route insertion, lockstep advance, and observable mirroring."""
     try:
@@ -82,7 +91,7 @@ def mobility_settlement(cctx: CoordinatorContext) -> None:
         if origin is None or dest is None:
             cctx.log(f"trip dropped for {pid}: unknown place node")
         elif origin != dest:
-            route = shortest_route(graph, origin, dest)
+            route = memo_route(graph, origin, dest)
             if route is None:
                 cctx.log(f"trip dropped for {pid}: no route {origin} -> {dest}")
             elif route:

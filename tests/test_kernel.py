@@ -3,7 +3,7 @@
 import pytest
 
 from citysim.kernel import (
-    BuildError, KernelError, RuleSet, SimulationAbort, World,
+    SYSTEMS, BuildError, CoordinatorContext, KernelError, RuleSet, SimulationAbort, World,
 )
 
 from conftest import blank_state_init, toy_registry
@@ -193,3 +193,78 @@ def test_rule_exception_becomes_abort_with_id_and_tick():
         world.step()
     assert err.value.subagent_id == "a::ict"
     assert err.value.tick == 3
+
+
+# -- structure derived once at finalize ------------------------------------
+
+def assert_derived_structure_matches_definition(world: World) -> None:
+    """Cached role order, per-layer role lists and the sibling table equal
+    the brute-force definitions over all records."""
+    ordered = sorted(world.records)
+    roles = {rec.role for rec in world.records.values()}
+    for role in sorted(roles) + ["no-such-role"]:
+        expected = [sid for sid in ordered if world.records[sid].role == role]
+        assert world.role_members(role) == expected
+        for system in SYSTEMS:
+            cctx = CoordinatorContext(world, system, world.states, dict(world.states), world.tick)
+            assert cctx.members(role) == [
+                sid for sid in expected if world.records[sid].system == system]
+    member_of = {(rec.agent_id, rec.system): sid for sid, rec in world.records.items()}
+    for sid, rec in world.records.items():
+        for system in SYSTEMS:
+            assert world.counterpart(sid, system) == member_of.get((rec.agent_id, system))
+
+
+def mixed_world() -> World:
+    """Agents registered out of id order, a role spread over two systems,
+    agents with and without siblings."""
+    registry = toy_registry(
+        node=RuleSet(init_state=blank_state_init({})),
+        person=RuleSet(init_state=blank_state_init({})),
+        mirror=RuleSet(init_state=blank_state_init({})),
+    )
+    world = World(3, registry)
+    world.add_agent("zed", [("zed::social", "social", "person", {}),
+                            ("zed::healthcare", "healthcare", "mirror", {})])
+    world.add_agent("amy", [("amy::social", "social", "person", {}),
+                            ("amy::mobility", "mobility", "mirror", {}),
+                            ("amy::urban_landscape", "urban_landscape", "mirror", {})])
+    world.add_agent("hub", [("hub::ict", "ict", "node", {})])
+    world.add_agent("bob", [("bob::social", "social", "person", {})])
+    return world
+
+
+def test_role_order_and_siblings_match_definition_on_direct_world():
+    world = mixed_world()
+    assert world.role_members("person") == ["amy::social", "bob::social", "zed::social"]
+    world.add_agent("abe", [("abe::social", "social", "person", {})])
+    # before finalize the order follows every agent added so far
+    assert world.role_members("person")[0] == "abe::social"
+    world.finalize()
+    assert_derived_structure_matches_definition(world)
+    assert world.counterpart("zed::healthcare", "social") == "zed::social"
+    assert world.counterpart("bob::social", "healthcare") is None
+
+
+def test_role_order_and_siblings_match_definition_on_casestudy(casestudy):
+    from citysim.build import build_world
+    assert_derived_structure_matches_definition(build_world(casestudy, "risk"))
+
+
+def test_returned_role_members_can_be_mutated_safely():
+    world = mixed_world()
+    world.finalize()
+    members = world.role_members("person")
+    expected = list(members)
+    members.append("intruder::social")
+    members.reverse()
+    assert world.role_members("person") == expected
+
+
+def test_structure_frozen_after_finalize():
+    world = mixed_world()
+    world.finalize()
+    with pytest.raises(BuildError, match="already finalized"):
+        world.add_agent("late", [("late::social", "social", "person", {})])
+    with pytest.raises(BuildError, match="already finalized"):
+        world.add_edge("social", "amy::social", "bob::social", "knows")

@@ -9,6 +9,8 @@ from citysim.federation import (
 from citysim.hazards import apply_due
 from citysim.routing import StreetGraph, enumerate_cheapest_route, shortest_route
 from citysim.runner import run_variant
+from citysim.systems import mobility
+from citysim.systems.mobility import memo_route
 
 from conftest import config_from
 
@@ -199,3 +201,30 @@ def test_station_count_in_export_rows():
             per_tick[s.tick] += 1
     assert set(per_tick.values()) == {1}  # exactly one station declared
     assert len(per_tick) == 25
+
+
+def test_memoized_routes_equal_uncached_routes(casestudy):
+    graph = build_world(casestudy, "risk").services["street_graph"]
+    nodes = sorted(graph.adjacency)
+    for origin in nodes:
+        for dest in nodes:
+            route = memo_route(graph, origin, dest)
+            assert route == shortest_route(graph, origin, dest)
+            assert memo_route(graph, origin, dest) is route
+    assert len(graph.routes) == len(nodes) ** 2
+
+
+def test_memoized_disconnected_pair_stays_none(monkeypatch):
+    graph = diamond()
+    graph.add_node("island")
+    calls = []
+
+    def counting_route(*args):
+        calls.append(args)
+        return shortest_route(*args)
+
+    monkeypatch.setattr(mobility, "shortest_route", counting_route)
+    assert memo_route(graph, "s", "island") is None
+    assert memo_route(graph, "s", "island") is None
+    assert graph.routes[("s", "island")] is None
+    assert len(calls) == 1

@@ -1,6 +1,7 @@
 """Random stream determinism and keying properties."""
 
-from citysim.rng import Stream, TickRng, fnv64
+from citysim import rng
+from citysim.rng import Stream, TickRng, fnv64, label_hash
 
 
 def test_draws_are_pure_functions_of_keys():
@@ -51,3 +52,21 @@ def test_sample_distinct():
 def test_fnv64_stable():
     assert fnv64("hospital_center::ict") == fnv64("hospital_center::ict")
     assert fnv64("a") != fnv64("b")
+
+
+def test_label_cache_draws_equal_direct_fnv64_draws(monkeypatch):
+    # more distinct labels than the cache holds, each drawn twice, so the
+    # second pass reuses labels that were evicted and labels still cached
+    labels = [f"inf:p{i}" for i in range(label_hash.cache_info().maxsize + 300)]
+    stream = Stream(12, "p0::healthcare")
+
+    def draws():
+        return [(stream.at(tick, label).random(), stream.at(tick, label).randint(0, 99))
+                for tick, label in enumerate(labels + labels)]
+
+    label_hash.cache_clear()
+    cached = draws()
+    info = label_hash.cache_info()
+    assert info.hits > 0 and info.currsize == info.maxsize
+    monkeypatch.setattr(rng, "label_hash", fnv64)
+    assert draws() == cached

@@ -336,6 +336,30 @@ def _drop(*path):
     return mutate
 
 
+def _add_hazard(event):
+    def mutate(raw):
+        raw["hazards"].append(event)
+    return mutate
+
+
+def _override_event(selector, overrides):
+    return {"tick": 2, "kind": "generic_override", "selector": selector, "overrides": overrides}
+
+
+def _string_vulnerability_before_attack(raw):
+    # unchecked, this validates and the run aborts at tick 4 ('<' between float and str)
+    raw["hazards"][1] = {"tick": 3, "kind": "cyberattack",
+                         "selector": {"id": "attacker_main::ict"}}
+    raw["hazards"].append(_override_event({"role": "cyber-infrastructure"},
+                                          {"vulnerability": "x"}))
+
+
+def _mitigation(*ops):
+    return _set("mitigations", "harden", [
+        {"selector": {"role": role}, "param": param, "op": op, "value": value}
+        for role, param, op, value in ops])
+
+
 BAD_INPUTS = {
     "hospital-without-general_beds": _drop("health", "hospitals", 0, "general_beds"),
     "roadway-without-length_m": _drop("landscape", "roadways", 0, "length_m"),
@@ -353,6 +377,28 @@ BAD_INPUTS = {
          "op": "set"}]),
 }
 
+# rejected by the checks on the built world: parse_config returns the
+# config together with the errors
+BAD_WORLD_INPUTS = {
+    "override-string-for-number": _string_vulnerability_before_attack,
+    "override-bool-for-number": _add_hazard(_override_event(
+        {"role": "cyber-infrastructure"}, {"vulnerability": True})),
+    "override-number-for-bool": _add_hazard(_override_event(
+        {"role": "roadway"}, {"station": 1})),
+    "override-number-for-string": _add_hazard(_override_event(
+        {"id": "attacker_main::ict"}, {"attack_type": 3})),
+    "mitigation-set-out-of-range": _mitigation(
+        ("cyber-infrastructure", "vulnerability", "set", 2)),
+    "mitigation-scale-out-of-range": _mitigation(
+        ("hospital", "base_care_quality", "scale", 2)),
+    "mitigation-later-op-out-of-range": _mitigation(
+        ("cyber-infrastructure", "recovery_ticks", "set", 2),
+        ("cyber-infrastructure", "recovery_ticks", "scale", 0.25)),
+    "mitigation-set-wrong-type": _mitigation(
+        ("cyber-infrastructure", "vulnerability", "set", "x")),
+    "mitigation-scale-non-number": _mitigation(("hospital", "district", "scale", 2)),
+}
+
 
 @pytest.mark.parametrize("mutate", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
 def test_bad_input_gives_errors_and_exit_2(tmp_path, capsys, mutate):
@@ -363,6 +409,48 @@ def test_bad_input_gives_errors_and_exit_2(tmp_path, capsys, mutate):
     assert config is None and errors
     assert main(["validate", str(path)]) == 2
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate", list(BAD_WORLD_INPUTS.values()), ids=list(BAD_WORLD_INPUTS))
+def test_bad_world_input_gives_errors_and_exit_2(tmp_path, capsys, mutate):
+    raw = casestudy_copy()
+    mutate(raw)
+    path = write_scenario(tmp_path, raw)
+    _, errors = load_scenario(path)
+    assert errors
+    assert main(["validate", str(path)]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_override_and_mitigation_errors_name_their_source(tmp_path):
+    raw = casestudy_copy()
+    _string_vulnerability_before_attack(raw)
+    _mitigation(("cyber-infrastructure", "vulnerability", "set", 2))(raw)
+    _, errors = load_scenario(write_scenario(tmp_path, raw))
+    assert any(e.startswith("hazards[2]: override 'vulnerability'")
+               and e.endswith("expected number, got str") for e in errors), errors
+    assert any(e.startswith("mitigations.harden[0]: ")
+               and e.endswith("vulnerability 2 outside [0, 1]") for e in errors), errors
+
+
+def test_overrides_and_mitigations_that_fit_validate_and_build(tmp_path):
+    raw = casestudy_copy()
+    raw["hazards"] += [
+        # an int for a float, a float for an int
+        _override_event({"role": "cyber-infrastructure"},
+                        {"vulnerability": 1, "recovery_ticks": 48.0}),
+        _override_event({"role": "roadway"}, {"station": False}),
+        # an unset parameter takes any value
+        _override_event({"id": "hospital_center::urban_landscape"}, {"capacity": 30}),
+    ]
+    # 1.0 * 2 would be out of range; the ops apply in order, so 0.5 * 2 is not
+    _mitigation(("cyber-infrastructure", "vulnerability", "set", 0.5),
+                ("cyber-infrastructure", "vulnerability", "scale", 2))(raw)
+    config, errors = load_scenario(write_scenario(tmp_path, raw))
+    assert errors == []
+    world = build_world(config, "harden")
+    assert {world.records[s].params["vulnerability"]
+            for s in world.role_members("cyber-infrastructure")} == {1.0}
 
 
 def ict_chain(length: int, leaf_first: bool) -> dict:
@@ -422,3 +510,5 @@ def test_mutated_casestudy_is_rejected_or_runs(slot, value):
     assert errors == [] and again.raw == config.raw
     world = build_world(config, "risk")
     run(world, 1, config.schedule())
+    for variant in config.mitigation_names:
+        build_world(config, variant)
