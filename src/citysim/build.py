@@ -16,7 +16,7 @@ citizens exist or in what order they were created.
 from __future__ import annotations
 
 from .federation import ADAPTERS
-from .hazards import resolve_selector
+from .hazards import HazardError, change_params, resolve_selector
 from .kernel import BuildError, World
 from .rng import Stream
 from .routing import StreetGraph
@@ -291,20 +291,11 @@ def _apply_mitigation(world: World, config: ScenarioConfig, variant: str) -> Non
             f"unknown variant {variant!r}; declared mitigations: {config.mitigation_names}"
         )
     for i, op in enumerate(bundle):
-        targets = resolve_selector(world, op["selector"])
-        if not targets:
-            raise BuildError(f"mitigations.{variant}[{i}]: selector matches nothing")
-        for sid in targets:
-            params = world.records[sid].params
-            name = op["param"]
-            if name not in params:
-                raise BuildError(
-                    f"mitigations.{variant}[{i}]: {sid!r} has no parameter {name!r}"
-                )
-            if op["op"] == "scale":
-                params[name] = params[name] * op["value"]
-            else:
-                params[name] = op["value"]
+        try:
+            change_params(world, resolve_selector(world, op["selector"]),
+                          [(op["param"], op["op"], op["value"])])
+        except HazardError as exc:
+            raise BuildError(f"mitigations.{variant}[{i}]: {exc}") from None
 
 
 def _attach_services(world: World, config: ScenarioConfig, land: dict,

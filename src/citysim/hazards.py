@@ -6,6 +6,10 @@ every matched subagent and persist; any recovery behavior belongs to the
 domain rules themselves.  Two event kinds carry extra dispatch behavior:
 ``cyberattack`` arms an attacker subagent, ``disease_seed`` infects a
 seeded selection of patients.
+
+``change_params`` is the one rule for every parameter change, a hazard
+override here or a mitigation op at build; ``validate`` applies the same
+rule to copies of the parameters.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from dataclasses import dataclass, field
 from .kernel import World
 
 KINDS = ("cyberattack", "disease_seed", "generic_override")
+# the role every target of a dispatching kind must have
+TARGET_ROLES = {"cyberattack": "cyber-attacker", "disease_seed": "patient"}
 
 
 class HazardError(Exception):
@@ -29,6 +35,11 @@ class HazardEvent:
     selector: dict
     overrides: dict
     payload: dict
+
+    @property
+    def changes(self) -> list[tuple[str, str, object]]:
+        """An override sets each named parameter."""
+        return [(name, "set", value) for name, value in self.overrides.items()]
 
 
 @dataclass
@@ -64,17 +75,19 @@ class HazardSchedule:
 
 
 def resolve_selector(world: World, selector: dict) -> list[str]:
-    """Matched subagent ids, sorted.  Supports id / role / district keys."""
+    """Matched subagent ids, sorted.  Supports id / role / district keys; a
+    selector that matches nothing raises HazardError."""
     if "id" in selector:
-        sid = selector["id"]
-        return [sid] if sid in world.records else []
-    want_role = selector.get("role")
-    want_district = selector.get("district")
-    matched = sorted(world.records) if want_role is None else world.role_members(want_role)
-    if want_district is None:
-        return matched
-    return [sid for sid in matched
-            if world.records[sid].params.get("district") == want_district]
+        matched = [selector["id"]] if selector["id"] in world.records else []
+    else:
+        want_role, want_district = selector.get("role"), selector.get("district")
+        matched = sorted(world.records) if want_role is None else world.role_members(want_role)
+        if want_district is not None:
+            matched = [sid for sid in matched
+                       if world.records[sid].params.get("district") == want_district]
+    if not matched:
+        raise HazardError(f"selector {selector!r} matches no subagent")
+    return matched
 
 
 def param_kind(value) -> str:
@@ -86,17 +99,47 @@ def param_kind(value) -> str:
     return type(value).__name__
 
 
-def replacement_error(current, value) -> str | None:
-    """Why ``value`` may not replace a parameter holding ``current``: it must
-    be of the same kind, unless the parameter is unset (None)."""
-    if current is None or param_kind(value) == param_kind(current):
-        return None
-    return f"expected {param_kind(current)}, got {param_kind(value)}"
+def _kind_error(current, op: str, value) -> str | None:
+    """Why ``op`` may not change a parameter holding ``current`` by ``value``:
+    a set keeps the parameter's kind unless it is unset (None), a scale
+    multiplies a number by a number."""
+    have, got = param_kind(current), param_kind(value)
+    if op == "scale":
+        return None if have == got == "number" else f"cannot scale {have} by {got}"
+    return None if current is None or have == got else f"expected {have}, got {got}"
+
+
+def change_params(world: World, targets: list[str], changes: list[tuple[str, str, object]],
+                  trial: dict[str, dict] | None = None) -> None:
+    """Apply ``(param, "set" | "scale", value)`` changes in order to every
+    target's params, or with ``trial`` (target -> copy of its params, kept
+    across calls) to copies of them.  The one rule for every hazard override
+    and mitigation op: the parameter exists, the change fits its kind, and
+    the changed params pass the target role's own checks (its init_state).
+    Raises HazardError at the first change that breaks it."""
+    if not changes:
+        return
+    for sid in targets:
+        record = world.records[sid]
+        params = record.params if trial is None else trial.setdefault(sid, dict(record.params))
+        init_state = world.registry.rules[record.role].init_state
+        for name, op, value in changes:
+            problem = "unknown parameter" if name not in params else _kind_error(params[name], op, value)
+            if problem is None:
+                params[name] = value if op == "set" else params[name] * value
+                try:
+                    init_state(params, record.stream)
+                except (TypeError, ValueError) as exc:
+                    problem = str(exc)
+            if problem:
+                raise HazardError(f"override {name!r} on {sid!r}: {problem}")
 
 
 def validate(schedule: HazardSchedule, world: World) -> list[str]:
-    """Static checks; returns an error list and never raises."""
+    """Static checks; returns an error list and never raises.  Overrides
+    apply, in schedule order, to copies of their targets' params."""
     errors = []
+    trial: dict[str, dict] = {}
     for ev in schedule.events:
         where = f"hazards[{ev.index}]"
         if ev.kind not in KINDS:
@@ -104,32 +147,17 @@ def validate(schedule: HazardSchedule, world: World) -> list[str]:
             continue
         if ev.trigger_tick < 0:
             errors.append(f"{where}: negative trigger tick {ev.trigger_tick}")
-        targets = resolve_selector(world, ev.selector)
-        if not targets:
-            errors.append(f"{where}: selector {ev.selector!r} matches no subagent")
-            continue
-        for name, value in ev.overrides.items():
-            missing = [s for s in targets if name not in world.records[s].params]
-            if missing:
-                errors.append(
-                    f"{where}: override {name!r} not a parameter of {missing[0]!r}"
-                )
-                continue
-            for sid in targets:
-                problem = replacement_error(world.records[sid].params[name], value)
-                if problem:
-                    errors.append(f"{where}: override {name!r} on {sid!r}: {problem}")
-                    break
-        if ev.kind == "cyberattack":
-            wrong = [s for s in targets if world.records[s].role != "cyber-attacker"]
+        if int(ev.payload.get("count", 1)) < 0:
+            errors.append(f"{where}: negative seed count")
+        try:
+            targets = resolve_selector(world, ev.selector)
+            role = TARGET_ROLES.get(ev.kind)
+            wrong = [s for s in targets if role is not None and world.records[s].role != role]
             if wrong:
-                errors.append(f"{where}: cyberattack target {wrong[0]!r} is not a cyber-attacker")
-        if ev.kind == "disease_seed":
-            wrong = [s for s in targets if world.records[s].role != "patient"]
-            if wrong:
-                errors.append(f"{where}: disease_seed target {wrong[0]!r} is not a patient")
-            if int(ev.payload.get("count", 1)) < 0:
-                errors.append(f"{where}: negative seed count")
+                errors.append(f"{where}: {ev.kind} target {wrong[0]!r} is not a {role}")
+            change_params(world, targets, ev.changes, trial)
+        except HazardError as exc:
+            errors.append(f"{where}: {exc}")
     return errors
 
 
@@ -142,21 +170,11 @@ def apply_due(world: World, tick: int, schedule: HazardSchedule) -> list[int]:
     """
     applied = []
     for ev in schedule.due(tick):
-        targets = resolve_selector(world, ev.selector)
-        if not targets:
-            raise HazardError(
-                f"hazard event {ev.index} at tick {tick}: selector {ev.selector!r} "
-                f"matches no subagent"
-            )
-        for sid in targets:
-            params = world.records[sid].params
-            for name, value in ev.overrides.items():
-                if name not in params:
-                    raise HazardError(
-                        f"hazard event {ev.index}: override of unknown parameter "
-                        f"{name!r} on {sid!r}"
-                    )
-                params[name] = value
+        try:
+            targets = resolve_selector(world, ev.selector)
+            change_params(world, targets, ev.changes)
+        except HazardError as exc:
+            raise HazardError(f"hazard event {ev.index} at tick {tick}: {exc}") from None
         if ev.kind == "cyberattack":
             _dispatch_cyberattack(world, tick, targets)
         elif ev.kind == "disease_seed":

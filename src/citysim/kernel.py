@@ -118,8 +118,10 @@ class SystemLayer:
         self.system = system
         self.members: set[str] = set()
         self.edges: list[tuple[str, str, str]] = []
-        self.out_edges: dict[str, list[tuple[str, str]]] = {}
-        self.in_edges: dict[str, list[tuple[str, str]]] = {}
+        # (subagent, label) -> ascending ids at the other end of its outgoing
+        # (targets) or incoming (sources) edges with that label; from finalize
+        self.targets: dict[tuple[str, str], list[str]] = {}
+        self.sources: dict[tuple[str, str], list[str]] = {}
 
     def add_edge(self, frm: str, to: str, label: str) -> None:
         if frm not in self.members or to not in self.members:
@@ -128,13 +130,11 @@ class SystemLayer:
                 f"the {self.system} layer"
             )
         self.edges.append((frm, to, label))
-        self.out_edges.setdefault(frm, []).append((to, label))
-        self.in_edges.setdefault(to, []).append((frm, label))
 
     def finalize(self) -> None:
-        for mapping in (self.out_edges, self.in_edges):
-            for sid in mapping:
-                mapping[sid].sort()
+        for frm, to, label in sorted(self.edges):
+            self.targets.setdefault((frm, label), []).append(to)
+            self.sources.setdefault((to, label), []).append(frm)
 
 
 class RuleContext:
@@ -181,14 +181,14 @@ class RuleContext:
         return self._prev[sid]
 
     def providers(self, label: str) -> list[str]:
-        """Targets of this subagent's outgoing edges with the given label."""
-        layer = self._world.layers[self._record.system]
-        return [to for to, lab in layer.out_edges.get(self.sid, ()) if lab == label]
+        """Targets of this subagent's outgoing edges with the given label,
+        ascending.  The list is shared: read it, never mutate it."""
+        return self._world.layers[self._record.system].targets.get((self.sid, label), [])
 
     def dependents(self, label: str) -> list[str]:
-        """Sources of this subagent's incoming edges with the given label."""
-        layer = self._world.layers[self._record.system]
-        return [frm for frm, lab in layer.in_edges.get(self.sid, ()) if lab == label]
+        """Sources of this subagent's incoming edges with the given label,
+        ascending.  The list is shared: read it, never mutate it."""
+        return self._world.layers[self._record.system].sources.get((self.sid, label), [])
 
     def sibling(self, system: str) -> tuple[str, dict] | None:
         """State of this agent's subagent in another system (coupling stage)."""
@@ -248,8 +248,8 @@ class CoordinatorContext:
         return self._world.services[name]
 
     def providers(self, sid: str, label: str) -> list[str]:
-        layer = self._world.layers[self.system]
-        return [to for to, lab in layer.out_edges.get(sid, ()) if lab == label]
+        """As ``RuleContext.providers``, for any member of this layer."""
+        return self._world.layers[self.system].targets.get((sid, label), [])
 
     def log(self, message: str) -> None:
         self._world.run_log.append((self.tick, message))

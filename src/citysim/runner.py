@@ -20,6 +20,7 @@ from .hazards import HazardSchedule, apply_due
 from .kernel import KernelError, World
 from .metrics import Recorder, sl_mobility
 from .scenario import ScenarioConfig
+from .systems.social import count_partition
 
 KNOWN_BASE_VARIANTS = ("baseline", "risk")
 
@@ -60,8 +61,9 @@ def run(world: World, horizon: int, schedule: HazardSchedule | None = None,
 class InvariantMonitor:
     """Per-tick conservation and bound checks; raises on first violation.
 
-    population partition: every alive citizen is in exactly one place, in
-    transit, or in hospital; the partition plus the dead always sums to N.
+    population partition: every citizen is in a place, in transit, in
+    hospital or dead (``count_partition``), and the dead citizens are
+    exactly the dead patients.
     hospital occupancy: within current capacity, except that a capacity cut
     never evicts patients, so an over-capacity count may only drain.
     """
@@ -70,31 +72,16 @@ class InvariantMonitor:
         self.citizens = world.role_members("citizen")
         self.patients = world.role_members("patient")
         self.hospitals = world.role_members("hospital")
-        self.population = len(self.citizens)
         self._previous_occ: dict[tuple[str, str], int] = {}
         self._previous_cap: dict[tuple[str, str], int | None] = {}
         self._previous_deaths = 0
 
     def __call__(self, world: World) -> None:
         tick = world.tick
-        in_place = in_transit = hospitalized = dead = 0
-        for sid in self.citizens:
-            location = world.states[sid]["location"]
-            if location.startswith("place:"):
-                in_place += 1
-            elif location == "transit":
-                in_transit += 1
-            elif location.startswith("hospital:"):
-                hospitalized += 1
-            elif location == "dead":
-                dead += 1
-            else:
-                raise InvariantViolation(f"tick {tick}: {sid} in limbo {location!r}")
-        if in_place + in_transit + hospitalized + dead != self.population:
-            raise InvariantViolation(
-                f"tick {tick}: population partition {in_place}+{in_transit}"
-                f"+{hospitalized}+{dead} != {self.population}"
-            )
+        *_, dead, limbo = count_partition(world.states, self.citizens)
+        if limbo:
+            location = world.states[limbo[0]]["location"]
+            raise InvariantViolation(f"tick {tick}: {limbo[0]} in limbo {location!r}")
         deaths = sum(
             1 for sid in self.patients if world.states[sid]["infection"] == "dead"
         )

@@ -24,7 +24,8 @@ from functools import partial
 from pathlib import Path
 
 from .federation import ADAPTERS
-from .hazards import KINDS, HazardSchedule, param_kind, replacement_error
+from .hazards import KINDS, HazardSchedule
+from .systems.health import WINDOW, is_window
 from .systems.ict import ATTACK_TYPES, dependency_order
 
 REQUIRED, OPTIONAL = object(), object()  # OPTIONAL: may be absent, nothing is filled in
@@ -76,9 +77,9 @@ integer = partial(Value, (int,), "an integer")
 number = partial(Value, (int, float), "a number")
 flag = partial(Value, (bool,), "true or false")
 ANY = Value((), "any value")  # a parameter value a mitigation or hazard sets
-# [lo, hi] hours or household sizes; a timetable's [start hour, place kind]
-window = partial(Value, (list, tuple), "[lo, hi] integers with 1 <= lo <= hi", ok=lambda w: (
-    len(w) == 2 and type(w[0]) is int and type(w[1]) is int and 1 <= w[0] <= w[1]))
+# [lo, hi] hours or household sizes, by the rule the patient role checks its
+# hours with; a timetable's [start hour, place kind]
+window = partial(Value, (list, tuple), WINDOW, ok=is_window)
 TIMETABLE_WINDOW = Value((list, tuple), "[hour 0-23, place kind]", ok=lambda w: (
     len(w) == 2 and type(w[0]) is int and 0 <= w[0] <= 23 and type(w[1]) is str))
 
@@ -243,7 +244,8 @@ def parse_config(raw: dict, digest: str, path: str | None = None) -> tuple[Scena
         return None, errors
     config = ScenarioConfig(raw["name"], raw["seed"], raw["horizon_days"],
                             raw["ticks_per_day"], raw, digest, path)
-    return config, cross_errors(config)
+    errors = cross_errors(config)
+    return (None, errors) if errors else (config, [])
 
 
 def load_scenario(path: str | Path) -> tuple[ScenarioConfig | None, list[str]]:
@@ -327,19 +329,15 @@ def reference_errors(raw: dict) -> list[str]:
     for i, ev in enumerate(raw["hazards"]):
         if "tick" not in ev and "day" not in ev:
             errors.append(f"hazards[{i}]: needs a trigger tick or day")
-    for name, bundle in raw["mitigations"].items():
-        if name in ("baseline", "risk"):
-            errors.append(f"mitigations.{name}: reserved variant name")
-        for i, op in enumerate(bundle):
-            if op["op"] == "scale" and type(op["value"]) not in (int, float):
-                errors.append(f"mitigations.{name}[{i}]: scale value must be numeric")
+    errors += [f"mitigations.{name}: reserved variant name"
+               for name in ("baseline", "risk") if name in raw["mitigations"]]
     return errors
 
 
 def cross_errors(config: ScenarioConfig) -> list[str]:
-    """Checks that need the world actually built: selector resolution,
-    override parameter existence and type, per-role parameter validation
-    (of the risk world, and of each mitigation's changed parameters)."""
+    """Checks that need the risk world built: selector resolution, and each
+    hazard override and mitigation op applied to copies of its targets'
+    params by the same rule that applies it in a run (``change_params``)."""
     from . import hazards
     from .build import build_world
     from .kernel import BuildError
@@ -353,43 +351,12 @@ def cross_errors(config: ScenarioConfig) -> list[str]:
     for name, bundle in config.raw["mitigations"].items():
         trial: dict[str, dict] = {}  # target -> copy of its params, ops so far applied
         for i, op in enumerate(bundle):
-            where = f"mitigations.{name}[{i}]"
-            targets = hazards.resolve_selector(world, op["selector"])
-            if not targets:
-                errors.append(f"{where}: selector {op['selector']!r} matches no subagent")
-                continue
-            missing = [s for s in targets if op["param"] not in world.records[s].params]
-            if missing:
-                errors.append(f"{where}: param {op['param']!r} not on {missing[0]!r}")
-                continue
-            problem = _mitigation_problem(world, op, targets, trial)
-            if problem:
-                errors.append(f"{where}: {problem}")
+            try:
+                hazards.change_params(world, hazards.resolve_selector(world, op["selector"]),
+                                      [(op["param"], op["op"], op["value"])], trial)
+            except hazards.HazardError as exc:
+                errors.append(f"mitigations.{name}[{i}]: {exc}")
     errors += [f"observe.subagent_roles: unknown role {role!r}"
                for role in config.raw["observe"]["subagent_roles"] if role not in world.registry.rules]
     return errors
 
-
-def _mitigation_problem(world, op: dict, targets: list[str], trial: dict[str, dict]) -> str | None:
-    """Apply one mitigation op to the trial copies of its targets' params and
-    rerun each target role's own parameter checks (its init_state) on them;
-    the first problem found, or None."""
-    name, value = op["param"], op["value"]
-    for sid in targets:
-        record = world.records[sid]
-        params = trial.setdefault(sid, dict(record.params))
-        current = params[name]
-        if op["op"] == "scale":
-            if param_kind(current) != "number":
-                return f"{sid!r}: cannot scale {param_kind(current)} parameter {name!r}"
-            params[name] = current * value
-        else:
-            problem = replacement_error(current, value)
-            if problem:
-                return f"{sid!r}: {name!r} {problem}"
-            params[name] = value
-        try:
-            world.registry.rules[record.role].init_state(params, record.stream)
-        except (TypeError, ValueError) as exc:
-            return f"{sid!r}: {exc}"
-    return None

@@ -31,14 +31,22 @@ INFECTIONS = ("susceptible", "infected", "recovered", "dead")
 SEVERITIES = ("none", "mild", "severe", "critical")
 
 
-def _validate_probability(params: dict, key: str) -> None:
-    if not 0.0 <= params[key] <= 1.0:
-        raise ValueError(f"{key}={params[key]} outside [0, 1]")
+WINDOW = "[lo, hi] integers with 1 <= lo <= hi"
+
+
+def is_window(value) -> bool:
+    """A stage duration range in hours, or the scenario's household sizes."""
+    return (len(value) == 2 and type(value[0]) is int and type(value[1]) is int
+            and 1 <= value[0] <= value[1])
 
 
 def _init_patient(params: dict, stream) -> dict:
     for key in ("beta", "p_severe", "p_worsen", "p_die_treated", "p_die_untreated"):
-        _validate_probability(params, key)
+        if not 0.0 <= params[key] <= 1.0:
+            raise ValueError(f"{key}={params[key]} outside [0, 1]")
+    for key in ("mild_hours", "severe_hours", "critical_hours"):
+        if not is_window(params[key]):
+            raise ValueError(f"{key}={params[key]} is not {WINDOW}")
     state = {
         "infection": "susceptible",
         "severity": "none",

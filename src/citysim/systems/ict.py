@@ -49,6 +49,9 @@ def _init_node(params: dict, stream) -> dict:
 def _init_attacker(params: dict, stream) -> dict:
     if params["attack_type"] not in ATTACK_TYPES:
         raise ValueError(f"unknown attack type {params['attack_type']!r}")
+    prop = params.get("propagation_probability")  # None: the attack type's own
+    if prop is not None and not 0.0 <= prop <= 1.0:
+        raise ValueError(f"propagation_probability {prop} outside [0, 1]")
     return {"active": False, "emitted_at": None, "attacks_emitted": 0}
 
 
@@ -95,7 +98,7 @@ def node_network(ctx: RuleContext) -> dict | None:
     an already-down node rewinds its clock (last write wins).
     """
     hit: tuple[float, float] | None = None
-    for attacker in sorted(ctx.dependents(EDGE_ATTACKS)):
+    for attacker in ctx.dependents(EDGE_ATTACKS):
         a_state = ctx.peer_state(attacker)
         if a_state["emitted_at"] != ctx.tick:
             continue
@@ -103,7 +106,7 @@ def node_network(ctx: RuleContext) -> dict | None:
         if ctx.rng(f"def:{attacker}").random() < ctx.params["vulnerability"]:
             if hit is None:
                 hit = (prop, scale)
-    for provider in sorted(ctx.providers(EDGE_DEPENDS)):
+    for provider in ctx.providers(EDGE_DEPENDS):
         p_state = ctx.peer_state(provider)
         if p_state["compromised_at"] != ctx.tick - 1:
             continue

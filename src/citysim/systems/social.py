@@ -190,6 +190,9 @@ def _place_capacity(cctx: CoordinatorContext, place_id: str) -> int | None:
 # -- urban landscape -----------------------------------------------------
 
 def _init_place(params: dict, stream) -> dict:
+    capacity = params.get("capacity")  # None: unlimited
+    if capacity is not None and capacity < 0:
+        raise ValueError(f"place capacity {capacity} is negative")
     return {"occupancy": 0, "occupants": ()}
 
 
@@ -245,21 +248,32 @@ def _observe_nothing(record) -> list[tuple[str, object]]:
     return []
 
 
+def count_partition(states: dict, citizens: list[str]) -> tuple[int, int, int, int, list[str]]:
+    """The population partition: how many citizens are in a place, in
+    transit, in hospital and dead, and the citizens whose location is none
+    of these (in limbo)."""
+    in_place = in_transit = hospitalized = dead = 0
+    limbo = []
+    for sid in citizens:
+        location = states[sid]["location"]
+        if location.startswith("place:"):
+            in_place += 1
+        elif location == "transit":
+            in_transit += 1
+        elif location.startswith("hospital:"):
+            hospitalized += 1
+        elif location == "dead":
+            dead += 1
+        else:
+            limbo.append(sid)
+    return in_place, in_transit, hospitalized, dead, limbo
+
+
 def _aggregate_social(world) -> list[tuple[str, object]]:
     citizens = world.role_members(ROLE_CITIZEN)
     if not citizens:
         return []
-    in_place = in_transit = hospitalized = dead = 0
-    for sid in citizens:
-        loc = world.states[sid]["location"]
-        if loc.startswith("place:"):
-            in_place += 1
-        elif loc == "transit":
-            in_transit += 1
-        elif loc.startswith("hospital:"):
-            hospitalized += 1
-        else:
-            dead += 1
+    in_place, in_transit, hospitalized, dead, _ = count_partition(world.states, citizens)
     return [
         ("in_place", in_place), ("in_transit", in_transit),
         ("hospitalized", hospitalized), ("dead", dead),

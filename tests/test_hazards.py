@@ -79,6 +79,17 @@ def test_unknown_parameter_override_aborts():
         apply_due(world, 0, sched)
 
 
+def test_out_of_range_override_aborts():
+    world, _ = build_ict_world(CHAIN_NODES, ATTACKER)
+    sched = schedule_of([{"tick": 0, "kind": "generic_override",
+                          "selector": {"id": "leaf::ict"},
+                          "overrides": {"vulnerability": 2}}])
+    assert validate(sched, world) == [
+        "hazards[0]: override 'vulnerability' on 'leaf::ict': vulnerability 2 outside [0, 1]"]
+    with pytest.raises(HazardError, match=r"hazard event 0 at tick 0: .*outside \[0, 1\]"):
+        apply_due(world, 0, sched)
+
+
 def test_validate_collects_errors_without_raising():
     world, _ = build_ict_world(CHAIN_NODES, ATTACKER)
     sched = schedule_of([

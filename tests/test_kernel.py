@@ -3,7 +3,8 @@
 import pytest
 
 from citysim.kernel import (
-    SYSTEMS, BuildError, CoordinatorContext, KernelError, RuleSet, SimulationAbort, World,
+    STAGE_NETWORK, SYSTEMS, BuildError, CoordinatorContext, KernelError, RuleContext, RuleSet,
+    SimulationAbort, World,
 )
 
 from conftest import blank_state_init, toy_registry
@@ -249,6 +250,26 @@ def test_role_order_and_siblings_match_definition_on_direct_world():
 def test_role_order_and_siblings_match_definition_on_casestudy(casestudy):
     from citysim.build import build_world
     assert_derived_structure_matches_definition(build_world(casestudy, "risk"))
+
+
+def test_edge_lookups_match_definition_on_casestudy(casestudy):
+    """providers / dependents by label equal a filter of the layer's edges,
+    in ascending order, for every ICT node."""
+    from citysim.build import build_world
+    world = build_world(casestudy, "risk")
+    layer = world.layers["ict"]
+    labels = sorted({label for _, _, label in layer.edges})
+    assert labels == ["attacks", "depends_on"]
+    ctx = RuleContext(world, STAGE_NETWORK, world.states, 1)
+    cctx = CoordinatorContext(world, "ict", world.states, dict(world.states), 1)
+    for sid in world.role_members("cyber-infrastructure"):
+        ctx.sid, ctx._record = sid, world.records[sid]
+        for label in labels + ["no-such-label"]:
+            targets = sorted(to for frm, to, lab in layer.edges if frm == sid and lab == label)
+            sources = sorted(frm for frm, to, lab in layer.edges if to == sid and lab == label)
+            assert ctx.providers(label) == targets
+            assert cctx.providers(sid, label) == targets
+            assert ctx.dependents(label) == sources
 
 
 def test_returned_role_members_can_be_mutated_safely():
