@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .build import build_world
 from .kernel import World
-from .metrics import city_deaths, sl_healthcare, sl_ict, sl_mobility
+from .metrics import sl_healthcare, sl_ict, sl_mobility
 from .runner import ComparisonReport, RunResult, run, run_paired, run_variant
 from .scenario import ScenarioConfig, load_scenario
 
@@ -23,5 +23,4 @@ __all__ = [
     "sl_ict",
     "sl_healthcare",
     "sl_mobility",
-    "city_deaths",
 ]

@@ -20,7 +20,7 @@ from .export import export_report
 from .hazards import HazardError
 from .kernel import KernelError
 from .runner import run_paired
-from .scenario import load_scenario
+from .scenario import load_scenario, parse_config, read_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -66,23 +66,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str, seed_flag: int | None):
-    config, errors = load_scenario(path)
-    if errors:
-        for err in errors:
-            print(f"error: {err}", file=sys.stderr)
-        return None
+    """Read a scenario, set a --seed or CITYSIM_SEED override and validate once,
+    at that seed: household counts, and so the home ids, follow the seed."""
+    raw, digest, errors = read_scenario(path)
     env_seed = os.environ.get("CITYSIM_SEED")
-    if seed_flag is not None:
-        print(f"note: seed overridden to {seed_flag} by --seed", file=sys.stderr)
-        config = config.with_seed(seed_flag)
-    elif env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            print(f"error: CITYSIM_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
-            return None
-        print(f"note: seed overridden to {seed} by CITYSIM_SEED", file=sys.stderr)
-        config = config.with_seed(seed)
+    if raw is not None and (seed_flag is not None or env_seed is not None):
+        seed, source = seed_flag, "--seed"
+        if seed is None:
+            try:
+                seed, source = int(env_seed), "CITYSIM_SEED"
+            except ValueError:
+                print(f"error: CITYSIM_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
+                return None
+        print(f"note: seed overridden to {seed} by {source}", file=sys.stderr)
+        raw["seed"] = seed
+    config, errors = (None, errors) if raw is None else parse_config(raw, digest, path)
+    for err in errors:
+        print(f"error: {err}", file=sys.stderr)
     return config
 
 

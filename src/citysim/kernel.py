@@ -221,11 +221,9 @@ class CoordinatorContext:
         self.tick = tick
         self._members = world.layers[system].members
 
-    def members(self, role: str | None = None) -> list[str]:
-        """Sorted members of this layer, optionally of one role.  The list is
-        shared by every tick: read it, never mutate it."""
-        if role is None:
-            return self._world.layer_order[self.system]
+    def members(self, role: str) -> list[str]:
+        """Sorted members of this layer with one role.  The list is shared by
+        every tick: read it, never mutate it."""
         return self._world.layer_role_order.get((self.system, role), [])
 
     def get(self, sid: str) -> dict:
@@ -278,7 +276,6 @@ class World:
         self.derived: dict[str, object] = {}
         self._stage_plan: dict[str, list[tuple[SubAgentRecord, Callable]]] = {}
         self._role_order: dict[str, list[str]] | None = None
-        self.layer_order: dict[str, list[str]] = {}
         self.layer_role_order: dict[tuple[str, str], list[str]] = {}
         self._finalized = False
 
@@ -325,16 +322,14 @@ class World:
 
     def finalize(self) -> None:
         """Freeze structure, derive initial states, precompute stage plans and
-        the sorted member lists per layer, per role and per (layer, role)."""
+        the sorted member lists per role and per (layer, role)."""
         if self._finalized:
             raise BuildError("world already finalized")
         for layer in self.layers.values():
             layer.finalize()
         ordered = [self.records[sid] for sid in sorted(self.records)]
-        self.layer_order = {s: [] for s in SYSTEMS}
         self._role_order = {}
         for rec in ordered:
-            self.layer_order[rec.system].append(rec.id)
             self._role_order.setdefault(rec.role, []).append(rec.id)
             self.layer_role_order.setdefault((rec.system, rec.role), []).append(rec.id)
             ruleset = self.registry.rules[rec.role]

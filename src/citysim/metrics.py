@@ -16,16 +16,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .kernel import SubAgentRecord, World
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class MetricSample:
+class MetricSample(NamedTuple):
     tick: int
     scope: str  # subagent id, system name, or "city"
     name: str
@@ -79,11 +77,6 @@ def sl_mobility(risk_speeds: Mapping[str, float],
     return sum(ratios) / len(ratios)
 
 
-def city_deaths(infection_states: Iterable[str]) -> int:
-    """Cumulative death count over patient infection states."""
-    return sum(1 for s in infection_states if s == "dead")
-
-
 # -- subagent / system observation -------------------------------------------
 
 def observe_subagent(record: SubAgentRecord) -> list[MetricSample]:
@@ -112,7 +105,8 @@ class Recorder:
 
     ``observed_roles`` limits which roles get per-subagent rows in the
     export; population-scale roles are covered by the system aggregates so
-    exports stay a few MB instead of hundreds.
+    exports stay a few MB instead of hundreds.  ``rollups`` keeps this tick's
+    system aggregates by (system, metric), the one count of population state.
     """
 
     DEFAULT_ROLES = (
@@ -135,15 +129,16 @@ class Recorder:
         }
         self._ict_nodes = world.role_members("cyber-infrastructure")
         self._hospitals = world.role_members("hospital")
-        self._patients = world.role_members("patient")
+        self.rollups: dict[tuple[str, str], object] = {}
 
     def observe(self) -> None:
         world = self.world
         tick = world.tick
         for sid in self._observed:
             self.rows.extend(observe_subagent(world.records[sid]))
-        for system in world.layers:
-            self.rows.extend(aggregate_system(world, system))
+        rollups = [s for system in world.layers for s in aggregate_system(world, system)]
+        self.rows.extend(rollups)
+        self.rollups = {(s.scope, s.name): s.value for s in rollups}
         if self._ict_nodes:
             flags = [world.states[s]["effective_available"] for s in self._ict_nodes]
             value = sl_ict(flags)
@@ -157,7 +152,7 @@ class Recorder:
             value = sl_healthcare(terms)
             self.sl["healthcare"].append(value)
             self.rows.append(MetricSample(tick, "healthcare", "service_level", value))
-        deaths = city_deaths(world.states[s]["infection"] for s in self._patients)
+        deaths = self.rollups.get(("healthcare", "total_dead"), 0)
         self.deaths.append(deaths)
         self.rows.append(MetricSample(tick, "city", "cumulative_deaths", deaths))
         for sid in self.station_speeds:

@@ -20,7 +20,7 @@ from .hazards import HazardSchedule, apply_due
 from .kernel import KernelError, World
 from .metrics import Recorder, sl_mobility
 from .scenario import ScenarioConfig
-from .systems.social import count_partition
+from .systems.social import PARTITION, count_partition
 
 KNOWN_BASE_VARIANTS = ("baseline", "risk")
 
@@ -61,37 +61,39 @@ def run(world: World, horizon: int, schedule: HazardSchedule | None = None,
 class InvariantMonitor:
     """Per-tick conservation and bound checks; raises on first violation.
 
+    The population checks read the counts the recorder took this tick (its
+    system rollups), so the recorder must observe first; the monitor raises
+    RuntimeError on a tick the recorder has not observed.
     population partition: every citizen is in a place, in transit, in
-    hospital or dead (``count_partition``), and the dead citizens are
-    exactly the dead patients.
+    hospital or dead (the social rollup), cumulative deaths never drop, and
+    the dead citizens are exactly the dead patients (the healthcare rollup).
     hospital occupancy: within current capacity, except that a capacity cut
     never evicts patients, so an over-capacity count may only drain.
     """
 
-    def __init__(self, world: World):
-        self.citizens = world.role_members("citizen")
-        self.patients = world.role_members("patient")
+    def __init__(self, world: World, recorder: Recorder):
+        self.recorder = recorder
         self.hospitals = world.role_members("hospital")
         self._previous_occ: dict[tuple[str, str], int] = {}
         self._previous_cap: dict[tuple[str, str], int | None] = {}
-        self._previous_deaths = 0
 
     def __call__(self, world: World) -> None:
         tick = world.tick
-        *_, dead, limbo = count_partition(world.states, self.citizens)
-        if limbo:
+        counts, deaths = self.recorder.rollups, self.recorder.deaths
+        if len(deaths) != tick + 1:
+            raise RuntimeError(f"tick {tick}: the recorder has not observed this tick")
+        population = counts.get(("social", "population"), 0)
+        if population and sum(counts["social", part] for part in PARTITION) != population:
+            # only a citizen in none of the parts breaks the sum; name the first
+            *_, limbo = count_partition(world.states, world.role_members("citizen"))
             location = world.states[limbo[0]]["location"]
             raise InvariantViolation(f"tick {tick}: {limbo[0]} in limbo {location!r}")
-        deaths = sum(
-            1 for sid in self.patients if world.states[sid]["infection"] == "dead"
-        )
-        if deaths < self._previous_deaths:
+        if len(deaths) > 1 and deaths[-1] < deaths[-2]:
             raise InvariantViolation(f"tick {tick}: deaths decreased")
-        if self.citizens and deaths != dead:
+        if population and deaths[-1] != counts["social", "dead"]:
             raise InvariantViolation(
-                f"tick {tick}: dead patients {deaths} != dead citizens {dead}"
+                f"tick {tick}: dead patients {deaths[-1]} != dead citizens {counts['social', 'dead']}"
             )
-        self._previous_deaths = deaths
         for hid in self.hospitals:
             state = world.states[hid]
             params = world.records[hid].params
@@ -142,21 +144,18 @@ class RunResult:
 
 
 def run_variant(config: ScenarioConfig, variant: str = "risk", *,
-                checks: bool = True,
-                observed_roles: tuple | None = None) -> RunResult:
-    """Build and run one variant of a scenario end to end."""
+                checks: bool = True) -> RunResult:
+    """Build and run one variant of a scenario end to end; the scenario's
+    ``observe.subagent_roles`` chooses the roles with per-subagent rows."""
     world = build_world(config, variant=variant)
     if variant == "baseline":
         schedule = config.schedule().stripped()
     else:
         schedule = config.schedule()
-    if observed_roles is None:
-        configured = config.raw["observe"]["subagent_roles"]
-        observed_roles = tuple(configured) if configured else None
-    recorder = Recorder(world, observed_roles)
+    recorder = Recorder(world, config.raw["observe"]["subagent_roles"] or None)
     observers: list = [lambda w: recorder.observe()]
     if checks:
-        observers.append(InvariantMonitor(world))
+        observers.append(InvariantMonitor(world, recorder))
     started = time.perf_counter()
     events = run(world, config.horizon_ticks, schedule, tuple(observers))
     elapsed = time.perf_counter() - started

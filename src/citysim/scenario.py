@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -229,9 +229,6 @@ class ScenarioConfig:
     def schedule(self) -> HazardSchedule:
         return HazardSchedule.from_config(self.raw["hazards"], self.ticks_per_day)
 
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        return replace(self, seed=seed, raw={**self.raw, "seed": seed})
-
 
 def parse_config(raw: dict, digest: str, path: str | None = None) -> tuple[ScenarioConfig | None, list[str]]:
     """Validate a scenario document and fill its defaults in place; the
@@ -248,20 +245,28 @@ def parse_config(raw: dict, digest: str, path: str | None = None) -> tuple[Scena
     return (None, errors) if errors else (config, [])
 
 
-def load_scenario(path: str | Path) -> tuple[ScenarioConfig | None, list[str]]:
-    """Parse and fully cross-validate a scenario file."""
+def read_scenario(path: str | Path) -> tuple[dict | None, str, list[str]]:
+    """Read and decode a scenario file, unvalidated: (document, sha256 of the
+    bytes, errors).  A caller may change the document, say its seed, before
+    ``parse_config`` validates it."""
     path = Path(path)
     try:
         blob = path.read_bytes()
     except OSError as exc:
-        return None, [f"cannot read {path}: {exc}"]
+        return None, "", [f"cannot read {path}: {exc}"]
     try:
         raw = json.loads(blob)
     except json.JSONDecodeError as exc:
-        return None, [f"{path}: invalid JSON: {exc}"]
+        return None, "", [f"{path}: invalid JSON: {exc}"]
     if not isinstance(raw, dict):
-        return None, [f"{path}: top level must be an object"]
-    return parse_config(raw, hashlib.sha256(blob).hexdigest(), str(path))
+        return None, "", [f"{path}: top level must be an object"]
+    return raw, hashlib.sha256(blob).hexdigest(), []
+
+
+def load_scenario(path: str | Path) -> tuple[ScenarioConfig | None, list[str]]:
+    """Parse and fully cross-validate a scenario file."""
+    raw, digest, errors = read_scenario(path)
+    return (None, errors) if raw is None else parse_config(raw, digest, str(path))
 
 
 def reference_errors(raw: dict) -> list[str]:

@@ -13,6 +13,7 @@ compromised and keeps no recovery clock.
 
 from __future__ import annotations
 
+from ..hazards import param_kind
 from ..kernel import CoordinatorContext, Registry, RuleContext, RuleSet
 
 ROLE_NODE = "cyber-infrastructure"
@@ -50,6 +51,8 @@ def _init_attacker(params: dict, stream) -> dict:
     if params["attack_type"] not in ATTACK_TYPES:
         raise ValueError(f"unknown attack type {params['attack_type']!r}")
     prop = params.get("propagation_probability")  # None: the attack type's own
+    if prop is not None and param_kind(prop) != "number":
+        raise ValueError(f"propagation_probability {prop!r} is not a number")
     if prop is not None and not 0.0 <= prop <= 1.0:
         raise ValueError(f"propagation_probability {prop} outside [0, 1]")
     return {"active": False, "emitted_at": None, "attacks_emitted": 0}

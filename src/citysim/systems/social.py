@@ -17,6 +17,7 @@ from those mirrors.
 
 from __future__ import annotations
 
+from ..hazards import param_kind
 from ..kernel import CoordinatorContext, Registry, RuleContext, RuleSet
 
 ROLE_CITIZEN = "citizen"
@@ -191,6 +192,8 @@ def _place_capacity(cctx: CoordinatorContext, place_id: str) -> int | None:
 
 def _init_place(params: dict, stream) -> dict:
     capacity = params.get("capacity")  # None: unlimited
+    if capacity is not None and param_kind(capacity) != "number":
+        raise ValueError(f"place capacity {capacity!r} is not a number")
     if capacity is not None and capacity < 0:
         raise ValueError(f"place capacity {capacity} is negative")
     return {"occupancy": 0, "occupants": ()}
@@ -248,6 +251,9 @@ def _observe_nothing(record) -> list[tuple[str, object]]:
     return []
 
 
+PARTITION = ("in_place", "in_transit", "hospitalized", "dead")  # count_partition's counts
+
+
 def count_partition(states: dict, citizens: list[str]) -> tuple[int, int, int, int, list[str]]:
     """The population partition: how many citizens are in a place, in
     transit, in hospital and dead, and the citizens whose location is none
@@ -273,12 +279,8 @@ def _aggregate_social(world) -> list[tuple[str, object]]:
     citizens = world.role_members(ROLE_CITIZEN)
     if not citizens:
         return []
-    in_place, in_transit, hospitalized, dead, _ = count_partition(world.states, citizens)
-    return [
-        ("in_place", in_place), ("in_transit", in_transit),
-        ("hospitalized", hospitalized), ("dead", dead),
-        ("population", len(citizens)),
-    ]
+    *counts, _ = count_partition(world.states, citizens)
+    return [*zip(PARTITION, counts), ("population", len(citizens))]
 
 
 def _aggregate_urban(world) -> list[tuple[str, object]]:

@@ -79,7 +79,9 @@ def test_criterion_1_determinism_and_runtime(report, tmp_path):
     for a, b in zip(first, second):
         assert a.read_bytes() == b.read_bytes(), f"{a.name} differs between reruns"
 
-    other_seed = run_variant(config.with_seed(config.seed + 1), "risk", checks=True)
+    reseeded, errors = parse_config(dict(config.raw, seed=config.seed + 1), config.digest)
+    assert errors == []
+    other_seed = run_variant(reseeded, "risk", checks=True)
     assert rows(other_seed) != rows(original)
 
     for name, result in report.runs.items():

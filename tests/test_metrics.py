@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citysim.metrics import city_deaths, sl_healthcare, sl_ict, sl_mobility
+from citysim.metrics import sl_healthcare, sl_ict, sl_mobility
 
 TOL = 1e-12
 
@@ -68,11 +68,6 @@ def test_mobility_zero_baseline_station_skipped():
 def test_mobility_no_valid_station_reports_one():
     assert sl_mobility({}, {}) == 1.0
     assert sl_mobility({"s1": 5.0}, {"s1": 0.0}) == 1.0
-
-
-def test_city_deaths_counts_dead_only():
-    assert city_deaths(["susceptible", "dead", "recovered", "dead"]) == 2
-    assert city_deaths([]) == 0
 
 
 # -- bounds and monotonicity --------------------------------------------------

@@ -247,6 +247,42 @@ def test_cli_seed_env_override(tmp_path, capsys, monkeypatch):
     assert manifest["seed"] == 12345
 
 
+@pytest.mark.parametrize("how", ["--seed", "CITYSIM_SEED"])
+def test_cli_seed_override_is_validated_at_that_seed(tmp_path, capsys, monkeypatch, how):
+    # household counts follow the seed: this home exists at seed 10, not at seed 1
+    raw = casestudy_copy()
+    _add_hazard(_override_event({"id": "home_outskirts_85::urban_landscape"}, {"capacity": 5}))(raw)
+    path = write_scenario(tmp_path, raw)
+    assert main(["validate", str(path)]) == 0
+    args = ["run", str(path), "--out", str(tmp_path / "o")]
+    if how == "--seed":
+        args += ["--seed", "1"]
+    else:
+        monkeypatch.setenv("CITYSIM_SEED", "1")
+    assert main(args) == 2
+    assert "error: hazards[2]: selector" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("how", ["--seed", "CITYSIM_SEED"])
+def test_cli_seed_override_validates_only_at_that_seed(tmp_path, capsys, monkeypatch, how):
+    # invalid at the file's seed 1, valid at the run's seed 10: validated once, it runs
+    raw = casestudy_copy()
+    raw.update(seed=1, horizon_days=1)
+    _add_hazard(_override_event({"id": "home_outskirts_85::urban_landscape"}, {"capacity": 5}))(raw)
+    path = write_scenario(tmp_path, raw)
+    assert main(["validate", str(path)]) == 2
+    assert "error: hazards[2]: selector" in capsys.readouterr().err
+    out = tmp_path / "o"
+    args = ["run", str(path), "--out", str(out)]
+    if how == "--seed":
+        args += ["--seed", "10"]
+    else:
+        monkeypatch.setenv("CITYSIM_SEED", "10")
+    assert main(args) == 0
+    assert "error:" not in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 10
+
+
 def test_cli_seed_env_not_an_integer(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CITYSIM_SEED", "abc")
     assert main(["run", str(small_config(tmp_path)), "--out", str(tmp_path / "o")]) == 2
@@ -429,10 +465,17 @@ def test_bad_input_gives_errors_and_exit_2(tmp_path, capsys, mutate):
 def test_override_and_mitigation_errors_name_their_source(tmp_path):
     raw = casestudy_copy()
     _string_vulnerability_before_attack(raw)
+    _override_unset_attack_probability(raw)
+    _add_hazard(_override_event({"id": "hospital_center::urban_landscape"}, {"capacity": "x"}))(raw)
     _mitigation(("cyber-infrastructure", "vulnerability", "set", 2))(raw)
     _, errors = load_scenario(write_scenario(tmp_path, raw))
     assert any(e.startswith("hazards[2]: override 'vulnerability'")
                and e.endswith("expected number, got str") for e in errors), errors
+    # a null parameter takes any kind, so the role's own check names the value
+    assert ("hazards[3]: override 'propagation_probability' on 'attacker_main::ict': "
+            "propagation_probability 'x' is not a number") in errors, errors
+    assert ("hazards[4]: override 'capacity' on 'hospital_center::urban_landscape': "
+            "place capacity 'x' is not a number") in errors, errors
     assert any(e.startswith("mitigations.harden[0]: ")
                and e.endswith("vulnerability 2 outside [0, 1]") for e in errors), errors
 

@@ -32,7 +32,8 @@ def test_trace_hooks_attach_and_detach():
         build.build_world(config, "beds")  # resolves its selectors through build's name
         assert tracer.calls["hazards.resolve_selector"] > selected
         runner.run_variant(dataclasses.replace(config, horizon_days=1), "cybersecurity")
-        for name in ("runner.build", "hazards.apply_due", "runner.invariants", "kernel.step"):
+        for name in ("runner.build", "hazards.apply_due", "runner.invariants", "kernel.step",
+                     "metrics.observe", "metrics.aggregate", "metrics.observe_subagent"):
             assert tracer.calls[name] > 0, name
     finally:
         tracer.uninstall()
