@@ -47,7 +47,7 @@ def main():
 
     print(f"world has {len(world.records)} subagents in "
           f"{len(world.agents)} agents; tick = {world.tick}")
-    print("healthcare layer:", sorted(world.system_members("healthcare")))
+    print("healthcare layer:", sorted(world.layers["healthcare"].members))
 
     # arm the attacker by hand (scenarios do this through a hazard event)
     state = dict(world.states["intruder::ict"])

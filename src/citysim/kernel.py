@@ -19,6 +19,11 @@ completed snapshot, so trajectories do not depend on registration or
 iteration order.  State dicts are treated as immutable once published:
 rules return a fresh dict (or None for "unchanged") and must never mutate
 the dict handed to them.
+
+A settlement may publish a read-only product for other layers, such as the
+tick's contact graph.  It is replaced whole, never mutated, and visible from
+the next stage on: a network rule sees what the previous tick's settlement
+published.
 """
 
 from __future__ import annotations
@@ -203,6 +208,10 @@ class RuleContext:
         """Structural lookup: the given subagent's sibling in another system."""
         return self._world.counterpart(sid, system)
 
+    def published(self, name: str):
+        """The product last published under this name (None before the first)."""
+        return self._world.published.get(name)
+
 
 class CoordinatorContext:
     """Write interface for a system's settlement pass within the network stage.
@@ -252,6 +261,10 @@ class CoordinatorContext:
     def log(self, message: str) -> None:
         self._world.run_log.append((self.tick, message))
 
+    def publish(self, name: str, value) -> None:
+        """Replace the product published under this name; never mutate it."""
+        self._world.published[name] = value
+
     def derived(self, name: str, compute: Callable[[], object]):
         """A value computed once per world from its frozen structure (members
         and edges), such as a settlement's evaluation order."""
@@ -274,6 +287,7 @@ class World:
         self.services: dict[str, object] = {}
         self.run_log: list[tuple[int, str]] = []
         self.derived: dict[str, object] = {}
+        self.published: dict[str, object] = {}
         self._stage_plan: dict[str, list[tuple[SubAgentRecord, Callable]]] = {}
         self._role_order: dict[str, list[str]] | None = None
         self.layer_role_order: dict[tuple[str, str], list[str]] = {}
@@ -349,11 +363,6 @@ class World:
 
     def counterpart(self, sid: str, system: str) -> str | None:
         return self.records[sid].siblings.get(system)
-
-    def system_members(self, system: str) -> frozenset[str]:
-        if system not in SYSTEMS:
-            raise KernelError(f"unknown system {system!r}")
-        return frozenset(self.layers[system].members)
 
     def role_members(self, role: str) -> list[str]:
         """Sorted ids of the subagents with this role (a fresh list)."""

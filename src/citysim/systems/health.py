@@ -57,7 +57,6 @@ def _init_patient(params: dict, stream) -> dict:
         "care_quality": 1.0,
         "infected_at": None,
         "rest_until": 0,
-        "contacts": (),
     }
     if params.get("initially_infected"):
         rng = stream.at(0, "init_course")
@@ -119,19 +118,27 @@ def patient_internal(ctx: RuleContext) -> dict | None:
 
 
 def patient_network(ctx: RuleContext) -> dict | None:
-    """Disease transmission over this tick's contact list.
+    """Disease transmission over the contact graph that the social
+    settlement published in the previous tick.
 
-    Each infectious contact gets an independent draw keyed by its id, so a
-    contact set change in one scenario never shifts another contact's draw.
+    The patient's citizen sibling's contacts are mapped to their patients;
+    a contact without one is skipped.  Each infectious contact gets an
+    independent draw keyed by its patient id, so a contact set change in
+    one scenario never shifts another contact's draw.
     """
     state = ctx.state
-    if state["infection"] != "susceptible" or not state["contacts"]:
+    if state["infection"] != "susceptible":
+        return None
+    graph = ctx.published("contacts")
+    contacts = graph.get(ctx.counterpart(ctx.sid, "social")) if graph else None
+    if not contacts:
         return None
     beta = ctx.params["beta"]
     if ctx.params.get("vaccinated"):
         beta *= ctx.params["vaccination_factor"]
-    for src in state["contacts"]:
-        if ctx.peer_state(src)["infection"] != "infected":
+    for contact in contacts:
+        src = ctx.counterpart(contact, "healthcare")
+        if src is None or ctx.peer_state(src)["infection"] != "infected":
             continue
         if ctx.rng(f"inf:{src}").random() < beta:
             rng = ctx.rng("inf_course")
@@ -143,26 +150,6 @@ def patient_network(ctx: RuleContext) -> dict | None:
             )
             return new
     return None
-
-
-def patient_coupling(ctx: RuleContext) -> dict | None:
-    """Pull this tick's contact list from the citizen sibling into patient state."""
-    sib = ctx.sibling("social")
-    if sib is None:
-        return None
-    _, citizen_state = sib
-    raw = citizen_state["contacts"]
-    state = ctx.state
-    if not raw and not state["contacts"]:
-        return None
-    translated = tuple(
-        pid for pid in (ctx.counterpart(c, "healthcare") for c in raw) if pid is not None
-    )
-    if translated == state["contacts"]:
-        return None
-    new = dict(state)
-    new["contacts"] = translated
-    return new
 
 
 def _init_hospital(params: dict, stream) -> dict:
@@ -345,7 +332,7 @@ def _observe_hospital(record) -> list[tuple[str, object]]:
 
 def _aggregate(world) -> list[tuple[str, object]]:
     out = []
-    patients = world.role_members(ROLE_PATIENT)
+    patients = world.layer_role_order.get(("healthcare", ROLE_PATIENT))
     if patients:
         counts = {k: 0 for k in INFECTIONS}
         for sid in patients:
@@ -353,7 +340,7 @@ def _aggregate(world) -> list[tuple[str, object]]:
         out.extend(
             ("total_" + name, counts[name]) for name in INFECTIONS
         )
-    hospitals = world.role_members(ROLE_HOSPITAL)
+    hospitals = world.layer_role_order.get(("healthcare", ROLE_HOSPITAL))
     if hospitals:
         states = [world.states[h] for h in hospitals]
         out.append(("total_occupancy", sum(s["general_occupancy"] + s["icu_occupancy"] for s in states)))
@@ -366,7 +353,6 @@ def register(registry: Registry) -> None:
         init_state=_init_patient,
         internal=patient_internal,
         network=patient_network,
-        coupling=patient_coupling,
         observe=_observe_patient,
     ))
     registry.register_role(ROLE_HOSPITAL, RuleSet(

@@ -193,7 +193,7 @@ def _observe_attacker(record) -> list[tuple[str, object]]:
 
 
 def _aggregate(world) -> list[tuple[str, object]]:
-    nodes = world.role_members(ROLE_NODE)
+    nodes = world.layer_role_order.get(("ict", ROLE_NODE))
     if not nodes:
         return []
     states = [world.states[s] for s in nodes]

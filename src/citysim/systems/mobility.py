@@ -130,7 +130,7 @@ def _observe_light(record) -> list[tuple[str, object]]:
 
 def _aggregate(world) -> list[tuple[str, object]]:
     stations = [
-        sid for sid in world.role_members(ROLE_ROADWAY)
+        sid for sid in world.layer_role_order.get(("mobility", ROLE_ROADWAY), ())
         if world.records[sid].params.get("station")
     ]
     if not stations:

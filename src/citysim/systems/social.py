@@ -34,7 +34,6 @@ def _init_citizen(params: dict, stream) -> dict:
         "location": "place:" + params["home_place"],
         "current_activity": params["schedule"][0][1],
         "trip_pending": None,
-        "contacts": (),
         "alive": True,
         "homebound": False,
     }
@@ -88,8 +87,7 @@ def citizen_coupling(ctx: RuleContext) -> dict | None:
     home = "place:" + ctx.params["home_place"]
     if pst["infection"] == "dead":
         new = dict(state)
-        new.update(location="dead", alive=False, trip_pending=None,
-                   contacts=(), homebound=False)
+        new.update(location="dead", alive=False, trip_pending=None, homebound=False)
         return new
     if pst["located_in"] is not None:
         loc = "hospital:" + pst["located_in"]
@@ -117,7 +115,11 @@ def citizen_coupling(ctx: RuleContext) -> dict | None:
 
 
 def social_settlement(cctx: CoordinatorContext) -> None:
-    """Arrivals, place capacity and contact generation, in citizen id order."""
+    """Arrivals, place capacity and contact generation, in citizen id order.
+
+    Publishes the symmetric contact graph as ``contacts``: citizen id ->
+    ascending tuple of contact citizen ids, for citizens with any contact.
+    """
     citizens = cctx.members(ROLE_CITIZEN)
     if not citizens:
         return
@@ -171,13 +173,7 @@ def social_settlement(cctx: CoordinatorContext) -> None:
             if mst["location"] == "place:" + place and mst["alive"]:
                 contacts[cid].add(member)
                 contacts[member].add(cid)
-    for cid in citizens:
-        st = cctx.get(cid)
-        new_contacts = tuple(sorted(contacts[cid])) if st["location"].startswith("place:") else ()
-        if new_contacts != st["contacts"]:
-            new = dict(st)
-            new["contacts"] = new_contacts
-            cctx.set(cid, new)
+    cctx.publish("contacts", {cid: tuple(sorted(c)) for cid, c in contacts.items() if c})
 
 
 def _place_capacity(cctx: CoordinatorContext, place_id: str) -> int | None:
@@ -276,7 +272,7 @@ def count_partition(states: dict, citizens: list[str]) -> tuple[int, int, int, i
 
 
 def _aggregate_social(world) -> list[tuple[str, object]]:
-    citizens = world.role_members(ROLE_CITIZEN)
+    citizens = world.layer_role_order.get(("social", ROLE_CITIZEN))
     if not citizens:
         return []
     *counts, _ = count_partition(world.states, citizens)
@@ -284,7 +280,7 @@ def _aggregate_social(world) -> list[tuple[str, object]]:
 
 
 def _aggregate_urban(world) -> list[tuple[str, object]]:
-    places = world.role_members(ROLE_PLACE)
+    places = world.layer_role_order.get(("urban_landscape", ROLE_PLACE))
     if not places:
         return []
     return [("total_place_occupancy", sum(world.states[s]["occupancy"] for s in places))]

@@ -64,8 +64,11 @@ def build_patient_world(n: int, seed: int = 7, hospitals: list[dict] | None = No
 
 
 def build_sir_world(n: int, seeds: int, beta: float, contact_k: int,
-                    duration: int, master_seed: int = 11) -> World:
-    """Fully mixed epidemic toy: everyone shares one place around the clock."""
+                    duration: int, master_seed: int = 11, bystanders: int = 0) -> World:
+    """Fully mixed epidemic toy: everyone shares one place around the clock.
+
+    Bystanders are citizens without a patient sibling; their ids sort before
+    every other citizen's."""
     world = World(master_seed, default_registry())
     world.add_agent("commons", [(
         "commons::urban_landscape", "urban_landscape", "place", {
@@ -84,6 +87,11 @@ def build_sir_world(n: int, seeds: int, beta: float, contact_k: int,
                 beta=beta, mild_hours=[duration, duration],
                 initially_infected=i < seeds)),
         ])
+    for i in range(bystanders):
+        world.add_agent(f"b{i:04d}", [(f"b{i:04d}::social", "social", "citizen", {
+            "home_place": "commons", "district": None, "household": [],
+            "contact_k": contact_k, "schedule": schedule,
+        })])
     world.finalize()
     return world
 

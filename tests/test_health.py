@@ -196,6 +196,19 @@ def test_transmission_with_zero_beta_never_spreads():
     assert infections(world).count("susceptible") == 55
 
 
+def test_contact_without_patient_is_skipped():
+    # everyone meets everyone, and the bystander (a citizen with no patient)
+    # comes first in every contact list; transmission passes over it
+    world = build_sir_world(6, seeds=3, beta=1.0, contact_k=6, duration=48, bystanders=1)
+    world.step()
+    graph = world.published["contacts"]
+    assert len(graph) == 7
+    assert all(contacts[0] == "b0000::social"
+               for cid, contacts in graph.items() if cid != "b0000::social")
+    world.step()
+    assert infections(world) == ["infected"] * 6
+
+
 def test_population_conservation_through_epidemic():
     world = build_sir_world(80, seeds=4, beta=0.02, contact_k=3, duration=48)
     n = 80

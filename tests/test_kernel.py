@@ -3,8 +3,8 @@
 import pytest
 
 from citysim.kernel import (
-    STAGE_NETWORK, SYSTEMS, BuildError, CoordinatorContext, KernelError, RuleContext, RuleSet,
-    SimulationAbort, World,
+    STAGE_NETWORK, SYSTEMS, BuildError, CoordinatorContext, KernelError, Registry, RuleContext,
+    RuleSet, SimulationAbort, World,
 )
 
 from conftest import blank_state_init, toy_registry
@@ -149,16 +149,39 @@ def test_unknown_system_rejected():
         world.add_agent("a", [("a::power", "power", "n", {})])
 
 
-def test_system_members():
-    registry = toy_registry(n=RuleSet(init_state=blank_state_init({})))
-    world = World(1, registry)
-    world.add_agent("a", [("a::ict", "ict", "n", {})])
-    world.add_agent("b", [("b::social", "social", "n", {})])
-    world.finalize()
-    assert world.system_members("ict") == {"a::ict"}
-    assert world.system_members("healthcare") == frozenset()
-    with pytest.raises(KernelError, match="unknown system"):
-        world.system_members("power")
+def test_published_value_reaches_network_next_tick_and_coupling_same_tick():
+    # a settlement publishes its tick number; readers in layers settled
+    # before and after it see the same values, whatever the registration order
+    def publish_tick(cctx):
+        cctx.publish("tick", cctx.tick)
+
+    def saw(stage):
+        return lambda ctx: {**ctx.state, stage: ctx.published("tick")}
+
+    def make(coordinator_first, agents):
+        registry = Registry()
+        if coordinator_first:
+            registry.register_coordinator("social", publish_tick)
+        registry.register_role("reader", RuleSet(
+            init_state=blank_state_init({}), network=saw("network"),
+            coupling=saw("coupling"), observe=lambda record: []))
+        if not coordinator_first:
+            registry.register_coordinator("social", publish_tick)
+        world = World(1, registry)
+        for name, system in agents:
+            world.add_agent(name, [(f"{name}::{system}", system, "reader", {})])
+        world.finalize()
+        return world
+
+    agents = [("a", "ict"), ("b", "social"), ("c", "urban_landscape")]
+    w1 = make(True, agents)
+    w2 = make(False, agents[::-1])
+    for tick in range(1, 5):
+        w1.step()
+        w2.step()
+        assert w1.states == w2.states
+        expected = {"network": None if tick == 1 else tick - 1, "coupling": tick}
+        assert all(state == expected for state in w1.states.values())
 
 
 def test_cross_layer_network_read_rejected():
