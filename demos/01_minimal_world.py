@@ -44,10 +44,13 @@ def main():
     ])
     world.add_edge("ict", "intruder::ict", "clinic::ict", "attacks")
     world.finalize()
+    world = world.start()  # a run on the frozen structure, at tick 0
 
+    agents = {record.agent_id for record in world.records.values()}
     print(f"world has {len(world.records)} subagents in "
-          f"{len(world.agents)} agents; tick = {world.tick}")
-    print("healthcare layer:", sorted(world.layers["healthcare"].members))
+          f"{len(agents)} agents; tick = {world.tick}")
+    print("healthcare layer:",
+          sorted(sid for sid, rec in world.records.items() if rec.system == "healthcare"))
 
     # arm the attacker by hand (scenarios do this through a hazard event)
     state = dict(world.states["intruder::ict"])

@@ -46,7 +46,7 @@ def build_commons_world() -> World:
             (f"{cid}::healthcare", "healthcare", "patient", patient_params),
         ])
     world.finalize()
-    return world
+    return world.start()
 
 
 def main():

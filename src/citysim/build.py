@@ -1,4 +1,4 @@
-"""World construction from a validated scenario.
+"""A scenario's structure, built once, and the runs of its variants on it.
 
 Every functional entity becomes an agent made of one subagent per system
 it participates in; subagent ids are "<agent>::<system>".  Citizens get a
@@ -20,11 +20,8 @@ from .hazards import HazardError, change_params, resolve_selector
 from .kernel import BuildError, World
 from .rng import Stream
 from .routing import StreetGraph
-from .scenario import ScenarioConfig
+from .scenario import BASE_VARIANTS, RISK, ScenarioConfig
 from .systems import default_registry
-
-VARIANT_BASELINE = "baseline"
-VARIANT_RISK = "risk"
 
 
 def subagent_id(agent_id: str, system: str) -> str:
@@ -40,15 +37,9 @@ def _ict_node(agent_id: str, spec: dict, district: str | None) -> tuple:
     })
 
 
-def build_world(config: ScenarioConfig, variant: str = VARIANT_RISK) -> World:
-    """Instantiate all agents, layers and services for one scenario variant.
-
-    baseline and risk share the same world; a mitigation variant applies
-    its override bundle to the assembled parameters before initial states
-    are derived, mirroring how the alternative would be provisioned up
-    front in the real city.  Reads a config whose defaults parse_config
-    has filled in.
-    """
+def build_structure(config: ScenarioConfig) -> World:
+    """The frozen structure every variant of the scenario shares, from a
+    config whose defaults parse_config has filled in; parse_config keeps it."""
     registry = default_registry()
     world = World(config.seed, registry)
     raw = config.raw
@@ -160,11 +151,30 @@ def build_world(config: ScenarioConfig, variant: str = VARIANT_RISK) -> World:
         world.add_edge("ict", subagent_id(atk["id"], "ict"),
                        subagent_id(atk["target"], "ict"), "attacks")
 
-    if variant not in (VARIANT_BASELINE, VARIANT_RISK):
-        _apply_mitigation(world, config, variant)
-
     world.finalize()
-    _attach_services(world, config, land, mobility, place_nodes)
+    _attach_services(world, land, mobility, place_nodes)
+    return world
+
+
+def build_world(config: ScenarioConfig, variant: str = RISK) -> World:
+    """A fresh run of one variant on the config's structure.  A mitigation
+    variant applies its ops to a copy of the params map before initial
+    states are derived, as the alternative would be provisioned up front in
+    the real city."""
+    structure = config.structure
+    params = structure.built_params()
+    if variant not in BASE_VARIANTS:
+        bundle = config.raw["mitigations"].get(variant)
+        if bundle is None:
+            raise BuildError(
+                f"unknown variant {variant!r}; declared mitigations: {config.mitigation_names}"
+            )
+        errors = mitigate(structure, params, variant, bundle)
+        if errors:
+            raise BuildError(errors[0])
+    world = structure.start(params)
+    if "street_graph" in world.services:
+        world.services["traffic"] = _traffic_federate(structure, config.seed, config.raw["mobility"])
     return world
 
 
@@ -186,6 +196,7 @@ def _build_population(world: World, config: ScenarioConfig,
         for kind in district.values():
             kind.sort()
 
+    entries: dict[tuple[str, str], tuple[str, str]] = {}  # equal schedule entries share one
     for district in sorted(pop["districts"]):
         dspec = pop["districts"][district]
         count = dspec["citizens"]
@@ -200,7 +211,10 @@ def _build_population(world: World, config: ScenarioConfig,
             size = min(hh_rng.randint(lo, hi), remaining)
             sizes.append(size)
             remaining -= size
-        home_hospital = hospital_of_district.get(district)
+        # the structure's params are never written, so equal ones are shared
+        patient = dict(disease, home_hospital=hospital_of_district.get(district),
+                       district=district, vaccinated=False, initially_infected=False)
+        passenger = {"district": district}
         index = 0
         for hh_index, size in enumerate(sizes):
             home_id = f"home_{district}_{hh_index}"
@@ -212,39 +226,31 @@ def _build_population(world: World, config: ScenarioConfig,
                 })])
             place_nodes[home_id] = home_node
             members = [f"cit_{district}_{index + j}" for j in range(size)]
+            social = [subagent_id(m, "social") for m in members]
+            mover = {"home_place": home_id, "district": district}
             for j, agent_id in enumerate(members):
-                household = [
-                    subagent_id(m, "social") for m in members if m != agent_id
-                ]
                 schedule = _build_schedule(
                     config.seed, agent_id, templates, mix, jitter, lockdown,
-                    home_id, places_by_kind.get(district, {}),
-                )
-                patient_params = dict(disease)
-                patient_params.update(
-                    home_hospital=home_hospital, district=district,
-                    vaccinated=False, initially_infected=False,
+                    home_id, places_by_kind.get(district, {}), entries,
                 )
                 world.add_agent(agent_id, [
-                    (subagent_id(agent_id, "social"), "social", "citizen", {
+                    (social[j], "social", "citizen", {
                         "home_place": home_id, "district": district,
-                        "household": household, "contact_k": contact_k,
+                        "household": social[:j] + social[j + 1:], "contact_k": contact_k,
                         "schedule": schedule,
                     }),
-                    (subagent_id(agent_id, "healthcare"), "healthcare", "patient",
-                     patient_params),
-                    (subagent_id(agent_id, "mobility"), "mobility", "passenger", {
-                        "district": district,
-                    }),
+                    (subagent_id(agent_id, "healthcare"), "healthcare", "patient", patient),
+                    (subagent_id(agent_id, "mobility"), "mobility", "passenger", passenger),
                     (subagent_id(agent_id, "urban_landscape"), "urban_landscape",
-                     "moving-entity", {"home_place": home_id, "district": district}),
+                     "moving-entity", mover),
                 ])
             index += size
 
 
 def _build_schedule(seed: int, agent_id: str, templates: dict, mix: dict,
                     jitter: int, lockdown: bool, home_id: str,
-                    kinds: dict[str, list[str]]) -> list[tuple[str, str]]:
+                    kinds: dict[str, list[str]],
+                    entries: dict[tuple[str, str], tuple[str, str]]) -> list[tuple[str, str]]:
     """24-entry (place, activity) array from a template plus seeded jitter."""
     if lockdown or not templates:
         return [(home_id, "home")] * 24
@@ -274,58 +280,56 @@ def _build_schedule(seed: int, agent_id: str, templates: dict, mix: dict,
         if kind not in binding:
             options = kinds.get(kind, [])
             binding[kind] = options[rng.randint(0, len(options) - 1)] if options else home_id
+    slot = {kind: entries.setdefault((place, kind), (place, kind)) for kind, place in binding.items()}
     schedule: list[tuple[str, str]] = []
     pointer = 0
     for hour in range(24):
         while pointer + 1 < len(boundaries) and boundaries[pointer + 1][0] <= hour:
             pointer += 1
-        kind = boundaries[pointer][1]
-        schedule.append((binding[kind], kind))
+        schedule.append(slot[boundaries[pointer][1]])
     return schedule
 
 
-def _apply_mitigation(world: World, config: ScenarioConfig, variant: str) -> None:
-    bundle = config.raw["mitigations"].get(variant)
-    if bundle is None:
-        raise BuildError(
-            f"unknown variant {variant!r}; declared mitigations: {config.mitigation_names}"
-        )
+def mitigate(structure: World, params: dict[str, dict], variant: str,
+             bundle: list[dict]) -> list[str]:
+    """Apply a mitigation bundle's ops in order to ``params``, a map of the
+    params as built; returns one error per op that does not fit."""
+    errors = []
     for i, op in enumerate(bundle):
         try:
-            change_params(world, resolve_selector(world, op["selector"]),
+            change_params(structure, params, resolve_selector(structure, op["selector"]),
                           [(op["param"], op["op"], op["value"])])
         except HazardError as exc:
-            raise BuildError(f"mitigations.{variant}[{i}]: {exc}") from None
+            errors.append(f"mitigations.{variant}[{i}]: {exc}")
+    return errors
 
 
-def _attach_services(world: World, config: ScenarioConfig, land: dict,
-                     mobility: dict, place_nodes: dict[str, str]) -> None:
+def _attach_services(world: World, land: dict, mobility: dict,
+                     place_nodes: dict[str, str]) -> None:
+    """The street graph, with its route memo, and the place nodes; each run
+    adds its own traffic federate."""
     roadways = land["roadways"]
     if not roadways and not mobility["traffic_lights"]:
         return
     graph = StreetGraph()
-    network: dict = {"roadways": {}, "lights": []}
-    controlled: dict[str, list[str]] = {}
-    for light in mobility["traffic_lights"]:
-        lid = subagent_id(light["id"], "mobility")
-        network["lights"].append(lid)
-        for rid in light["roadways"]:
-            controlled.setdefault(subagent_id(rid, "mobility"), []).append(lid)
     for rw in roadways:
-        rid = subagent_id(rw["id"], "mobility")
-        cost = rw["length_m"] / rw["free_flow_mps"]
-        graph.add_roadway(rid, rw["a"], rw["b"], cost)
-        network["roadways"][rid] = {
-            "free_flow_mps": rw["free_flow_mps"],
-            "capacity": rw["capacity"],
-            "lights": sorted(controlled.get(rid, [])),
-        }
+        graph.add_roadway(subagent_id(rw["id"], "mobility"), rw["a"], rw["b"],
+                          rw["length_m"] / rw["free_flow_mps"])
     graph.finalize()
-    adapter = ADAPTERS[mobility["adapter"]](
-        v_min_frac=mobility["v_min_frac"],
-        light_off_factor=mobility["light_off_factor"],
-    )
-    adapter.initialize(network, config.seed)
-    world.services["traffic"] = adapter
     world.services["street_graph"] = graph
     world.services["place_nodes"] = dict(place_nodes)
+
+
+def _traffic_federate(structure: World, seed: int, mobility: dict):
+    """A freshly initialised federate over the roadways as built and their lights."""
+    controllers = structure.layers["mobility"].sources
+    adapter = ADAPTERS[mobility["adapter"]](
+        v_min_frac=mobility["v_min_frac"], light_off_factor=mobility["light_off_factor"])
+    adapter.initialize({
+        "lights": structure.role_members("traffic-light"),
+        "roadways": {rid: {"free_flow_mps": structure.records[rid].params["free_flow_mps"],
+                           "capacity": structure.records[rid].params["capacity"],
+                           "lights": controllers.get((rid, "controls"), [])}
+                     for rid in structure.role_members("roadway")},
+    }, seed)
+    return adapter

@@ -20,7 +20,7 @@ from .export import export_report
 from .hazards import HazardError
 from .kernel import KernelError
 from .runner import run_paired
-from .scenario import load_scenario, parse_config, read_scenario
+from .scenario import RISK, load_scenario, parse_config, read_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -125,10 +125,10 @@ def main(argv: list[str] | None = None) -> int:
         if config is None:
             return EXIT_VALIDATION
         if args.command == "run":
-            variants = args.variant or ["risk"]
+            variants = args.variant or [RISK]
         else:
             if args.all or not args.variant:
-                variants = ["baseline", "risk", *config.mitigation_names]
+                variants = config.variants
             else:
                 variants = args.variant
         return _run_and_export(config, variants, args.out, not args.no_checks)

@@ -8,8 +8,9 @@ domain rules themselves.  Two event kinds carry extra dispatch behavior:
 seeded selection of patients.
 
 ``change_params`` is the one rule for every parameter change, a hazard
-override here or a mitigation op at build; ``validate`` applies the same
-rule to copies of the parameters.
+override here or a mitigation op at build.  It writes into a params map, a
+run's own or a scratch one that ``validate`` uses, and never into the params
+a record was built with.
 """
 
 from __future__ import annotations
@@ -70,13 +71,11 @@ class HazardSchedule:
     def due(self, tick: int) -> list[HazardEvent]:
         return [e for e in self.events if e.trigger_tick == tick]
 
-    def stripped(self) -> "HazardSchedule":
-        return HazardSchedule([])
-
 
 def resolve_selector(world: World, selector: dict) -> list[str]:
-    """Matched subagent ids, sorted.  Supports id / role / district keys; a
-    selector that matches nothing raises HazardError."""
+    """Matched subagent ids, sorted.  Supports id / role / district keys, on
+    the structure as built, so validation and every run match the same
+    subagents; a selector that matches nothing raises HazardError."""
     if "id" in selector:
         matched = [selector["id"]] if selector["id"] in world.records else []
     else:
@@ -109,26 +108,27 @@ def _kind_error(current, op: str, value) -> str | None:
     return None if current is None or have == got else f"expected {have}, got {got}"
 
 
-def change_params(world: World, targets: list[str], changes: list[tuple[str, str, object]],
-                  trial: dict[str, dict] | None = None) -> None:
+def change_params(world: World, params: dict[str, dict], targets: list[str],
+                  changes: list[tuple[str, str, object]]) -> None:
     """Apply ``(param, "set" | "scale", value)`` changes in order to every
-    target's params, or with ``trial`` (target -> copy of its params, kept
-    across calls) to copies of them.  The one rule for every hazard override
-    and mitigation op: the parameter exists, the change fits its kind, and
-    the changed params pass the target role's own checks (its init_state).
+    target's entry in ``params``, a run's map or a scratch one.  Each target
+    gets a changed copy of its dict, so a dict the map shares, such as a
+    record's, is never written.  The one rule for every hazard override and
+    mitigation op: the parameter exists, the change fits its kind, and the
+    changed params pass the target role's own checks (its init_state).
     Raises HazardError at the first change that breaks it."""
     if not changes:
         return
     for sid in targets:
         record = world.records[sid]
-        params = record.params if trial is None else trial.setdefault(sid, dict(record.params))
+        own = params[sid] = dict(params[sid])
         init_state = world.registry.rules[record.role].init_state
         for name, op, value in changes:
-            problem = "unknown parameter" if name not in params else _kind_error(params[name], op, value)
+            problem = "unknown parameter" if name not in own else _kind_error(own[name], op, value)
             if problem is None:
-                params[name] = value if op == "set" else params[name] * value
+                own[name] = value if op == "set" else own[name] * value
                 try:
-                    init_state(params, record.stream)
+                    init_state(own, record.stream)
                 except (TypeError, ValueError) as exc:
                     problem = str(exc)
             if problem:
@@ -137,9 +137,9 @@ def change_params(world: World, targets: list[str], changes: list[tuple[str, str
 
 def validate(schedule: HazardSchedule, world: World) -> list[str]:
     """Static checks; returns an error list and never raises.  Overrides
-    apply, in schedule order, to copies of their targets' params."""
+    apply, in schedule order, to a scratch map of the params as built."""
     errors = []
-    trial: dict[str, dict] = {}
+    trial = world.built_params()
     for ev in schedule.events:
         where = f"hazards[{ev.index}]"
         if ev.kind not in KINDS:
@@ -155,7 +155,7 @@ def validate(schedule: HazardSchedule, world: World) -> list[str]:
             wrong = [s for s in targets if role is not None and world.records[s].role != role]
             if wrong:
                 errors.append(f"{where}: {ev.kind} target {wrong[0]!r} is not a {role}")
-            change_params(world, targets, ev.changes, trial)
+            change_params(world, trial, targets, ev.changes)
         except HazardError as exc:
             errors.append(f"{where}: {exc}")
     return errors
@@ -172,7 +172,7 @@ def apply_due(world: World, tick: int, schedule: HazardSchedule) -> list[int]:
     for ev in schedule.due(tick):
         try:
             targets = resolve_selector(world, ev.selector)
-            change_params(world, targets, ev.changes)
+            change_params(world, world.params, targets, ev.changes)
         except HazardError as exc:
             raise HazardError(f"hazard event {ev.index} at tick {tick}: {exc}") from None
         if ev.kind == "cyberattack":
@@ -203,9 +203,8 @@ def _dispatch_disease_seed(world: World, tick: int, ev: HazardEvent, targets: li
         candidates.append((u, sid))
     candidates.sort()
     for _, sid in candidates[:count]:
-        rec = world.records[sid]
-        rng = rec.stream.at(tick, "seed_course")
-        lo, hi = rec.params["mild_hours"]
+        rng = world.records[sid].stream.at(tick, "seed_course")
+        lo, hi = world.params[sid]["mild_hours"]
         state = dict(world.states[sid])
         state.update(
             infection="infected",

@@ -28,6 +28,7 @@ published.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -67,7 +68,7 @@ class RuleSet:
     internal: Callable | None = None
     network: Callable | None = None
     coupling: Callable | None = None
-    observe: Callable | None = None  # record -> list[(metric name, value)]
+    observe: Callable | None = None  # (state, params) -> list[(metric name, value)]
 
 
 class Registry:
@@ -90,9 +91,10 @@ class Registry:
         self.aggregators[system] = fn
 
 
-@dataclass
+@dataclass(slots=True)
 class SubAgentRecord:
-    """One subagent: identity, parameters, mutable state, rng stream binding."""
+    """One subagent's place in the structure: identity, the params it was
+    built with, rng stream binding."""
 
     id: str
     system: str
@@ -100,41 +102,22 @@ class SubAgentRecord:
     role: str
     params: dict
     stream: Stream
-    world: "World | None" = field(default=None, repr=False)
     # system -> subagent id for every member of this agent; one dict shared
     # by all of the agent's records
     siblings: dict[str, str] = field(default_factory=dict, repr=False)
 
-    @property
-    def state(self) -> dict:
-        return self.world.states[self.id]
-
-
-@dataclass
-class Agent:
-    id: str
-    members: dict[str, str]  # system -> subagent id; its records' siblings
-
 
 class SystemLayer:
-    """Membership set and intra-system dependency edges of one system."""
+    """Intra-system dependency edges of one system; its members are the
+    records with that system."""
 
     def __init__(self, system: str):
         self.system = system
-        self.members: set[str] = set()
         self.edges: list[tuple[str, str, str]] = []
         # (subagent, label) -> ascending ids at the other end of its outgoing
         # (targets) or incoming (sources) edges with that label; from finalize
         self.targets: dict[tuple[str, str], list[str]] = {}
         self.sources: dict[tuple[str, str], list[str]] = {}
-
-    def add_edge(self, frm: str, to: str, label: str) -> None:
-        if frm not in self.members or to not in self.members:
-            raise BuildError(
-                f"edge {frm!r}->{to!r} ({label}) references a subagent outside "
-                f"the {self.system} layer"
-            )
-        self.edges.append((frm, to, label))
 
     def finalize(self) -> None:
         for frm, to, label in sorted(self.edges):
@@ -162,7 +145,7 @@ class RuleContext:
 
     @property
     def params(self) -> dict:
-        return self._record.params
+        return self._world.params[self.sid]
 
     @property
     def state(self) -> dict:
@@ -172,13 +155,12 @@ class RuleContext:
         return self._record.stream.at(self.tick, label)
 
     def params_of(self, sid: str) -> dict:
-        return self._world.records[sid].params
+        return self._world.params[sid]
 
     def peer_state(self, sid: str) -> dict:
         if self._stage != STAGE_NETWORK:
             raise KernelError(f"peer_state only available in the network stage, not {self._stage}")
-        layer = self._world.layers[self._record.system]
-        if sid not in layer.members:
+        if self._world.records[sid].system != self._record.system:
             raise KernelError(
                 f"{self.sid!r} tried to read {sid!r} across layers "
                 f"(own layer {self._record.system})"
@@ -220,7 +202,7 @@ class CoordinatorContext:
     own layer, and may overwrite states of its own layer's members only.
     """
 
-    __slots__ = ("_world", "system", "_prev", "_nxt", "tick", "_members")
+    __slots__ = ("_world", "system", "_prev", "_nxt", "tick", "_records")
 
     def __init__(self, world: "World", system: str, prev: dict, nxt: dict, tick: int):
         self._world = world
@@ -228,7 +210,7 @@ class CoordinatorContext:
         self._prev = prev
         self._nxt = nxt
         self.tick = tick
-        self._members = world.layers[system].members
+        self._records = world.records
 
     def members(self, role: str) -> list[str]:
         """Sorted members of this layer with one role.  The list is shared by
@@ -236,17 +218,17 @@ class CoordinatorContext:
         return self._world.layer_role_order.get((self.system, role), [])
 
     def get(self, sid: str) -> dict:
-        if sid not in self._members:
+        if self._records[sid].system != self.system:
             raise KernelError(f"{self.system} settlement read state of foreign subagent {sid!r}")
         return self._nxt[sid]
 
     def set(self, sid: str, state: dict) -> None:
-        if sid not in self._members:
+        if self._records[sid].system != self.system:
             raise KernelError(f"{self.system} settlement wrote to foreign subagent {sid!r}")
         self._nxt[sid] = state
 
     def params(self, sid: str) -> dict:
-        return self._world.records[sid].params
+        return self._world.params[sid]
 
     def rng(self, sid: str, label: str) -> TickRng:
         return self._world.records[sid].stream.at(self.tick, label)
@@ -266,30 +248,40 @@ class CoordinatorContext:
         self._world.published[name] = value
 
     def derived(self, name: str, compute: Callable[[], object]):
-        """A value computed once per world from its frozen structure (members
-        and edges), such as a settlement's evaluation order."""
+        """A value computed once per structure from its members and edges,
+        such as a settlement's evaluation order; every run shares it."""
         if name not in self._world.derived:
             self._world.derived[name] = compute()
         return self._world.derived[name]
 
 
 class World:
-    """All agents, subagents and layers, plus the tick loop state."""
+    """A city's frozen structure, or one run on it.
+
+    ``finalize`` freezes the structure: registry, records (with the params
+    each subagent was built with), layers and edge index, role orders, stage
+    plans, ``derived`` and the services a build attaches.  ``start`` begins
+    a run: a shallow copy that shares all of that and owns its ``params``
+    map (sharing the records' dicts until a change copies one), the states
+    derived from it, ``tick``, ``published``, ``run_log`` and a ``services``
+    dict.  A structure holds neither params map nor states; it cannot step.
+    """
 
     def __init__(self, master_seed: int, registry: Registry):
         self.master_seed = master_seed
         self.registry = registry
-        self.tick = 0
         self.records: dict[str, SubAgentRecord] = {}
-        self.agents: dict[str, Agent] = {}
         self.layers: dict[str, SystemLayer] = {s: SystemLayer(s) for s in SYSTEMS}
-        self.states: dict[str, dict] = {}
         self.services: dict[str, object] = {}
-        self.run_log: list[tuple[int, str]] = []
         self.derived: dict[str, object] = {}
+        self.params: dict[str, dict] | None = None
+        self.states: dict[str, dict] | None = None
+        self.tick = 0
+        self.run_log: list[tuple[int, str]] = []
         self.published: dict[str, object] = {}
-        self._stage_plan: dict[str, list[tuple[SubAgentRecord, Callable]]] = {}
-        self._role_order: dict[str, list[str]] | None = None
+        # stage -> (records with a rule for it, in id order; their rules)
+        self._stage_plan: dict[str, tuple[list[SubAgentRecord], list[Callable]]] = {}
+        self._role_order: dict[str, list[str]] = {}
         self.layer_role_order: dict[tuple[str, str], list[str]] = {}
         self._finalized = False
 
@@ -299,8 +291,6 @@ class World:
         """Register an agent and its (subagent id, system, role, params) members."""
         if self._finalized:
             raise BuildError("world already finalized")
-        if agent_id in self.agents:
-            raise BuildError(f"duplicate agent id {agent_id!r}")
         siblings: dict[str, str] = {}
         for sid, system, role, params in subagents:
             if system not in SYSTEMS:
@@ -314,15 +304,10 @@ class World:
             if role not in self.registry.rules:
                 raise BuildError(f"no rules registered for role {role!r} (subagent {sid!r})")
             siblings[system] = sid
-            record = SubAgentRecord(
+            self.records[sid] = SubAgentRecord(
                 id=sid, system=system, agent_id=agent_id, role=role,
-                params=params, stream=Stream(self.master_seed, sid), world=self,
-                siblings=siblings,
+                params=params, stream=Stream(self.master_seed, sid), siblings=siblings,
             )
-            self.records[sid] = record
-            self.layers[system].members.add(sid)
-        self.agents[agent_id] = Agent(agent_id, siblings)
-        self._role_order = None
 
     def add_edge(self, system: str, frm: str, to: str, label: str) -> None:
         if self._finalized:
@@ -332,65 +317,80 @@ class World:
         for sid in (frm, to):
             if sid not in self.records:
                 raise BuildError(f"edge references unknown subagent {sid!r}")
-        self.layers[system].add_edge(frm, to, label)
+            if self.records[sid].system != system:
+                raise BuildError(f"edge {frm!r}->{to!r} ({label}) references a subagent "
+                                 f"outside the {system} layer")
+        self.layers[system].edges.append((frm, to, label))
 
     def finalize(self) -> None:
-        """Freeze structure, derive initial states, precompute stage plans and
-        the sorted member lists per role and per (layer, role)."""
+        """Freeze the structure: records in id order, edge index, stage plans
+        and sorted member lists per role and per (layer, role).  Each record's
+        params must pass its role's init_state; states are derived per run."""
         if self._finalized:
             raise BuildError("world already finalized")
         for layer in self.layers.values():
             layer.finalize()
-        ordered = [self.records[sid] for sid in sorted(self.records)]
-        self._role_order = {}
-        for rec in ordered:
+        self.records = {sid: self.records[sid] for sid in sorted(self.records)}
+        agents: dict[str, dict[str, str]] = {}  # agent id -> its members
+        for rec in self.records.values():
+            if agents.setdefault(rec.agent_id, rec.siblings) is not rec.siblings:
+                raise BuildError(f"duplicate agent id {rec.agent_id!r}")
             self._role_order.setdefault(rec.role, []).append(rec.id)
             self.layer_role_order.setdefault((rec.system, rec.role), []).append(rec.id)
             ruleset = self.registry.rules[rec.role]
             if ruleset.observe is None:
                 raise BuildError(f"role {rec.role!r} has no observability function")
-            self.states[rec.id] = ruleset.init_state(rec.params, rec.stream)
+            ruleset.init_state(rec.params, rec.stream)
         for stage in STAGES:
-            plan: list[tuple[SubAgentRecord, Callable]] = []
-            for rec in ordered:
+            staged, fns = [], []
+            for rec in self.records.values():
                 fn = getattr(self.registry.rules[rec.role], stage)
                 if fn is not None:
-                    plan.append((rec, fn))
-            self._stage_plan[stage] = plan
+                    staged.append(rec)
+                    fns.append(fn)
+            self._stage_plan[stage] = (staged, fns)
         self._finalized = True
 
+    def start(self, params: dict[str, dict] | None = None) -> "World":
+        """A fresh run at tick 0 with this params map (default: as built)."""
+        if not self._finalized:
+            raise KernelError("world not finalized")
+        run = copy.copy(self)
+        run.params = self.built_params() if params is None else params
+        run.states = {
+            sid: self.registry.rules[rec.role].init_state(run.params[sid], rec.stream)
+            for sid, rec in self.records.items()
+        }
+        run.tick, run.run_log, run.published, run.services = 0, [], {}, dict(self.services)
+        return run
+
     # -- queries ------------------------------------------------------------
+
+    def built_params(self) -> dict[str, dict]:
+        """A new params map of the records' params, each as built."""
+        return {sid: rec.params for sid, rec in self.records.items()}
 
     def counterpart(self, sid: str, system: str) -> str | None:
         return self.records[sid].siblings.get(system)
 
     def role_members(self, role: str) -> list[str]:
         """Sorted ids of the subagents with this role (a fresh list)."""
-        return list(self._roles().get(role, ()))
-
-    def _roles(self) -> dict[str, list[str]]:
-        """Role -> sorted member ids.  Finalize derives it; before that it is
-        derived on first use, because mitigations resolve their selectors
-        while the world is being built."""
-        if self._role_order is None:
-            order: dict[str, list[str]] = {}
-            for sid in sorted(self.records):
-                order.setdefault(self.records[sid].role, []).append(sid)
-            self._role_order = order
-        return self._role_order
+        if not self._finalized:
+            raise KernelError("world not finalized")
+        return list(self._role_order.get(role, ()))
 
     # -- dynamics -----------------------------------------------------------
 
     def step(self) -> None:
         """Advance every subagent one tick through the three-stage pipeline."""
-        if not self._finalized:
-            raise KernelError("world not finalized")
+        if self.states is None:
+            raise KernelError("world not started")
         tick = self.tick + 1
         prev = self.states
         for stage in STAGES:
             nxt = dict(prev)
             ctx = RuleContext(self, stage, prev, tick)
-            for rec, fn in self._stage_plan[stage]:
+            for rec, fn in zip(*self._stage_plan[stage]):
                 ctx.sid = sid = rec.id
                 ctx._record = rec
                 try:

@@ -18,7 +18,7 @@ import logging
 import math
 from typing import Mapping, NamedTuple, Sequence
 
-from .kernel import SubAgentRecord, World
+from .kernel import World
 
 log = logging.getLogger(__name__)
 
@@ -79,16 +79,16 @@ def sl_mobility(risk_speeds: Mapping[str, float],
 
 # -- subagent / system observation -------------------------------------------
 
-def observe_subagent(record: SubAgentRecord) -> list[MetricSample]:
-    """Apply the role's observability function; exports only declared keys."""
-    world = record.world
-    fn = world.registry.rules[record.role].observe
+def observe_subagent(world: World, sid: str) -> list[MetricSample]:
+    """Apply the role's observability function to the run's state and params
+    of one subagent; exports only declared keys."""
+    fn = world.registry.rules[world.records[sid].role].observe
     tick = world.tick
     samples = []
-    for name, value in fn(record):
+    for name, value in fn(world.states[sid], world.params[sid]):
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"non-finite metric {name}={value} on {record.id}")
-        samples.append(MetricSample(tick, record.id, name, value))
+            raise ValueError(f"non-finite metric {name}={value} on {sid}")
+        samples.append(MetricSample(tick, sid, name, value))
     return samples
 
 
@@ -125,7 +125,7 @@ class Recorder:
         self.deaths: list[int] = []
         self.station_speeds: dict[str, list[float]] = {
             sid: [] for sid in world.role_members("roadway")
-            if world.records[sid].params.get("station")
+            if world.params[sid].get("station")
         }
         self._ict_nodes = world.role_members("cyber-infrastructure")
         self._hospitals = world.role_members("hospital")
@@ -135,7 +135,7 @@ class Recorder:
         world = self.world
         tick = world.tick
         for sid in self._observed:
-            self.rows.extend(observe_subagent(world.records[sid]))
+            self.rows.extend(observe_subagent(world, sid))
         rollups = [s for system in world.layers for s in aggregate_system(world, system)]
         self.rows.extend(rollups)
         self.rollups = {(s.scope, s.name): s.value for s in rollups}

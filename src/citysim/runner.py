@@ -19,10 +19,8 @@ from .build import build_world
 from .hazards import HazardSchedule, apply_due
 from .kernel import KernelError, World
 from .metrics import Recorder, sl_mobility
-from .scenario import ScenarioConfig
+from .scenario import BASELINE, RISK, ScenarioConfig
 from .systems.social import PARTITION, count_partition
-
-KNOWN_BASE_VARIANTS = ("baseline", "risk")
 
 
 class InvariantViolation(KernelError):
@@ -96,7 +94,7 @@ class InvariantMonitor:
             )
         for hid in self.hospitals:
             state = world.states[hid]
-            params = world.records[hid].params
+            params = world.params[hid]
             for occ_key, cap_key, nominal_key in (
                 ("general_occupancy", "general_capacity", "nominal_general_capacity"),
                 ("icu_occupancy", "icu_capacity", "nominal_icu_capacity"),
@@ -135,7 +133,6 @@ class RunResult:
     deaths: list = field(default_factory=list, repr=False)
     station_speeds: dict = field(default_factory=dict, repr=False)
     applied_events: dict = field(default_factory=dict, repr=False)
-    run_log: list = field(default_factory=list, repr=False)
     wall_time_s: float = 0.0
 
     @property
@@ -143,15 +140,12 @@ class RunResult:
         return self.deaths[-1] if self.deaths else 0
 
 
-def run_variant(config: ScenarioConfig, variant: str = "risk", *,
+def run_variant(config: ScenarioConfig, variant: str = RISK, *,
                 checks: bool = True) -> RunResult:
-    """Build and run one variant of a scenario end to end; the scenario's
+    """Run one variant end to end on a fresh run of the config's structure;
     ``observe.subagent_roles`` chooses the roles with per-subagent rows."""
     world = build_world(config, variant=variant)
-    if variant == "baseline":
-        schedule = config.schedule().stripped()
-    else:
-        schedule = config.schedule()
+    schedule = HazardSchedule([]) if variant == BASELINE else config.schedule()
     recorder = Recorder(world, config.raw["observe"]["subagent_roles"] or None)
     observers: list = [lambda w: recorder.observe()]
     if checks:
@@ -171,7 +165,6 @@ def run_variant(config: ScenarioConfig, variant: str = "risk", *,
         deaths=recorder.deaths,
         station_speeds=recorder.station_speeds,
         applied_events=events,
-        run_log=list(world.run_log),
         wall_time_s=elapsed,
     )
 
@@ -191,7 +184,7 @@ class ComparisonReport:
 def run_paired(config: ScenarioConfig, variants: list[str], *,
                checks: bool = True) -> ComparisonReport:
     """Run the requested variants under one seed and assemble the report."""
-    known = set(KNOWN_BASE_VARIANTS) | set(config.mitigation_names)
+    known = set(config.variants)
     for name in variants:
         if name not in known:
             raise ValueError(
@@ -200,7 +193,7 @@ def run_paired(config: ScenarioConfig, variants: list[str], *,
     order = list(dict.fromkeys(variants))
     runs = {name: run_variant(config, name, checks=checks) for name in order}
     mobility: dict[str, list[float]] = {}
-    baseline = runs.get("baseline")
+    baseline = runs.get(BASELINE)
     if baseline is not None and baseline.station_speeds:
         stations = sorted(baseline.station_speeds)
         ticks = config.horizon_ticks + 1
@@ -239,8 +232,8 @@ def _summarize(order: list[str], runs: dict[str, RunResult],
             low = min(mobility[name])
             minima["mobility"] = {"value": low, "tick": mobility[name].index(low)}
         summary["min_service_level"][name] = minima
-    if "risk" in runs:
-        risk_deaths = runs["risk"].final_deaths
+    if RISK in runs:
+        risk_deaths = runs[RISK].final_deaths
         summary["deaths_delta_vs_risk"] = {
             name: runs[name].final_deaths - risk_deaths for name in order
         }

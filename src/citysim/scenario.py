@@ -19,14 +19,19 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 from .federation import ADAPTERS
-from .hazards import KINDS, HazardSchedule
+from .hazards import KINDS, HazardSchedule, validate
+from .kernel import BuildError, World
 from .systems.health import WINDOW, is_window
 from .systems.ict import ATTACK_TYPES, dependency_order
+
+# every scenario's variants: hazards stripped, and as configured (a mitigation adds ops to risk)
+BASELINE, RISK = "baseline", "risk"
+BASE_VARIANTS = (BASELINE, RISK)
 
 REQUIRED, OPTIONAL = object(), object()  # OPTIONAL: may be absent, nothing is filled in
 
@@ -217,6 +222,8 @@ class ScenarioConfig:
     raw: dict
     digest: str
     path: str | None = None
+    # the frozen structure parse_config validated against; every run shares it
+    structure: World | None = field(default=None, repr=False, compare=False)
 
     @property
     def horizon_ticks(self) -> int:
@@ -226,6 +233,10 @@ class ScenarioConfig:
     def mitigation_names(self) -> list[str]:
         return sorted(self.raw["mitigations"])
 
+    @property
+    def variants(self) -> list[str]:
+        return [*BASE_VARIANTS, *self.mitigation_names]
+
     def schedule(self) -> HazardSchedule:
         return HazardSchedule.from_config(self.raw["hazards"], self.ticks_per_day)
 
@@ -233,7 +244,10 @@ class ScenarioConfig:
 def parse_config(raw: dict, digest: str, path: str | None = None) -> tuple[ScenarioConfig | None, list[str]]:
     """Validate a scenario document and fill its defaults in place; the
     caller's dict becomes ``config.raw``.  Parsing a filled document again
-    changes nothing."""
+    changes nothing.  The config keeps the structure it was validated
+    against."""
+    from .build import build_structure
+
     errors: list[str] = []
     SCHEMA.walk(raw, (), errors)
     errors = errors or reference_errors(raw)
@@ -241,6 +255,10 @@ def parse_config(raw: dict, digest: str, path: str | None = None) -> tuple[Scena
         return None, errors
     config = ScenarioConfig(raw["name"], raw["seed"], raw["horizon_days"],
                             raw["ticks_per_day"], raw, digest, path)
+    try:
+        config.structure = build_structure(config)
+    except (BuildError, ValueError) as exc:
+        return None, [f"build: {exc}"]
     errors = cross_errors(config)
     return (None, errors) if errors else (config, [])
 
@@ -335,33 +353,20 @@ def reference_errors(raw: dict) -> list[str]:
         if "tick" not in ev and "day" not in ev:
             errors.append(f"hazards[{i}]: needs a trigger tick or day")
     errors += [f"mitigations.{name}: reserved variant name"
-               for name in ("baseline", "risk") if name in raw["mitigations"]]
+               for name in BASE_VARIANTS if name in raw["mitigations"]]
     return errors
 
 
 def cross_errors(config: ScenarioConfig) -> list[str]:
-    """Checks that need the risk world built: selector resolution, and each
-    hazard override and mitigation op applied to copies of its targets'
-    params by the same rule that applies it in a run (``change_params``)."""
-    from . import hazards
-    from .build import build_world
-    from .kernel import BuildError
+    """Checks against the config's structure: selector resolution, and each
+    hazard override and mitigation op applied to a scratch map of the params
+    as built, by the same rule that applies it in a run (``change_params``)."""
+    from .build import mitigate
 
-    errors: list[str] = []
-    try:
-        world = build_world(config, variant="risk")
-    except (BuildError, ValueError) as exc:
-        return [f"build: {exc}"]
-    errors.extend(hazards.validate(config.schedule(), world))
+    world = config.structure
+    errors = validate(config.schedule(), world)
     for name, bundle in config.raw["mitigations"].items():
-        trial: dict[str, dict] = {}  # target -> copy of its params, ops so far applied
-        for i, op in enumerate(bundle):
-            try:
-                hazards.change_params(world, hazards.resolve_selector(world, op["selector"]),
-                                      [(op["param"], op["op"], op["value"])], trial)
-            except hazards.HazardError as exc:
-                errors.append(f"mitigations.{name}[{i}]: {exc}")
+        errors += mitigate(world, world.built_params(), name, bundle)
     errors += [f"observe.subagent_roles: unknown role {role!r}"
                for role in config.raw["observe"]["subagent_roles"] if role not in world.registry.rules]
     return errors
-

@@ -310,16 +310,14 @@ def healthcare_settlement(cctx: CoordinatorContext) -> None:
         cctx.set(h, work[h])
 
 
-def _observe_patient(record) -> list[tuple[str, object]]:
-    state = record.state
+def _observe_patient(state, params) -> list[tuple[str, object]]:
     return [
         ("infection_status", state["infection"]),
         ("health_status", state["severity"]),
     ]
 
 
-def _observe_hospital(record) -> list[tuple[str, object]]:
-    state = record.state
+def _observe_hospital(state, params) -> list[tuple[str, object]]:
     return [
         ("general_occupancy", state["general_occupancy"]),
         ("icu_occupancy", state["icu_occupancy"]),

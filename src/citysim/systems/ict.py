@@ -167,7 +167,7 @@ def ict_settlement(cctx: CoordinatorContext) -> None:
 
     A whole hierarchy outage shows up in the same tick's metrics: a node is
     effectively available iff it is up and all its providers are.  Nodes
-    are visited in dependency order, computed once per world.
+    are visited in dependency order, computed once per structure.
     """
     effective: dict[str, bool] = {}
     for sid, providers in cctx.derived("ict_dependency_order", lambda: _settlement_plan(cctx)):
@@ -180,16 +180,15 @@ def ict_settlement(cctx: CoordinatorContext) -> None:
             cctx.set(sid, new)
 
 
-def _observe_node(record) -> list[tuple[str, object]]:
-    state = record.state
+def _observe_node(state, params) -> list[tuple[str, object]]:
     return [
         ("availability", int(state["available"])),
         ("effective_available", int(state["effective_available"])),
     ]
 
 
-def _observe_attacker(record) -> list[tuple[str, object]]:
-    return [("attacks_emitted", record.state["attacks_emitted"])]
+def _observe_attacker(state, params) -> list[tuple[str, object]]:
+    return [("attacks_emitted", state["attacks_emitted"])]
 
 
 def _aggregate(world) -> list[tuple[str, object]]:

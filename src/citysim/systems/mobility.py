@@ -113,25 +113,24 @@ def mobility_settlement(cctx: CoordinatorContext) -> None:
             })
 
 
-def _observe_passenger(record) -> list[tuple[str, object]]:
+def _observe_passenger(state, params) -> list[tuple[str, object]]:
     return []
 
 
-def _observe_roadway(record) -> list[tuple[str, object]]:
-    if not record.params.get("station"):
+def _observe_roadway(state, params) -> list[tuple[str, object]]:
+    if not params.get("station"):
         return []
-    state = record.state
     return [("mean_speed", state["mean_speed"]), ("intensity", state["intensity"])]
 
 
-def _observe_light(record) -> list[tuple[str, object]]:
-    return [("operation_status", 1 if record.state["operation_status"] == "on" else 0)]
+def _observe_light(state, params) -> list[tuple[str, object]]:
+    return [("operation_status", 1 if state["operation_status"] == "on" else 0)]
 
 
 def _aggregate(world) -> list[tuple[str, object]]:
     stations = [
         sid for sid in world.layer_role_order.get(("mobility", ROLE_ROADWAY), ())
-        if world.records[sid].params.get("station")
+        if world.params[sid].get("station")
     ]
     if not stations:
         return []

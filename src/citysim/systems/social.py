@@ -124,15 +124,16 @@ def social_settlement(cctx: CoordinatorContext) -> None:
     if not citizens:
         return
     occupancy: dict[str, int] = {}
-    placed: list[tuple[str, str]] = []  # (citizen, place) after settlement
     for cid in citizens:
         st = cctx.get(cid)
         if st["location"].startswith("place:"):
             occupancy[st["location"][6:]] = occupancy.get(st["location"][6:], 0) + 1
+    # arrivals; each citizen's location after its own arrival places it
+    by_place: dict[str, list[str]] = {}  # place -> its occupants after settlement
     for cid in citizens:
         st = cctx.get(cid)
-        trip = st["trip_pending"]
-        if st["location"] == "transit" and trip is not None and trip["depart"] < cctx.tick:
+        location, trip = st["location"], st["trip_pending"]
+        if location == "transit" and trip is not None and trip["depart"] < cctx.tick:
             dest = trip["dest"]
             home = cctx.params(cid)["home_place"]
             capacity = _place_capacity(cctx, dest)
@@ -140,15 +141,12 @@ def social_settlement(cctx: CoordinatorContext) -> None:
                 cctx.log(f"{cid} redirected home: {dest} at capacity")
                 dest = home
             occupancy[dest] = occupancy.get(dest, 0) + 1
+            location = "place:" + dest
             new = dict(st)
-            new.update(location="place:" + dest, trip_pending=None)
+            new.update(location=location, trip_pending=None)
             cctx.set(cid, new)
-    by_place: dict[str, list[str]] = {}
-    for cid in citizens:
-        st = cctx.get(cid)
-        if st["location"].startswith("place:"):
-            by_place.setdefault(st["location"][6:], []).append(cid)
-            placed.append((cid, st["location"][6:]))
+        if location.startswith("place:"):
+            by_place.setdefault(location[6:], []).append(cid)
     contacts: dict[str, set[str]] = {cid: set() for cid in citizens}
     for place in sorted(by_place):
         occupants = by_place[place]
@@ -164,15 +162,17 @@ def social_settlement(cctx: CoordinatorContext) -> None:
                 other = occupants[j if j < idx else j + 1]
                 contacts[cid].add(other)
                 contacts[other].add(cid)
-    for cid, place in placed:
-        params = cctx.params(cid)
-        if place != params["home_place"]:
-            continue
-        for member in params["household"]:
-            mst = cctx.get(member)
-            if mst["location"] == "place:" + place and mst["alive"]:
-                contacts[cid].add(member)
-                contacts[member].add(cid)
+    # contacts are sets, so walking the places in any order gives the same graph
+    for place, occupants in by_place.items():
+        for cid in occupants:
+            params = cctx.params(cid)
+            if place != params["home_place"]:
+                continue
+            for member in params["household"]:
+                mst = cctx.get(member)
+                if mst["location"] == "place:" + place and mst["alive"]:
+                    contacts[cid].add(member)
+                    contacts[member].add(cid)
     cctx.publish("contacts", {cid: tuple(sorted(c)) for cid, c in contacts.items() if c})
 
 
@@ -231,19 +231,19 @@ def urban_settlement(cctx: CoordinatorContext) -> None:
             cctx.set(sid, {"occupancy": len(occupants), "occupants": occupants})
 
 
-def _observe_citizen(record) -> list[tuple[str, object]]:
-    return [("current_activity", record.state["current_activity"])]
+def _observe_citizen(state, params) -> list[tuple[str, object]]:
+    return [("current_activity", state["current_activity"])]
 
 
-def _observe_mover(record) -> list[tuple[str, object]]:
-    return [("current_place", record.state["current_place"])]
+def _observe_mover(state, params) -> list[tuple[str, object]]:
+    return [("current_place", state["current_place"])]
 
 
-def _observe_place(record) -> list[tuple[str, object]]:
-    return [("occupancy", record.state["occupancy"])]
+def _observe_place(state, params) -> list[tuple[str, object]]:
+    return [("occupancy", state["occupancy"])]
 
 
-def _observe_nothing(record) -> list[tuple[str, object]]:
+def _observe_nothing(state, params) -> list[tuple[str, object]]:
     return []
 
 

@@ -60,7 +60,7 @@ def build_patient_world(n: int, seed: int = 7, hospitals: list[dict] | None = No
             f"p{i:04d}::healthcare", "healthcare", "patient",
             disease_params(**disease_overrides))])
     world.finalize()
-    return world
+    return world.start()
 
 
 def build_sir_world(n: int, seeds: int, beta: float, contact_k: int,
@@ -93,7 +93,7 @@ def build_sir_world(n: int, seeds: int, beta: float, contact_k: int,
             "contact_k": contact_k, "schedule": schedule,
         })])
     world.finalize()
-    return world
+    return world.start()
 
 
 def build_ict_world(nodes: list[dict], attackers: list[dict],
@@ -115,7 +115,7 @@ def toy_registry(**rulesets: RuleSet) -> Registry:
     registry = Registry()
     for role, ruleset in rulesets.items():
         if ruleset.observe is None:
-            ruleset.observe = lambda record: []
+            ruleset.observe = lambda state, params: []
         registry.register_role(role, ruleset)
     return registry
 

@@ -49,7 +49,7 @@ def test_override_rewrites_parameter():
         "overrides": {"vulnerability": 0.25},
     }])
     assert apply_due(world, 0, sched) == [0]
-    assert world.records["leaf::ict"].params["vulnerability"] == 0.25
+    assert world.params["leaf::ict"]["vulnerability"] == 0.25
 
 
 def test_override_is_idempotent():
@@ -57,9 +57,9 @@ def test_override_is_idempotent():
     event = {"tick": 0, "kind": "generic_override",
              "selector": {"id": "leaf::ict"}, "overrides": {"vulnerability": 0.25}}
     apply_due(world, 0, schedule_of([event]))
-    once = dict(world.records["leaf::ict"].params)
+    once = dict(world.params["leaf::ict"])
     apply_due(world, 0, schedule_of([event]))
-    assert world.records["leaf::ict"].params == once
+    assert world.params["leaf::ict"] == once
 
 
 def test_selector_matching_nothing_aborts():

@@ -36,7 +36,7 @@ def build_pair(registry, role, seed=1, order=("a", "b")) -> World:
     world.add_edge("ict", "a::ict", "b::ict", "pairs")
     world.add_edge("ict", "b::ict", "a::ict", "pairs")
     world.finalize()
-    return world
+    return world.start()
 
 
 def test_identity_rules_leave_state_unchanged():
@@ -44,6 +44,7 @@ def test_identity_rules_leave_state_unchanged():
     world = World(1, registry)
     world.add_agent("a", [("a::ict", "ict", "noop", {})])
     world.finalize()
+    world = world.start()
     before = dict(world.states["a::ict"])
     world.step()
     assert world.tick == 1
@@ -53,6 +54,7 @@ def test_identity_rules_leave_state_unchanged():
 def test_empty_world_steps():
     world = World(1, toy_registry())
     world.finalize()
+    world = world.start()
     world.step()
     assert world.tick == 1
     assert world.states == {}
@@ -96,7 +98,7 @@ def test_same_seed_same_trajectory():
         for name in ("a", "b", "c"):
             world.add_agent(name, [(f"{name}::ict", "ict", "noisy", {})])
         world.finalize()
-        return world
+        return world.start()
 
     w1, w2 = make(), make()
     for _ in range(100):
@@ -109,6 +111,7 @@ def test_tick_increments_by_one():
     world = World(1, toy_registry(n=RuleSet(init_state=blank_state_init({}))))
     world.add_agent("a", [("a::social", "social", "n", {})])
     world.finalize()
+    world = world.start()
     ticks = []
     for _ in range(5):
         world.step()
@@ -122,6 +125,15 @@ def test_duplicate_subagent_id_rejected():
     world.add_agent("a", [("x::ict", "ict", "n", {})])
     with pytest.raises(BuildError, match="duplicate"):
         world.add_agent("b", [("x::ict", "ict", "n", {})])
+
+
+def test_duplicate_agent_id_rejected():
+    registry = toy_registry(n=RuleSet(init_state=blank_state_init({})))
+    world = World(1, registry)
+    world.add_agent("a", [("x::ict", "ict", "n", {})])
+    world.add_agent("a", [("y::social", "social", "n", {})])
+    with pytest.raises(BuildError, match="duplicate agent id 'a'"):
+        world.finalize()
 
 
 def test_agent_with_two_subagents_in_one_system_rejected():
@@ -164,14 +176,14 @@ def test_published_value_reaches_network_next_tick_and_coupling_same_tick():
             registry.register_coordinator("social", publish_tick)
         registry.register_role("reader", RuleSet(
             init_state=blank_state_init({}), network=saw("network"),
-            coupling=saw("coupling"), observe=lambda record: []))
+            coupling=saw("coupling"), observe=lambda state, params: []))
         if not coordinator_first:
             registry.register_coordinator("social", publish_tick)
         world = World(1, registry)
         for name, system in agents:
             world.add_agent(name, [(f"{name}::{system}", system, "reader", {})])
         world.finalize()
-        return world
+        return world.start()
 
     agents = [("a", "ict"), ("b", "social"), ("c", "urban_landscape")]
     w1 = make(True, agents)
@@ -197,6 +209,7 @@ def test_cross_layer_network_read_rejected():
     world.add_agent("a", [("a::ict", "ict", "peek", {})])
     world.add_agent("b", [("b::social", "social", "n", {})])
     world.finalize()
+    world = world.start()
     with pytest.raises(KernelError, match="across layers"):
         world.step()
 
@@ -211,6 +224,7 @@ def test_rule_exception_becomes_abort_with_id_and_tick():
     world = World(1, registry)
     world.add_agent("a", [("a::ict", "ict", "bomb", {})])
     world.finalize()
+    world = world.start()
     world.step()
     world.step()
     with pytest.raises(SimulationAbort) as err:
@@ -230,7 +244,7 @@ def assert_derived_structure_matches_definition(world: World) -> None:
         expected = [sid for sid in ordered if world.records[sid].role == role]
         assert world.role_members(role) == expected
         for system in SYSTEMS:
-            cctx = CoordinatorContext(world, system, world.states, dict(world.states), world.tick)
+            cctx = CoordinatorContext(world, system, {}, {}, 0)
             assert cctx.members(role) == [
                 sid for sid in expected if world.records[sid].system == system]
     member_of = {(rec.agent_id, rec.system): sid for sid, rec in world.records.items()}
@@ -260,11 +274,13 @@ def mixed_world() -> World:
 
 def test_role_order_and_siblings_match_definition_on_direct_world():
     world = mixed_world()
-    assert world.role_members("person") == ["amy::social", "bob::social", "zed::social"]
     world.add_agent("abe", [("abe::social", "social", "person", {})])
-    # before finalize the order follows every agent added so far
-    assert world.role_members("person")[0] == "abe::social"
+    # the role order is part of the frozen structure
+    with pytest.raises(KernelError, match="not finalized"):
+        world.role_members("person")
     world.finalize()
+    assert world.role_members("person") == [
+        "abe::social", "amy::social", "bob::social", "zed::social"]
     assert_derived_structure_matches_definition(world)
     assert world.counterpart("zed::healthcare", "social") == "zed::social"
     assert world.counterpart("bob::social", "healthcare") is None
@@ -312,3 +328,19 @@ def test_structure_frozen_after_finalize():
         world.add_agent("late", [("late::social", "social", "person", {})])
     with pytest.raises(BuildError, match="already finalized"):
         world.add_edge("social", "amy::social", "bob::social", "knows")
+
+
+def test_runs_share_the_structure_and_own_their_states():
+    world = World(1, toy_registry(counter=counter_rules()))
+    world.add_agent("a", [("a::ict", "ict", "counter", {})])
+    world.finalize()
+    with pytest.raises(KernelError, match="not started"):
+        world.step()
+    first, second = world.start(), world.start()
+    first.step()
+    first.step()
+    second.step()
+    assert (first.tick, second.tick) == (2, 1)
+    assert first.states["a::ict"]["count"] == 2 and second.states["a::ict"]["count"] == 1
+    assert first.records is second.records is world.records
+    assert world.states is None

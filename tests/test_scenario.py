@@ -1,5 +1,6 @@
 """Scenario validation, variants, CLI contract, CSV/manifest exports."""
 
+import dataclasses
 import json
 import os
 import stat
@@ -106,11 +107,11 @@ def test_mitigation_scales_parameters(casestudy):
     risk = build_world(casestudy, "risk")
     beds = build_world(casestudy, "beds")
     for hid in risk.role_members("hospital"):
-        assert beds.records[hid].params["nominal_general_capacity"] == pytest.approx(
-            risk.records[hid].params["nominal_general_capacity"] * 1.5)
+        assert beds.params[hid]["nominal_general_capacity"] == pytest.approx(
+            risk.params[hid]["nominal_general_capacity"] * 1.5)
     cyber = build_world(casestudy, "cybersecurity")
     for nid in cyber.role_members("cyber-infrastructure"):
-        assert cyber.records[nid].params["vulnerability"] == 0.0
+        assert cyber.params[nid]["vulnerability"] == 0.0
 
 
 def test_unknown_variant_rejected(casestudy):
@@ -496,7 +497,7 @@ def test_overrides_and_mitigations_that_fit_validate_and_build(tmp_path):
     config, errors = load_scenario(write_scenario(tmp_path, raw))
     assert errors == []
     world = build_world(config, "harden")
-    assert {world.records[s].params["vulnerability"]
+    assert {world.params[s]["vulnerability"]
             for s in world.role_members("cyber-infrastructure")} == {1.0}
 
 
@@ -559,3 +560,54 @@ def test_mutated_casestudy_is_rejected_or_runs(slot, value):
     run(world, 1, config.schedule())
     for variant in config.mitigation_names:
         build_world(config, variant)
+
+
+# -- one structure per scenario: validation and every variant share it ---------
+
+def parsed(raw: dict):
+    config, errors = parse_config(raw, "test-digest")
+    assert errors == [], errors
+    return config
+
+
+def test_one_structure_serves_validation_and_every_variant(monkeypatch):
+    from citysim.kernel import World
+
+    calls = []
+
+    def counted(name, method):
+        def wrapper(self, *args):
+            calls.append(name)
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(World, "__init__", counted("build", World.__init__))
+    monkeypatch.setattr(World, "finalize", counted("finalize", World.finalize))
+    config, errors = load_scenario(SCENARIO_PATH)
+    assert errors == []
+    report = run_paired(dataclasses.replace(config, horizon_days=1), config.variants)
+    assert report.order == ["baseline", "risk", "beds", "cybersecurity"]
+    assert calls == ["build", "finalize"]
+    for variant in config.variants:
+        world = build_world(config, variant)
+        assert world.records is config.structure.records
+        assert world.layers is config.structure.layers
+
+
+def casestudy_with_override() -> dict:
+    # the shipped case study has no override; written into the shared
+    # structure, this one would reach every run after the risk run
+    raw = casestudy_copy()
+    raw["horizon_days"] = 2
+    raw["hazards"].append({"day": 1, "kind": "generic_override", "selector": {"role": "hospital"},
+                           "overrides": {"base_care_quality": 0.5}})
+    return raw
+
+
+def test_variants_of_one_structure_keep_their_params_apart():
+    config = parsed(casestudy_with_override())
+    report = run_paired(config, ["risk", "baseline", "beds"])
+    for variant in ("baseline", "beds"):
+        alone = run_variant(parsed(casestudy_with_override()), variant)
+        assert report.runs[variant].samples == alone.samples, variant
+    assert config.structure.built_params() == parsed(casestudy_with_override()).structure.built_params()
