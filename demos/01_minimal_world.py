@@ -64,7 +64,7 @@ def main():
         node = world.states["clinic::ict"]
         hospital = world.states["clinic::healthcare"]
         note = ""
-        if node["down_since"] == world.tick:
+        if node["compromised_at"] == world.tick:
             note = "<- attack lands, node compromised"
         elif was_down and node["available"]:
             note = "<- recovered (ddos attacks heal fast), capacity restored"

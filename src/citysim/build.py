@@ -174,7 +174,7 @@ def build_world(config: ScenarioConfig, variant: str = RISK) -> World:
             raise BuildError(errors[0])
     world = structure.start(params)
     if "street_graph" in world.services:
-        world.services["traffic"] = _traffic_federate(structure, config.seed, config.raw["mobility"])
+        world.services["traffic"] = _traffic_federate(world, config.seed, config.raw["mobility"])
     return world
 
 
@@ -307,7 +307,8 @@ def mitigate(structure: World, params: dict[str, dict], variant: str,
 def _attach_services(world: World, land: dict, mobility: dict,
                      place_nodes: dict[str, str]) -> None:
     """The street graph, with its route memo, and the place nodes; each run
-    adds its own traffic federate."""
+    adds its own traffic federate.  Route costs (``length_m /
+    free_flow_mps``) stay as built, because every run shares the memo."""
     roadways = land["roadways"]
     if not roadways and not mobility["traffic_lights"]:
         return
@@ -320,16 +321,18 @@ def _attach_services(world: World, land: dict, mobility: dict,
     world.services["place_nodes"] = dict(place_nodes)
 
 
-def _traffic_federate(structure: World, seed: int, mobility: dict):
-    """A freshly initialised federate over the roadways as built and their lights."""
-    controllers = structure.layers["mobility"].sources
+def _traffic_federate(run: World, seed: int, mobility: dict):
+    """A freshly initialised federate over the run's roadways, with their
+    params after any mitigation, and their lights.  A hazard that changes
+    roadway params later in the run does not reach it."""
+    controllers = run.layers["mobility"].sources
     adapter = ADAPTERS[mobility["adapter"]](
         v_min_frac=mobility["v_min_frac"], light_off_factor=mobility["light_off_factor"])
     adapter.initialize({
-        "lights": structure.role_members("traffic-light"),
-        "roadways": {rid: {"free_flow_mps": structure.records[rid].params["free_flow_mps"],
-                           "capacity": structure.records[rid].params["capacity"],
+        "lights": run.role_members("traffic-light"),
+        "roadways": {rid: {"free_flow_mps": run.params[rid]["free_flow_mps"],
+                           "capacity": run.params[rid]["capacity"],
                            "lights": controllers.get((rid, "controls"), [])}
-                     for rid in structure.role_members("roadway")},
+                     for rid in run.role_members("roadway")},
     }, seed)
     return adapter

@@ -33,7 +33,8 @@ class FederationAdapter(ABC):
 
     @abstractmethod
     def query(self) -> dict:
-        """Observables of the last advanced tick.  The caller must treat the
+        """Observables of the last advanced tick: each roadway's mean speed
+        and intensity, each light's status.  The caller must treat the
         returned dict and everything in it as read-only; an adapter may hand
         out the same objects until its next ``advance``."""
 
@@ -57,8 +58,9 @@ class ReferenceTrafficSimulator(FederationAdapter):
     """In-process mesoscopic federate implementing the adapter contract.
 
     Ticks are an hour long, so an injected vehicle traverses its whole
-    route within the tick it was injected: per-roadway occupancy at a tick
-    is the number of vehicles whose route crosses it that tick.  The model
+    route within the tick it was injected: a roadway's intensity at a tick,
+    the occupancy in its speed law, is the number of vehicles whose route
+    crosses it that tick.  The model
     is a pure function of (injected routes, light states), deterministic by
     construction; the seed is accepted for contract compatibility.
     """
@@ -80,7 +82,7 @@ class ReferenceTrafficSimulator(FederationAdapter):
         self._tick = 0
         self._observables = {
             "roadways": {
-                rid: {"mean_speed": spec["free_flow_mps"], "intensity": 0, "occupancy": 0}
+                rid: {"mean_speed": spec["free_flow_mps"], "intensity": 0}
                 for rid, spec in self._roadways.items()
             },
             "lights": dict(self._light_state),
@@ -117,11 +119,7 @@ class ReferenceTrafficSimulator(FederationAdapter):
                 spec["free_flow_mps"], demand[rid], spec["capacity"],
                 self.v_min_frac, factor,
             )
-            roadway_obs[rid] = {
-                "mean_speed": speed,
-                "intensity": demand[rid],
-                "occupancy": demand[rid],
-            }
+            roadway_obs[rid] = {"mean_speed": speed, "intensity": demand[rid]}
         self._observables = {"roadways": roadway_obs, "lights": dict(self._light_state)}
         self._pending_routes = []
         self._tick = tick

@@ -206,11 +206,6 @@ def _dispatch_disease_seed(world: World, tick: int, ev: HazardEvent, targets: li
         rng = world.records[sid].stream.at(tick, "seed_course")
         lo, hi = world.params[sid]["mild_hours"]
         state = dict(world.states[sid])
-        state.update(
-            infection="infected",
-            severity="mild",
-            ticks_in_state=0,
-            stage_duration=rng.randint(int(lo), int(hi)),
-            infected_at=tick,
-        )
+        state.update(infection="infected", severity="mild",
+                     stage_end=tick + rng.randint(int(lo), int(hi)))
         world.states[sid] = state

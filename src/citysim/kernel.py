@@ -20,10 +20,11 @@ iteration order.  State dicts are treated as immutable once published:
 rules return a fresh dict (or None for "unchanged") and must never mutate
 the dict handed to them.
 
-A settlement may publish a read-only product for other layers, such as the
-tick's contact graph.  It is replaced whole, never mutated, and visible from
-the next stage on: a network rule sees what the previous tick's settlement
-published.
+A settlement may publish a read-only product for the settlements of other
+layers, such as the tick's contact graph.  It is replaced whole, never
+mutated, and committed when the network stage ends, so every settlement
+reads what was published in the previous tick, wherever its system sits
+in ``SYSTEMS``.
 """
 
 from __future__ import annotations
@@ -186,31 +187,27 @@ class RuleContext:
             return None
         return sid, self._prev[sid]
 
-    def counterpart(self, sid: str, system: str) -> str | None:
-        """Structural lookup: the given subagent's sibling in another system."""
-        return self._world.counterpart(sid, system)
-
-    def published(self, name: str):
-        """The product last published under this name (None before the first)."""
-        return self._world.published.get(name)
-
 
 class CoordinatorContext:
     """Write interface for a system's settlement pass within the network stage.
 
     Reads the post-internal snapshot, sees the network map's output for its
     own layer, and may overwrite states of its own layer's members only.
+    Products it publishes go into ``products``, which the kernel commits
+    when the stage ends.
     """
 
-    __slots__ = ("_world", "system", "_prev", "_nxt", "tick", "_records")
+    __slots__ = ("_world", "system", "_prev", "_nxt", "tick", "_records", "_products")
 
-    def __init__(self, world: "World", system: str, prev: dict, nxt: dict, tick: int):
+    def __init__(self, world: "World", system: str, prev: dict, nxt: dict, tick: int,
+                 products: dict):
         self._world = world
         self.system = system
         self._prev = prev
         self._nxt = nxt
         self.tick = tick
         self._records = world.records
+        self._products = products
 
     def members(self, role: str) -> list[str]:
         """Sorted members of this layer with one role.  The list is shared by
@@ -243,9 +240,19 @@ class CoordinatorContext:
     def log(self, message: str) -> None:
         self._world.run_log.append((self.tick, message))
 
+    def counterpart(self, sid: str, system: str) -> str | None:
+        """Structural lookup: the given subagent's sibling in another system."""
+        return self._world.counterpart(sid, system)
+
+    def published(self, name: str):
+        """The product last published under this name before this tick
+        (None before the first)."""
+        return self._world.published.get(name)
+
     def publish(self, name: str, value) -> None:
-        """Replace the product published under this name; never mutate it."""
-        self._world.published[name] = value
+        """Replace the product published under this name from the next tick
+        on; never mutate it."""
+        self._products[name] = value
 
     def derived(self, name: str, compute: Callable[[], object]):
         """A value computed once per structure from its members and edges,
@@ -402,16 +409,18 @@ class World:
                 if out is not None:
                     nxt[sid] = out
             if stage == STAGE_NETWORK:
+                products: dict[str, object] = {}
                 for system in SYSTEMS:
                     coord = self.registry.coordinators.get(system)
                     if coord is not None:
-                        cctx = CoordinatorContext(self, system, prev, nxt, tick)
+                        cctx = CoordinatorContext(self, system, prev, nxt, tick, products)
                         try:
                             coord(cctx)
                         except KernelError:
                             raise
                         except Exception as exc:
                             raise SimulationAbort(f"<{system} settlement>", tick, exc) from exc
+                self.published.update(products)
             prev = nxt
         self.states = prev
         self.tick = tick

@@ -2,20 +2,23 @@
 
 Disease course per patient: susceptible -> infected(mild) -> maybe severe
 -> maybe critical -> dead or recovered.  Each stage lasts a drawn number
-of hours, then a single branch draw decides the next stage, which makes
-cohort fractions directly comparable to binomial oracles.  Stage timing
-and the severe/critical branches are independent of treatment; treatment
-(an ICU bed, scaled by the hospital's current care quality) only changes
-the death probability at critical resolution.  Severe and critical
-patients are bedridden: they stay home unless admitted, and recovery from
-either is followed by a convalescence window before normal activity.
+of hours and ends at its due tick (``stage_end``), then a single branch
+draw decides the next stage, which makes cohort fractions directly
+comparable to binomial oracles.  Stage timing and the severe/critical
+branches are independent of treatment; treatment (an ICU bed, scaled by
+the hospital's current care quality) only changes the death probability
+at critical resolution.  Severe and critical patients are bedridden: they
+stay home unless admitted, and recovery from either is followed by a
+convalescence window before normal activity.
 
-Bed assignment is a serialized settlement pass: discharges free beds the
-same tick, critical inpatients are moved to ICU when one is free, then
-unplaced severe/critical patients are admitted home-hospital-first with
-referral to the least-occupied peer.  Patients placed nowhere are counted
-as unattended against the hospital they first approached and retry every
-tick.
+Transmission runs at the start of the healthcare settlement, from the
+infectious side, over the contact graph the social settlement published in
+the previous tick.  Bed assignment follows in the same serialized pass:
+discharges free beds the same tick, critical inpatients are moved to ICU
+when one is free, then unplaced severe/critical patients are admitted
+home-hospital-first with referral to the least-occupied peer.  Patients
+placed nowhere are counted as unattended against the hospital they first
+approached and retry every tick.
 """
 
 from __future__ import annotations
@@ -50,45 +53,36 @@ def _init_patient(params: dict, stream) -> dict:
     state = {
         "infection": "susceptible",
         "severity": "none",
-        "ticks_in_state": 0,
-        "stage_duration": None,
+        "stage_end": None,
         "located_in": None,
         "bed_class": None,
         "care_quality": 1.0,
-        "infected_at": None,
         "rest_until": 0,
     }
     if params.get("initially_infected"):
         rng = stream.at(0, "init_course")
         lo, hi = params["mild_hours"]
-        state.update(
-            infection="infected", severity="mild",
-            stage_duration=rng.randint(int(lo), int(hi)), infected_at=0,
-        )
+        state.update(infection="infected", severity="mild",
+                     stage_end=rng.randint(int(lo), int(hi)))
     return state
 
 
-def _enter_stage(state: dict, severity: str, duration: int) -> None:
-    state.update(severity=severity, ticks_in_state=0, stage_duration=duration)
+def _enter_stage(state: dict, severity: str, end: int) -> None:
+    state.update(severity=severity, stage_end=end)
 
 
 def _resolve(state: dict, outcome: str, tick: int, convalescence: int) -> None:
-    state.update(
-        infection=outcome, severity="none", ticks_in_state=0, stage_duration=None,
-    )
+    state.update(infection=outcome, severity="none", stage_end=None)
     if outcome == "recovered" and convalescence:
         state["rest_until"] = tick + convalescence
 
 
 def patient_internal(ctx: RuleContext) -> dict | None:
-    """Infection and disease progression for one patient."""
+    """Disease progression for one patient: nothing until its stage's due tick."""
     state = ctx.state
-    if state["infection"] != "infected":
+    if state["infection"] != "infected" or ctx.tick < state["stage_end"]:
         return None
     new = dict(state)
-    new["ticks_in_state"] += 1
-    if new["ticks_in_state"] < state["stage_duration"]:
-        return new
     p = ctx.params
     rng = ctx.rng("course")
     u = rng.random()
@@ -96,13 +90,13 @@ def patient_internal(ctx: RuleContext) -> dict | None:
     if severity == "mild":
         if u < p["p_severe"]:
             lo, hi = p["severe_hours"]
-            _enter_stage(new, "severe", rng.randint(int(lo), int(hi)))
+            _enter_stage(new, "severe", ctx.tick + rng.randint(int(lo), int(hi)))
         else:
             _resolve(new, "recovered", ctx.tick, 0)
     elif severity == "severe":
         if u < p["p_worsen"]:
             lo, hi = p["critical_hours"]
-            _enter_stage(new, "critical", rng.randint(int(lo), int(hi)))
+            _enter_stage(new, "critical", ctx.tick + rng.randint(int(lo), int(hi)))
         else:
             _resolve(new, "recovered", ctx.tick, int(p.get("convalescence_hours", 0)))
     else:  # critical
@@ -115,41 +109,6 @@ def patient_internal(ctx: RuleContext) -> dict | None:
         else:
             _resolve(new, "recovered", ctx.tick, int(p.get("convalescence_hours", 0)))
     return new
-
-
-def patient_network(ctx: RuleContext) -> dict | None:
-    """Disease transmission over the contact graph that the social
-    settlement published in the previous tick.
-
-    The patient's citizen sibling's contacts are mapped to their patients;
-    a contact without one is skipped.  Each infectious contact gets an
-    independent draw keyed by its patient id, so a contact set change in
-    one scenario never shifts another contact's draw.
-    """
-    state = ctx.state
-    if state["infection"] != "susceptible":
-        return None
-    graph = ctx.published("contacts")
-    contacts = graph.get(ctx.counterpart(ctx.sid, "social")) if graph else None
-    if not contacts:
-        return None
-    beta = ctx.params["beta"]
-    if ctx.params.get("vaccinated"):
-        beta *= ctx.params["vaccination_factor"]
-    for contact in contacts:
-        src = ctx.counterpart(contact, "healthcare")
-        if src is None or ctx.peer_state(src)["infection"] != "infected":
-            continue
-        if ctx.rng(f"inf:{src}").random() < beta:
-            rng = ctx.rng("inf_course")
-            lo, hi = ctx.params["mild_hours"]
-            new = dict(state)
-            new.update(
-                infection="infected", severity="mild", ticks_in_state=0,
-                stage_duration=rng.randint(int(lo), int(hi)), infected_at=ctx.tick,
-            )
-            return new
-    return None
 
 
 def _init_hospital(params: dict, stream) -> dict:
@@ -209,10 +168,43 @@ def _bed_field(bed_class: str) -> tuple[str, str]:
     return "general_occupancy", "general_capacity"
 
 
+def _transmit(cctx: CoordinatorContext, patients: list[str]) -> None:
+    """Disease transmission over the contact graph published last tick,
+    tried from each infectious patient to its citizen's contacts.
+
+    A contact without a patient is skipped.  Each susceptible contact draws
+    ``inf:<source patient>`` on its own stream, so every draw is a pure
+    function of (seed, id, tick, label) and a patient is infected iff any
+    infectious contact succeeds, whatever order the tries come in.
+    """
+    graph = cctx.published("contacts")
+    if not graph:
+        return
+    sources = [pid for pid in patients if cctx.get(pid)["infection"] == "infected"]
+    for src in sources:
+        for contact in graph.get(cctx.counterpart(src, "social"), ()):
+            pid = cctx.counterpart(contact, "healthcare")
+            if pid is None:
+                continue
+            state = cctx.get(pid)
+            if state["infection"] != "susceptible":
+                continue
+            p = cctx.params(pid)
+            beta = p["beta"] * p["vaccination_factor"] if p.get("vaccinated") else p["beta"]
+            if cctx.rng(pid, f"inf:{src}").random() < beta:
+                lo, hi = p["mild_hours"]
+                new = dict(state)
+                new.update(infection="infected", severity="mild", stage_end=(
+                    cctx.tick + cctx.rng(pid, "inf_course").randint(int(lo), int(hi))))
+                cctx.set(pid, new)
+
+
 def healthcare_settlement(cctx: CoordinatorContext) -> None:
-    """Patient reception, discharge and referral, serialized in patient id order."""
-    hospitals = cctx.members(ROLE_HOSPITAL)
+    """Transmission, then patient reception, discharge and referral,
+    serialized in patient id order."""
     patients = cctx.members(ROLE_PATIENT)
+    _transmit(cctx, patients)
+    hospitals = cctx.members(ROLE_HOSPITAL)
     if not hospitals or not patients:
         return
     work = {h: dict(cctx.get(h)) for h in hospitals}
@@ -350,7 +342,6 @@ def register(registry: Registry) -> None:
     registry.register_role(ROLE_PATIENT, RuleSet(
         init_state=_init_patient,
         internal=patient_internal,
-        network=patient_network,
         observe=_observe_patient,
     ))
     registry.register_role(ROLE_HOSPITAL, RuleSet(

@@ -39,7 +39,6 @@ def _init_node(params: dict, stream) -> dict:
     return {
         "available": True,
         "effective_available": True,
-        "down_since": None,
         "compromised_at": None,
         "recovery_due": None,
         "attack_prop": None,
@@ -85,7 +84,7 @@ def node_internal(ctx: RuleContext) -> dict | None:
         return None
     new = dict(state)
     new.update(
-        available=True, down_since=None, compromised_at=None,
+        available=True, compromised_at=None,
         recovery_due=None, attack_prop=None, attack_recovery_scale=None,
     )
     return new
@@ -124,7 +123,6 @@ def node_network(ctx: RuleContext) -> dict | None:
     new = dict(ctx.state)
     new.update(
         available=False,
-        down_since=ctx.tick,
         compromised_at=ctx.tick,
         recovery_due=ctx.tick + recovery,
         attack_prop=prop,

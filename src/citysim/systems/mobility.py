@@ -6,7 +6,9 @@ traffic-light set-state commands into the federated traffic simulator,
 advances it in lockstep with the kernel tick, and mirrors the queried
 observables (per-roadway mean speed and intensity, light status) back into
 the roadway meta-subagents.  Vehicles themselves live inside the federate;
-only their aggregate effect is mirrored.
+only their aggregate effect is mirrored.  The federate starts from each
+roadway's capacity and free-flow speed after the variant's mitigation,
+while route costs stay as built.
 """
 
 from __future__ import annotations
@@ -26,11 +28,7 @@ def _init_passenger(params: dict, stream) -> dict:
 
 
 def _init_roadway(params: dict, stream) -> dict:
-    return {
-        "mean_speed": params["free_flow_mps"],
-        "intensity": 0,
-        "occupancy": 0,
-    }
+    return {"mean_speed": params["free_flow_mps"], "intensity": 0}
 
 
 def _init_light(params: dict, stream) -> dict:
@@ -104,13 +102,9 @@ def mobility_settlement(cctx: CoordinatorContext) -> None:
         mirror = observed["roadways"][rid]
         state = cctx.get(rid)
         if (state["mean_speed"] != mirror["mean_speed"]
-                or state["intensity"] != mirror["intensity"]
-                or state["occupancy"] != mirror["occupancy"]):
-            cctx.set(rid, {
-                "mean_speed": mirror["mean_speed"],
-                "intensity": mirror["intensity"],
-                "occupancy": mirror["occupancy"],
-            })
+                or state["intensity"] != mirror["intensity"]):
+            cctx.set(rid, {"mean_speed": mirror["mean_speed"],
+                           "intensity": mirror["intensity"]})
 
 
 def _observe_passenger(state, params) -> list[tuple[str, object]]:

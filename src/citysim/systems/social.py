@@ -34,7 +34,6 @@ def _init_citizen(params: dict, stream) -> dict:
         "location": "place:" + params["home_place"],
         "current_activity": params["schedule"][0][1],
         "trip_pending": None,
-        "alive": True,
         "homebound": False,
     }
 
@@ -50,7 +49,7 @@ def citizen_internal(ctx: RuleContext) -> dict | None:
     """
     state = ctx.state
     location = state["location"]
-    if not state["alive"] or state["homebound"] or not location.startswith("place:"):
+    if state["homebound"] or not location.startswith("place:"):
         return None  # dead, sick-at-home, hospitalized or in transit
     schedule = ctx.params["schedule"]
     hour = ctx.tick % 24
@@ -81,13 +80,13 @@ def citizen_coupling(ctx: RuleContext) -> dict | None:
     """
     sib = ctx.sibling("healthcare")
     state = ctx.state
-    if sib is None or not state["alive"]:
+    if sib is None or state["location"] == "dead":
         return None
     _, pst = sib
     home = "place:" + ctx.params["home_place"]
     if pst["infection"] == "dead":
         new = dict(state)
-        new.update(location="dead", alive=False, trip_pending=None, homebound=False)
+        new.update(location="dead", trip_pending=None, homebound=False)
         return new
     if pst["located_in"] is not None:
         loc = "hospital:" + pst["located_in"]
@@ -162,17 +161,17 @@ def social_settlement(cctx: CoordinatorContext) -> None:
                 other = occupants[j if j < idx else j + 1]
                 contacts[cid].add(other)
                 contacts[other].add(cid)
-    # contacts are sets, so walking the places in any order gives the same graph
+    # contacts are sets, so walking the places in any order gives the same
+    # graph; households are symmetric, so each member at home adds its own
+    # side of a pair and the other member's pass adds the reverse
     for place, occupants in by_place.items():
         for cid in occupants:
             params = cctx.params(cid)
             if place != params["home_place"]:
                 continue
             for member in params["household"]:
-                mst = cctx.get(member)
-                if mst["location"] == "place:" + place and mst["alive"]:
+                if cctx.get(member)["location"] == "place:" + place:
                     contacts[cid].add(member)
-                    contacts[member].add(cid)
     cctx.publish("contacts", {cid: tuple(sorted(c)) for cid, c in contacts.items() if c})
 
 
@@ -192,7 +191,7 @@ def _init_place(params: dict, stream) -> dict:
         raise ValueError(f"place capacity {capacity!r} is not a number")
     if capacity is not None and capacity < 0:
         raise ValueError(f"place capacity {capacity} is negative")
-    return {"occupancy": 0, "occupants": ()}
+    return {"occupancy": 0}
 
 
 def _init_mover(params: dict, stream) -> dict:
@@ -218,17 +217,15 @@ def urban_settlement(cctx: CoordinatorContext) -> None:
     places = cctx.members(ROLE_PLACE)
     if not places:
         return
-    groups: dict[str, list[str]] = {}
+    movers: dict[str, int] = {}
     for mid in cctx.members(ROLE_MOVER):
         loc = cctx.get(mid)["current_place"]
         if loc.startswith("place:"):
-            groups.setdefault(loc[6:], []).append(mid)
+            movers[loc[6:]] = movers.get(loc[6:], 0) + 1
     for sid in places:
-        place_id = cctx.params(sid)["place_id"]
-        occupants = tuple(groups.get(place_id, ()))
-        state = cctx.get(sid)
-        if state["occupants"] != occupants:
-            cctx.set(sid, {"occupancy": len(occupants), "occupants": occupants})
+        occupancy = movers.get(cctx.params(sid)["place_id"], 0)
+        if cctx.get(sid)["occupancy"] != occupancy:
+            cctx.set(sid, {"occupancy": occupancy})
 
 
 def _observe_citizen(state, params) -> list[tuple[str, object]]:

@@ -7,6 +7,7 @@ import pytest
 from citysim.hazards import HazardSchedule, apply_due
 from citysim.kernel import SimulationAbort
 from citysim.oracles import ward_occupancy_mc
+from citysim.rng import Stream
 
 from conftest import build_patient_world, build_sir_world
 
@@ -207,6 +208,59 @@ def test_contact_without_patient_is_skipped():
                for cid, contacts in graph.items() if cid != "b0000::social")
     world.step()
     assert infections(world) == ["infected"] * 6
+
+
+def test_new_infections_match_contact_graph_oracle():
+    """Each tick, a susceptible patient is infected iff some contact in the
+    previous tick's graph was infectious and its ``inf:<source>`` draw on the
+    patient's own stream fell below beta."""
+    beta, duration = 0.05, 48
+    world = build_sir_world(12, seeds=2, beta=beta, contact_k=3, duration=duration,
+                            bystanders=1)
+    patients = world.role_members("patient")
+    world.step()  # the first contact graph
+    spread = 0
+    for _ in range(duration - 2):  # nobody recovers, so infected means infectious
+        graph, before = world.published["contacts"], world.states
+        world.step()
+        expected = set()
+        for pid in patients:
+            if before[pid]["infection"] != "susceptible":
+                continue
+            for contact in graph.get(world.counterpart(pid, "social"), ()):
+                src = world.counterpart(contact, "healthcare")
+                if (src is not None and before[src]["infection"] == "infected"
+                        and Stream(world.master_seed, pid).at(world.tick, f"inf:{src}")
+                        .random() < beta):
+                    expected.add(pid)
+        infected = {pid for pid in patients if before[pid]["infection"] == "susceptible"
+                    and world.states[pid]["infection"] == "infected"}
+        assert infected == expected, world.tick
+        spread += len(infected)
+    assert spread > 0
+
+
+def test_stage_ends_at_its_due_tick_without_copying_the_state():
+    world = build_patient_world(1, initially_infected=True, mild_hours=[3, 3], p_severe=0.0)
+    sid = "p0000::healthcare"
+    start = world.states[sid]
+    for tick in (1, 2):
+        world.step()
+        assert world.states[sid] is start, tick
+    world.step()
+    assert world.states[sid]["infection"] == "recovered"
+
+
+def test_seeded_case_resolves_window_ticks_after_its_seed():
+    world = build_patient_world(1, mild_hours=[2, 2], p_severe=0.0)
+    schedule = HazardSchedule.from_config([
+        {"tick": 5, "kind": "disease_seed", "selector": {"role": "patient"}}], 24)
+    seen = []
+    for _ in range(8):
+        world.step()
+        apply_due(world, world.tick, schedule)
+        seen.append(world.states["p0000::healthcare"]["infection"])
+    assert seen == ["susceptible"] * 4 + ["infected"] * 2 + ["recovered"] * 2
 
 
 def test_population_conservation_through_epidemic():

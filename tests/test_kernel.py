@@ -3,7 +3,7 @@
 import pytest
 
 from citysim.kernel import (
-    STAGE_NETWORK, SYSTEMS, BuildError, CoordinatorContext, KernelError, Registry, RuleContext,
+    STAGE_NETWORK, SYSTEMS, BuildError, CoordinatorContext, KernelError, RuleContext,
     RuleSet, SimulationAbort, World,
 )
 
@@ -161,39 +161,37 @@ def test_unknown_system_rejected():
         world.add_agent("a", [("a::power", "power", "n", {})])
 
 
-def test_published_value_reaches_network_next_tick_and_coupling_same_tick():
-    # a settlement publishes its tick number; readers in layers settled
-    # before and after it see the same values, whatever the registration order
+def test_every_settlement_sees_previous_tick_product_whatever_its_place():
+    # the social settlement publishes its tick number; the ict settlement
+    # (before social in SYSTEMS) and the urban_landscape one (after it) both
+    # store what they read, whatever the registration order
     def publish_tick(cctx):
         cctx.publish("tick", cctx.tick)
 
-    def saw(stage):
-        return lambda ctx: {**ctx.state, stage: ctx.published("tick")}
+    def store_seen(cctx):
+        sid = cctx.members("reader")[0]
+        cctx.set(sid, {"seen": cctx.published("tick")})
 
-    def make(coordinator_first, agents):
-        registry = Registry()
-        if coordinator_first:
+    def make(publisher_first):
+        registry = toy_registry(reader=RuleSet(init_state=blank_state_init({"seen": None})))
+        if publisher_first:
             registry.register_coordinator("social", publish_tick)
-        registry.register_role("reader", RuleSet(
-            init_state=blank_state_init({}), network=saw("network"),
-            coupling=saw("coupling"), observe=lambda state, params: []))
-        if not coordinator_first:
+        registry.register_coordinator("urban_landscape", store_seen)
+        registry.register_coordinator("ict", store_seen)
+        if not publisher_first:
             registry.register_coordinator("social", publish_tick)
         world = World(1, registry)
-        for name, system in agents:
-            world.add_agent(name, [(f"{name}::{system}", system, "reader", {})])
+        world.add_agent("a", [("a::ict", "ict", "reader", {}),
+                              ("a::urban_landscape", "urban_landscape", "reader", {})])
         world.finalize()
         return world.start()
 
-    agents = [("a", "ict"), ("b", "social"), ("c", "urban_landscape")]
-    w1 = make(True, agents)
-    w2 = make(False, agents[::-1])
-    for tick in range(1, 5):
-        w1.step()
-        w2.step()
-        assert w1.states == w2.states
-        expected = {"network": None if tick == 1 else tick - 1, "coupling": tick}
-        assert all(state == expected for state in w1.states.values())
+    for world in (make(True), make(False)):
+        for tick in range(1, 5):
+            world.step()
+            expected = {"seen": None if tick == 1 else tick - 1}
+            assert world.states == {"a::ict": expected, "a::urban_landscape": expected}
+            assert world.published == {"tick": tick}
 
 
 def test_cross_layer_network_read_rejected():
@@ -244,7 +242,7 @@ def assert_derived_structure_matches_definition(world: World) -> None:
         expected = [sid for sid in ordered if world.records[sid].role == role]
         assert world.role_members(role) == expected
         for system in SYSTEMS:
-            cctx = CoordinatorContext(world, system, {}, {}, 0)
+            cctx = CoordinatorContext(world, system, {}, {}, 0, {})
             assert cctx.members(role) == [
                 sid for sid in expected if world.records[sid].system == system]
     member_of = {(rec.agent_id, rec.system): sid for sid, rec in world.records.items()}
@@ -300,7 +298,7 @@ def test_edge_lookups_match_definition_on_casestudy(casestudy):
     labels = sorted({label for _, _, label in layer.edges})
     assert labels == ["attacks", "depends_on"]
     ctx = RuleContext(world, STAGE_NETWORK, world.states, 1)
-    cctx = CoordinatorContext(world, "ict", world.states, dict(world.states), 1)
+    cctx = CoordinatorContext(world, "ict", world.states, dict(world.states), 1, {})
     for sid in world.role_members("cyber-infrastructure"):
         ctx.sid, ctx._record = sid, world.records[sid]
         for label in labels + ["no-such-label"]:

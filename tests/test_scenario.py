@@ -611,3 +611,19 @@ def test_variants_of_one_structure_keep_their_params_apart():
         alone = run_variant(parsed(casestudy_with_override()), variant)
         assert report.runs[variant].samples == alone.samples, variant
     assert config.structure.built_params() == parsed(casestudy_with_override()).structure.built_params()
+
+
+def test_roadway_mitigation_reaches_the_traffic_federate():
+    raw = casestudy_copy()
+    raw["horizon_days"] = 1
+    raw["mitigations"]["narrow_roads"] = [{"selector": {"role": "roadway"}, "param": "capacity",
+                                           "op": "scale", "value": 0.01}]
+    config = parsed(raw)
+
+    def station_speeds(variant):
+        return [(s.tick, s.scope, s.value) for s in run_variant(config, variant).samples
+                if s.name == "mean_speed"]
+
+    risk, narrow = station_speeds("risk"), station_speeds("narrow_roads")
+    assert [key[:2] for key in risk] == [key[:2] for key in narrow]
+    assert risk != narrow
