@@ -39,6 +39,7 @@ def main():
         ("intruder::ict", "ict", "cyber-attacker", {
             "target": "clinic::ict",
             "attack_type": "ddos",
+            "propagation_probability": None,  # None: the attack type's own
             "district": "demo",
         }),
     ])

@@ -3,9 +3,10 @@
 Every functional entity becomes an agent made of one subagent per system
 it participates in; subagent ids are "<agent>::<system>".  Citizens get a
 social, healthcare (patient), mobility (passenger) and urban-landscape
-(moving entity) subagent; hospitals and traffic lights embed their own
-ICT node as a leaf depending on their district node.  Homes are generated
-per household and cycle over the district's street nodes.
+(moving entity) subagent; the passenger is the citizen's vehicle id and has
+no state.  Hospitals and traffic lights embed their own ICT node as a leaf
+depending on their district node.  Homes are generated per household and
+cycle over the district's street nodes.
 
 Per-citizen randomness used at build time (timetable jitter, workplace
 binding, template choice) is drawn from the citizen's own stream, so a
@@ -323,8 +324,8 @@ def _attach_services(world: World, land: dict, mobility: dict,
 
 def _traffic_federate(run: World, seed: int, mobility: dict):
     """A freshly initialised federate over the run's roadways, with their
-    params after any mitigation, and their lights.  A hazard that changes
-    roadway params later in the run does not reach it."""
+    params after any mitigation, and their lights; the mobility settlement
+    hands it each roadway's current params every tick."""
     controllers = run.layers["mobility"].sources
     adapter = ADAPTERS[mobility["adapter"]](
         v_min_frac=mobility["v_min_frac"], light_off_factor=mobility["light_off_factor"])

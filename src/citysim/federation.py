@@ -2,12 +2,13 @@
 reference federate.
 
 The engine drives any traffic backend through four calls: initialize,
-inject (route insertions and traffic-light set-state), advance (lockstep,
-one tick at a time), and query (per-roadway mean speed and intensity,
-per-light status).  The reference federate is a mesoscopic stand-in: each
-roadway's mean speed follows a speed-density relation, and a switched-off
-traffic light shrinks the effective capacity of the roadways it controls,
-raising occupancy pressure and lowering speed.
+inject (route insertions, traffic-light set-state, roadway capacity and
+free-flow speed), advance (lockstep, one tick at a time), and query
+(per-roadway mean speed and intensity, per-light status).  The reference
+federate is a mesoscopic stand-in: each roadway's mean speed follows a
+speed-density relation, and a switched-off traffic light shrinks the
+effective capacity of the roadways it controls, raising occupancy pressure
+and lowering speed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ class FederationAdapter(ABC):
     def initialize(self, network: dict, seed: int) -> None: ...
 
     @abstractmethod
-    def inject(self, commands: list[dict]) -> None: ...
+    def inject(self, commands: list[dict]) -> None:
+        """Commands for the next ``advance``, each a dict with a ``kind``:
+        ``route`` (``vehicle_id``, ``edges``: roadway ids), ``light``
+        (``light_id``, ``status``: "on" or "off") or ``roadway``
+        (``roadway_id``, ``capacity``, ``free_flow_mps``: the roadway's
+        current values).  An unknown kind or id raises LockstepError."""
 
     @abstractmethod
     def advance(self, tick: int) -> None: ...
@@ -60,9 +66,9 @@ class ReferenceTrafficSimulator(FederationAdapter):
     Ticks are an hour long, so an injected vehicle traverses its whole
     route within the tick it was injected: a roadway's intensity at a tick,
     the occupancy in its speed law, is the number of vehicles whose route
-    crosses it that tick.  The model
-    is a pure function of (injected routes, light states), deterministic by
-    construction; the seed is accepted for contract compatibility.
+    crosses it that tick.  The model is a pure function of (injected
+    routes, light states, roadway specs), deterministic by construction;
+    the seed is accepted for contract compatibility.
     """
 
     def __init__(self, v_min_frac: float = 0.1, light_off_factor: float = 0.4):
@@ -96,6 +102,11 @@ class ReferenceTrafficSimulator(FederationAdapter):
                 if cmd["light_id"] not in self._light_state:
                     raise LockstepError(f"unknown traffic light {cmd['light_id']!r}")
                 self._light_state[cmd["light_id"]] = cmd["status"]
+            elif cmd["kind"] == "roadway":
+                spec = self._roadways.get(cmd["roadway_id"])
+                if spec is None:
+                    raise LockstepError(f"unknown roadway {cmd['roadway_id']!r}")
+                spec.update(capacity=cmd["capacity"], free_flow_mps=cmd["free_flow_mps"])
             else:
                 raise LockstepError(f"unknown inject command kind {cmd['kind']!r}")
 

@@ -21,10 +21,10 @@ rules return a fresh dict (or None for "unchanged") and must never mutate
 the dict handed to them.
 
 A settlement may publish a read-only product for the settlements of other
-layers, such as the tick's contact graph.  It is replaced whole, never
-mutated, and committed when the network stage ends, so every settlement
-reads what was published in the previous tick, wherever its system sits
-in ``SYSTEMS``.
+layers, such as the tick's contact graph or its trips.  It is replaced
+whole, never mutated, and committed when the network stage ends, so every
+settlement reads what was published in the previous tick, wherever its
+system sits in ``SYSTEMS``.
 """
 
 from __future__ import annotations
@@ -70,6 +70,11 @@ class RuleSet:
     network: Callable | None = None
     coupling: Callable | None = None
     observe: Callable | None = None  # (state, params) -> list[(metric name, value)]
+
+
+# the rules of a role that is structure only: no state, no stage rule,
+# nothing observed
+STATELESS = RuleSet(init_state=lambda params, stream: {}, observe=lambda state, params: [])
 
 
 class Registry:
@@ -178,14 +183,13 @@ class RuleContext:
         ascending.  The list is shared: read it, never mutate it."""
         return self._world.layers[self._record.system].sources.get((self.sid, label), [])
 
-    def sibling(self, system: str) -> tuple[str, dict] | None:
-        """State of this agent's subagent in another system (coupling stage)."""
+    def sibling(self, system: str) -> dict | None:
+        """State of this agent's subagent in another system (coupling stage),
+        or None if the agent has none there."""
         if self._stage != STAGE_COUPLING:
             raise KernelError(f"sibling only available in the coupling stage, not {self._stage}")
         sid = self._world.counterpart(self.sid, system)
-        if sid is None:
-            return None
-        return sid, self._prev[sid]
+        return None if sid is None else self._prev[sid]
 
 
 class CoordinatorContext:

@@ -125,7 +125,7 @@ class Recorder:
         self.deaths: list[int] = []
         self.station_speeds: dict[str, list[float]] = {
             sid: [] for sid in world.role_members("roadway")
-            if world.params[sid].get("station")
+            if world.params[sid]["station"]
         }
         self._ict_nodes = world.role_members("cyber-infrastructure")
         self._hospitals = world.role_members("hospital")

@@ -59,7 +59,7 @@ def _init_patient(params: dict, stream) -> dict:
         "care_quality": 1.0,
         "rest_until": 0,
     }
-    if params.get("initially_infected"):
+    if params["initially_infected"]:
         rng = stream.at(0, "init_course")
         lo, hi = params["mild_hours"]
         state.update(infection="infected", severity="mild",
@@ -98,7 +98,7 @@ def patient_internal(ctx: RuleContext) -> dict | None:
             lo, hi = p["critical_hours"]
             _enter_stage(new, "critical", ctx.tick + rng.randint(int(lo), int(hi)))
         else:
-            _resolve(new, "recovered", ctx.tick, int(p.get("convalescence_hours", 0)))
+            _resolve(new, "recovered", ctx.tick, int(p["convalescence_hours"]))
     else:  # critical
         if state["bed_class"] == "icu":
             p_die = min(1.0, max(0.0, p["p_die_treated"] * (2.0 - state["care_quality"])))
@@ -107,7 +107,7 @@ def patient_internal(ctx: RuleContext) -> dict | None:
         if u < p_die:
             _resolve(new, "dead", ctx.tick, 0)
         else:
-            _resolve(new, "recovered", ctx.tick, int(p.get("convalescence_hours", 0)))
+            _resolve(new, "recovered", ctx.tick, int(p["convalescence_hours"]))
     return new
 
 
@@ -135,11 +135,10 @@ def hospital_coupling(ctx: RuleContext) -> dict | None:
     never evicts admitted patients; it only blocks new admissions until
     occupancy falls below the reduced capacity.
     """
-    sib = ctx.sibling("ict")
-    if sib is None:
+    node = ctx.sibling("ict")
+    if node is None:
         return None
-    _, ci_state = sib
-    up = ci_state["effective_available"]
+    up = node["effective_available"]
     state = ctx.state
     if up == (not state["degraded"]):
         return None
@@ -190,7 +189,7 @@ def _transmit(cctx: CoordinatorContext, patients: list[str]) -> None:
             if state["infection"] != "susceptible":
                 continue
             p = cctx.params(pid)
-            beta = p["beta"] * p["vaccination_factor"] if p.get("vaccinated") else p["beta"]
+            beta = p["beta"] * p["vaccination_factor"] if p["vaccinated"] else p["beta"]
             if cctx.rng(pid, f"inf:{src}").random() < beta:
                 lo, hi = p["mild_hours"]
                 new = dict(state)
@@ -270,7 +269,7 @@ def healthcare_settlement(cctx: CoordinatorContext) -> None:
         # admission attempt for unplaced severe/critical patients
         if severity not in ("severe", "critical"):
             continue
-        home = cctx.params(pid).get("home_hospital")
+        home = cctx.params(pid)["home_hospital"]
         if home is None or home not in work:
             continue
         bed_class = "icu" if severity == "critical" else "general"

@@ -49,7 +49,7 @@ def _init_node(params: dict, stream) -> dict:
 def _init_attacker(params: dict, stream) -> dict:
     if params["attack_type"] not in ATTACK_TYPES:
         raise ValueError(f"unknown attack type {params['attack_type']!r}")
-    prop = params.get("propagation_probability")  # None: the attack type's own
+    prop = params["propagation_probability"]  # None: the attack type's own
     if prop is not None and param_kind(prop) != "number":
         raise ValueError(f"propagation_probability {prop!r} is not a number")
     if prop is not None and not 0.0 <= prop <= 1.0:
@@ -71,7 +71,7 @@ def attacker_internal(ctx: RuleContext) -> dict | None:
 
 def _wave_spec(attacker_params: dict) -> tuple[float, float]:
     default_prop, recovery_scale = ATTACK_TYPES[attacker_params["attack_type"]]
-    prop = attacker_params.get("propagation_probability")
+    prop = attacker_params["propagation_probability"]
     if prop is None:
         prop = default_prop
     return float(prop), float(recovery_scale)

@@ -1,19 +1,21 @@
 """Mobility layer: passengers, roadways, traffic lights, and the federate glue.
 
-Trip requests from the social layer become vehicle routes: the settlement
-pass computes the shortest path over the street graph, injects routes and
-traffic-light set-state commands into the federated traffic simulator,
-advances it in lockstep with the kernel tick, and mirrors the queried
-observables (per-roadway mean speed and intensity, light status) back into
-the roadway meta-subagents.  Vehicles themselves live inside the federate;
-only their aggregate effect is mirrored.  The federate starts from each
-roadway's capacity and free-flow speed after the variant's mitigation,
-while route costs stay as built.
+The trips the social settlement published in the previous tick become
+vehicle routes: the settlement pass computes the shortest path over the
+street graph, injects routes, traffic-light set-state and roadway commands
+into the federated traffic simulator, advances it in lockstep with the
+kernel tick, and mirrors the queried observables (per-roadway mean speed
+and intensity, light status) back into the roadway meta-subagents.  A
+passenger is structure only: its id is the citizen's vehicle id, and it has
+no state.  Vehicles themselves live inside the federate; only their
+aggregate effect is mirrored.  Every tick the federate gets each roadway's
+capacity and free-flow speed from the run's params, after any mitigation
+or hazard, while route costs stay as built.
 """
 
 from __future__ import annotations
 
-from ..kernel import CoordinatorContext, Registry, RuleContext, RuleSet
+from ..kernel import STATELESS, CoordinatorContext, Registry, RuleContext, RuleSet
 from ..routing import StreetGraph, shortest_route
 
 ROLE_PASSENGER = "passenger"
@@ -23,11 +25,10 @@ ROLE_LIGHT = "traffic-light"
 EDGE_CONTROLS = "controls"
 
 
-def _init_passenger(params: dict, stream) -> dict:
-    return {"route_request": None}
-
-
 def _init_roadway(params: dict, stream) -> dict:
+    for key in ("capacity", "free_flow_mps"):
+        if not params[key] > 0:
+            raise ValueError(f"roadway {key} {params[key]!r} is not > 0")
     return {"mean_speed": params["free_flow_mps"], "intensity": 0}
 
 
@@ -35,23 +36,12 @@ def _init_light(params: dict, stream) -> dict:
     return {"operation_status": "on"}
 
 
-def passenger_coupling(ctx: RuleContext) -> dict | None:
-    """Pick up a trip the citizen sibling started this tick."""
-    sib = ctx.sibling("social")
-    if sib is None:
-        return None
-    trip = sib[1]["trip_pending"]
-    if trip is None or trip["depart"] != ctx.tick:
-        return None
-    return {"route_request": {"origin": trip["origin"], "dest": trip["dest"]}}
-
-
 def light_coupling(ctx: RuleContext) -> dict | None:
     """A light operates exactly while its controller node is effectively up."""
-    sib = ctx.sibling("ict")
-    if sib is None:
+    node = ctx.sibling("ict")
+    if node is None:
         return None
-    status = "on" if sib[1]["effective_available"] else "off"
+    status = "on" if node["effective_available"] else "off"
     if status == ctx.state["operation_status"]:
         return None
     return {"operation_status": status}
@@ -67,7 +57,9 @@ def memo_route(graph: StreetGraph, origin: str, dest: str) -> list[str] | None:
 
 
 def mobility_settlement(cctx: CoordinatorContext) -> None:
-    """Route insertion, lockstep advance, and observable mirroring."""
+    """Route insertion for last tick's trips, lockstep advance, and
+    observable mirroring; a trip of a citizen without a passenger is
+    skipped."""
     try:
         adapter = cctx.service("traffic")
     except KeyError:
@@ -80,21 +72,26 @@ def mobility_settlement(cctx: CoordinatorContext) -> None:
             "kind": "light", "light_id": lid,
             "status": cctx.get(lid)["operation_status"],
         })
-    for pid in cctx.members(ROLE_PASSENGER):
-        request = cctx.get(pid)["route_request"]
-        if request is None:
+    for rid in cctx.members(ROLE_ROADWAY):
+        params = cctx.params(rid)
+        commands.append({
+            "kind": "roadway", "roadway_id": rid,
+            "capacity": params["capacity"], "free_flow_mps": params["free_flow_mps"],
+        })
+    for cid, origin_place, dest_place in cctx.published("trips") or ():
+        vid = cctx.counterpart(cid, "mobility")
+        if vid is None:
             continue
-        origin = place_nodes.get(request["origin"])
-        dest = place_nodes.get(request["dest"])
+        origin = place_nodes.get(origin_place)
+        dest = place_nodes.get(dest_place)
         if origin is None or dest is None:
-            cctx.log(f"trip dropped for {pid}: unknown place node")
+            cctx.log(f"trip dropped for {vid}: unknown place node")
         elif origin != dest:
             route = memo_route(graph, origin, dest)
             if route is None:
-                cctx.log(f"trip dropped for {pid}: no route {origin} -> {dest}")
+                cctx.log(f"trip dropped for {vid}: no route {origin} -> {dest}")
             elif route:
-                commands.append({"kind": "route", "vehicle_id": pid, "edges": route})
-        cctx.set(pid, {"route_request": None})
+                commands.append({"kind": "route", "vehicle_id": vid, "edges": route})
     adapter.inject(commands)
     adapter.advance(cctx.tick)
     observed = adapter.query()
@@ -107,12 +104,8 @@ def mobility_settlement(cctx: CoordinatorContext) -> None:
                            "intensity": mirror["intensity"]})
 
 
-def _observe_passenger(state, params) -> list[tuple[str, object]]:
-    return []
-
-
 def _observe_roadway(state, params) -> list[tuple[str, object]]:
-    if not params.get("station"):
+    if not params["station"]:
         return []
     return [("mean_speed", state["mean_speed"]), ("intensity", state["intensity"])]
 
@@ -124,7 +117,7 @@ def _observe_light(state, params) -> list[tuple[str, object]]:
 def _aggregate(world) -> list[tuple[str, object]]:
     stations = [
         sid for sid in world.layer_role_order.get(("mobility", ROLE_ROADWAY), ())
-        if world.params[sid].get("station")
+        if world.params[sid]["station"]
     ]
     if not stations:
         return []
@@ -136,11 +129,7 @@ def _aggregate(world) -> list[tuple[str, object]]:
 
 
 def register(registry: Registry) -> None:
-    registry.register_role(ROLE_PASSENGER, RuleSet(
-        init_state=_init_passenger,
-        coupling=passenger_coupling,
-        observe=_observe_passenger,
-    ))
+    registry.register_role(ROLE_PASSENGER, STATELESS)
     registry.register_role(ROLE_ROADWAY, RuleSet(
         init_state=_init_roadway,
         observe=_observe_roadway,

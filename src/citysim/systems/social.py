@@ -3,11 +3,13 @@
 Citizens follow a precomputed 24-hour schedule (timetable template plus a
 per-citizen seeded boundary jitter, fixed at build).  Crossing a window
 boundary to a different place puts the citizen in transit for one tick and
-emits a trip request that the mobility layer turns into road demand.
-Arrivals, place capacity and contact generation are resolved in a single
-deterministic settlement pass per tick: every occupant of a place draws a
-fixed fan-out of distinct co-occupants, household members in the same home
-contact each other deterministically, and all contacts are symmetrized.
+starts a trip.  Arrivals, place capacity, trips and contact generation are
+resolved in a single deterministic settlement pass per tick.  It publishes
+the tick's trips, which the mobility layer turns into road demand (a
+citizen's passenger subagent is only its vehicle id and has no state), and
+the contact graph: every occupant of a place draws a fixed fan-out of
+distinct co-occupants, household members in the same home contact each
+other deterministically, and all contacts are symmetrized.
 
 The citizen's location string is authoritative ("place:X", "transit",
 "hospital:X" or "dead"); the moving-entity subagent mirrors it into the
@@ -18,7 +20,7 @@ from those mirrors.
 from __future__ import annotations
 
 from ..hazards import param_kind
-from ..kernel import CoordinatorContext, Registry, RuleContext, RuleSet
+from ..kernel import STATELESS, CoordinatorContext, Registry, RuleContext, RuleSet
 
 ROLE_CITIZEN = "citizen"
 ROLE_PLACE = "place"
@@ -78,11 +80,10 @@ def citizen_coupling(ctx: RuleContext) -> dict | None:
     Death is absorbing; hospitalization parks the citizen at the hospital;
     severe/critical illness and convalescence keep the citizen home.
     """
-    sib = ctx.sibling("healthcare")
+    pst = ctx.sibling("healthcare")
     state = ctx.state
-    if sib is None or state["location"] == "dead":
+    if pst is None or state["location"] == "dead":
         return None
-    _, pst = sib
     home = "place:" + ctx.params["home_place"]
     if pst["infection"] == "dead":
         new = dict(state)
@@ -114,10 +115,13 @@ def citizen_coupling(ctx: RuleContext) -> dict | None:
 
 
 def social_settlement(cctx: CoordinatorContext) -> None:
-    """Arrivals, place capacity and contact generation, in citizen id order.
+    """Arrivals, place capacity, trips and contact generation, in citizen
+    id order.
 
-    Publishes the symmetric contact graph as ``contacts``: citizen id ->
-    ascending tuple of contact citizen ids, for citizens with any contact.
+    Publishes the trips that start this tick as ``trips``: (citizen id,
+    origin place, dest place) in citizen id order; and the symmetric
+    contact graph as ``contacts``: citizen id -> ascending tuple of contact
+    citizen ids, for citizens with any contact.
     """
     citizens = cctx.members(ROLE_CITIZEN)
     if not citizens:
@@ -127,12 +131,15 @@ def social_settlement(cctx: CoordinatorContext) -> None:
         st = cctx.get(cid)
         if st["location"].startswith("place:"):
             occupancy[st["location"][6:]] = occupancy.get(st["location"][6:], 0) + 1
-    # arrivals; each citizen's location after its own arrival places it
+    # trips and arrivals; each citizen's location after its own arrival places it
+    trips: list[tuple[str, str, str]] = []
     by_place: dict[str, list[str]] = {}  # place -> its occupants after settlement
     for cid in citizens:
         st = cctx.get(cid)
         location, trip = st["location"], st["trip_pending"]
-        if location == "transit" and trip is not None and trip["depart"] < cctx.tick:
+        if trip is not None and trip["depart"] == cctx.tick:
+            trips.append((cid, trip["origin"], trip["dest"]))
+        elif location == "transit" and trip is not None:
             dest = trip["dest"]
             home = cctx.params(cid)["home_place"]
             capacity = _place_capacity(cctx, dest)
@@ -146,39 +153,33 @@ def social_settlement(cctx: CoordinatorContext) -> None:
             cctx.set(cid, new)
         if location.startswith("place:"):
             by_place.setdefault(location[6:], []).append(cid)
+    # contacts are sets and every draw is the citizen's own, so walking the
+    # places in any order gives the same graph; households are symmetric, so
+    # each member at home adds its own side of a pair and the other member's
+    # turn adds the reverse
     contacts: dict[str, set[str]] = {cid: set() for cid in citizens}
-    for place in sorted(by_place):
-        occupants = by_place[place]
-        n = len(occupants)
-        if n < 2:
-            continue
-        for idx, cid in enumerate(occupants):
-            k = min(cctx.params(cid)["contact_k"], n - 1)
-            if k <= 0:
-                continue
-            rng = cctx.rng(cid, "contacts")
-            for j in rng.sample_distinct(n - 1, k):
-                other = occupants[j if j < idx else j + 1]
-                contacts[cid].add(other)
-                contacts[other].add(cid)
-    # contacts are sets, so walking the places in any order gives the same
-    # graph; households are symmetric, so each member at home adds its own
-    # side of a pair and the other member's pass adds the reverse
     for place, occupants in by_place.items():
-        for cid in occupants:
+        n = len(occupants)
+        for idx, cid in enumerate(occupants):
             params = cctx.params(cid)
-            if place != params["home_place"]:
-                continue
-            for member in params["household"]:
-                if cctx.get(member)["location"] == "place:" + place:
-                    contacts[cid].add(member)
+            k = min(params["contact_k"], n - 1)
+            if k > 0:
+                for j in cctx.rng(cid, "contacts").sample_distinct(n - 1, k):
+                    other = occupants[j if j < idx else j + 1]
+                    contacts[cid].add(other)
+                    contacts[other].add(cid)
+            if place == params["home_place"]:
+                for member in params["household"]:
+                    if cctx.get(member)["location"] == "place:" + place:
+                        contacts[cid].add(member)
+    cctx.publish("trips", tuple(trips))
     cctx.publish("contacts", {cid: tuple(sorted(c)) for cid, c in contacts.items() if c})
 
 
 def _place_capacity(cctx: CoordinatorContext, place_id: str) -> int | None:
     sid = place_id + "::urban_landscape"
     try:
-        return cctx.params(sid).get("capacity")
+        return cctx.params(sid)["capacity"]
     except KeyError:
         return None
 
@@ -186,7 +187,7 @@ def _place_capacity(cctx: CoordinatorContext, place_id: str) -> int | None:
 # -- urban landscape -----------------------------------------------------
 
 def _init_place(params: dict, stream) -> dict:
-    capacity = params.get("capacity")  # None: unlimited
+    capacity = params["capacity"]  # None: unlimited
     if capacity is not None and param_kind(capacity) != "number":
         raise ValueError(f"place capacity {capacity!r} is not a number")
     if capacity is not None and capacity < 0:
@@ -198,15 +199,11 @@ def _init_mover(params: dict, stream) -> dict:
     return {"current_place": "place:" + params["home_place"]}
 
 
-def _init_static(params: dict, stream) -> dict:
-    return {}
-
-
 def mover_coupling(ctx: RuleContext) -> dict | None:
-    sib = ctx.sibling("social")
-    if sib is None:
+    citizen = ctx.sibling("social")
+    if citizen is None:
         return None
-    location = sib[1]["location"]
+    location = citizen["location"]
     if location == ctx.state["current_place"]:
         return None
     return {"current_place": location}
@@ -238,10 +235,6 @@ def _observe_mover(state, params) -> list[tuple[str, object]]:
 
 def _observe_place(state, params) -> list[tuple[str, object]]:
     return [("occupancy", state["occupancy"])]
-
-
-def _observe_nothing(state, params) -> list[tuple[str, object]]:
-    return []
 
 
 PARTITION = ("in_place", "in_transit", "hospitalized", "dead")  # count_partition's counts
@@ -299,14 +292,8 @@ def register(registry: Registry) -> None:
         coupling=mover_coupling,
         observe=_observe_mover,
     ))
-    registry.register_role(ROLE_STREET, RuleSet(
-        init_state=_init_static,
-        observe=_observe_nothing,
-    ))
-    registry.register_role(ROLE_FIXED, RuleSet(
-        init_state=_init_static,
-        observe=_observe_nothing,
-    ))
+    registry.register_role(ROLE_STREET, STATELESS)
+    registry.register_role(ROLE_FIXED, STATELESS)
     registry.register_coordinator("social", social_settlement)
     registry.register_coordinator("urban_landscape", urban_settlement)
     registry.register_aggregator("social", _aggregate_social)

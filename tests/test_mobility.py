@@ -96,6 +96,19 @@ def test_query_is_cached_per_tick():
     assert sim.query()["roadways"]["r"]["intensity"] == 1
 
 
+def test_roadway_command_changes_the_speed_law_and_checks_its_id():
+    sim = ReferenceTrafficSimulator()
+    sim.initialize(network(), seed=1)
+    route = {"kind": "route", "vehicle_id": "v", "edges": ["r"]}
+    sim.inject([route, {"kind": "roadway", "roadway_id": "r", "capacity": 2,
+                        "free_flow_mps": 20.0}])
+    sim.advance(1)
+    assert sim.query()["roadways"]["r"]["mean_speed"] == roadway_mean_speed(20.0, 1, 2, 0.1, 1.0)
+    with pytest.raises(LockstepError):
+        sim.inject([{"kind": "roadway", "roadway_id": "nowhere", "capacity": 2,
+                     "free_flow_mps": 20.0}])
+
+
 def test_zero_vehicles_free_flow_speed():
     sim = ReferenceTrafficSimulator()
     sim.initialize(network(), seed=1)

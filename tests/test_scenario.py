@@ -436,6 +436,10 @@ BAD_INPUTS = {
     "override-vulnerability-out-of-range": _add_hazard(_override_event(
         {"role": "cyber-infrastructure"}, {"vulnerability": 2})),
     "override-unset-parameter-wrong-type": _override_unset_attack_probability,
+    "override-roadway-capacity-negative": _add_hazard(_override_event(
+        {"role": "roadway"}, {"capacity": -5})),
+    "override-roadway-free-flow-zero": _add_hazard(_override_event(
+        {"role": "roadway"}, {"free_flow_mps": 0})),
     "mitigation-set-out-of-range": _mitigation(
         ("cyber-infrastructure", "vulnerability", "set", 2)),
     "mitigation-scale-out-of-range": _mitigation(
@@ -627,3 +631,20 @@ def test_roadway_mitigation_reaches_the_traffic_federate():
     risk, narrow = station_speeds("risk"), station_speeds("narrow_roads")
     assert [key[:2] for key in risk] == [key[:2] for key in narrow]
     assert risk != narrow
+
+
+def test_roadway_hazard_reaches_the_traffic_federate():
+    raw = casestudy_copy()
+    raw["horizon_days"] = 1
+    plain = parsed(casestudy_copy() | {"horizon_days": 1})
+    raw["hazards"].append({"tick": 1, "kind": "generic_override",
+                           "selector": {"role": "roadway"}, "overrides": {"capacity": 0.4}})
+    narrowed = parsed(raw)
+
+    def station_speeds(config):
+        return [(s.tick, s.scope, s.value) for s in run_variant(config, "risk").samples
+                if s.name == "mean_speed"]
+
+    before, after = station_speeds(plain), station_speeds(narrowed)
+    assert [key[:2] for key in before] == [key[:2] for key in after]
+    assert before != after

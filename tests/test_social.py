@@ -37,16 +37,26 @@ def tiny_city(seed=6, citizens=30, lockdown=False, jitter=0, days=3):
 
 
 def test_worker_makes_two_trips_per_day():
+    # the settlement publishes exactly the trips that start this tick, in
+    # citizen id order; the passenger is structure only
     config = tiny_city()
     world = build_world(config)
     trips = {cid: 0 for cid in world.role_members("citizen")}
+    passengers = world.role_members("passenger")
     for _ in range(3 * 24):
         world.step()
+        starting = []
         for cid in trips:
-            state = world.states[cid]
-            if state["trip_pending"] and state["trip_pending"]["depart"] == world.tick:
+            trip = world.states[cid]["trip_pending"]
+            if trip and trip["depart"] == world.tick:
                 trips[cid] += 1
+                starting.append((cid, trip["origin"], trip["dest"]))
+        assert world.published["trips"] == tuple(starting), world.tick
+        assert all(world.states[pid] == {} for pid in passengers)
     assert all(count == 6 for count in trips.values())
+    assert len(passengers) == len(trips)
+    rules = world.registry.rules["passenger"]
+    assert rules.internal is None and rules.network is None and rules.coupling is None
 
 
 def test_trip_wave_matches_timetable_crossing_oracle():
