@@ -9,7 +9,7 @@ order can never change the result.
 Run:  python demos/01_minimal_world.py
 """
 
-from citysim.kernel import RuleSet, World
+from citysim.kernel import World
 from citysim.systems import default_registry
 
 

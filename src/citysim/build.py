@@ -3,10 +3,11 @@
 Every functional entity becomes an agent made of one subagent per system
 it participates in; subagent ids are "<agent>::<system>".  Citizens get a
 social, healthcare (patient), mobility (passenger) and urban-landscape
-(moving entity) subagent; the passenger is the citizen's vehicle id and has
-no state.  Hospitals and traffic lights embed their own ICT node as a leaf
-depending on their district node.  Homes are generated per household and
-cycle over the district's street nodes.
+(moving entity) subagent; the passenger is the citizen's vehicle id, the
+moving entity carries its home for the landscape, and neither has state.
+Hospitals and traffic lights embed their own ICT node as a leaf depending
+on their district node.  Homes are generated per household and cycle over
+the district's street nodes.
 
 Per-citizen randomness used at build time (timetable jitter, workplace
 binding, template choice) is drawn from the citizen's own stream, so a

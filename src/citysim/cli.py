@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -20,7 +21,7 @@ from .export import export_report
 from .hazards import HazardError
 from .kernel import KernelError
 from .runner import run_paired
-from .scenario import RISK, load_scenario, parse_config, read_scenario
+from .scenario import RISK, parse_config, read_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -111,10 +112,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "validate":
-        config, errors = load_scenario(args.scenario)
-        if errors:
-            for err in errors:
-                print(f"error: {err}", file=sys.stderr)
+        config = _load(args.scenario, None)
+        if config is None:
             return EXIT_VALIDATION
         print(f"OK: {config.name} (seed {config.seed}, {config.horizon_days} days, "
               f"mitigations: {', '.join(config.mitigation_names) or 'none'})")
@@ -136,6 +135,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "oracle":
         from . import oracles
         if args.which == "sir":
+            n = args.population
+            bad = [(flag, v, lo, hi) for flag, v, lo, hi in (
+                ("--population", n, 2, math.inf), ("--initial-infected", args.initial_infected, 0, n),
+                ("--beta", args.beta, 0, 1), ("--contacts", args.contacts, 0, n - 1),
+                ("--duration", args.duration, 1, math.inf), ("--horizon", args.horizon, 0, math.inf),
+            ) if not lo <= v <= hi]
+            for flag, v, lo, hi in bad:
+                print(f"error: {flag} must be in [{lo}, {hi}], got {v}", file=sys.stderr)
+            if bad:
+                return EXIT_VALIDATION
             curve = oracles.sir_prevalence(
                 args.population, args.initial_infected, args.beta,
                 args.contacts, args.duration, args.horizon,

@@ -21,10 +21,10 @@ rules return a fresh dict (or None for "unchanged") and must never mutate
 the dict handed to them.
 
 A settlement may publish a read-only product for the settlements of other
-layers, such as the tick's contact graph or its trips.  It is replaced
-whole, never mutated, and committed when the network stage ends, so every
-settlement reads what was published in the previous tick, wherever its
-system sits in ``SYSTEMS``.
+layers, such as the tick's contact graph, trips or place occupancy.  It is
+replaced whole, never mutated, and committed when the network stage ends,
+so every settlement reads what was published in the previous tick,
+wherever its system sits in ``SYSTEMS``.
 """
 
 from __future__ import annotations

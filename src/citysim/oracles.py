@@ -18,8 +18,8 @@ def sir_prevalence(population: int, initial_infected: int, beta: float,
 
     Contacts: each person draws `contact_k` distinct partners per hour and
     links are symmetrized, giving an effective degree of
-    2k - k^2/(n-1).  A susceptible with m infectious partners escapes with
-    probability (1-beta)^m; infections last exactly `infectious_hours`.
+    2k - k^2/(n-1).  A susceptible with m infectious partners (at most n-1)
+    escapes with probability (1-beta)^m; infections last `infectious_hours`.
     Returns the prevalence (infected count) series, length horizon + 1.
     """
     n = population
@@ -31,7 +31,7 @@ def sir_prevalence(population: int, initial_infected: int, beta: float,
     prevalence = np.zeros(horizon + 1)
     prevalence[0] = infected
     for t in range(1, horizon + 1):
-        pressure = 1.0 - (1.0 - beta * infected / (n - 1)) ** degree
+        pressure = 1.0 - (1.0 - beta * min(infected, n - 1) / (n - 1)) ** degree
         fresh = susceptible * pressure
         recovered = new_infections[t - infectious_hours] if t >= infectious_hours else 0.0
         susceptible -= fresh

@@ -6,15 +6,15 @@ boundary to a different place puts the citizen in transit for one tick and
 starts a trip.  Arrivals, place capacity, trips and contact generation are
 resolved in a single deterministic settlement pass per tick.  It publishes
 the tick's trips, which the mobility layer turns into road demand (a
-citizen's passenger subagent is only its vehicle id and has no state), and
-the contact graph: every occupant of a place draws a fixed fan-out of
+citizen's passenger subagent is only its vehicle id and has no state); the
+place occupancy, which the urban landscape layer writes into its places;
+and the contact graph: every occupant of a place draws a fixed fan-out of
 distinct co-occupants, household members in the same home contact each
 other deterministically, and all contacts are symmetrized.
 
 The citizen's location string is authoritative ("place:X", "transit",
-"hospital:X" or "dead"); the moving-entity subagent mirrors it into the
-urban landscape layer for observability, and place occupancy is rebuilt
-from those mirrors.
+"hospital:X" or "dead").  The moving-entity subagent is the citizen in the
+urban landscape layer; it is structure only and has no state.
 """
 
 from __future__ import annotations
@@ -119,9 +119,11 @@ def social_settlement(cctx: CoordinatorContext) -> None:
     id order.
 
     Publishes the trips that start this tick as ``trips``: (citizen id,
-    origin place, dest place) in citizen id order; and the symmetric
-    contact graph as ``contacts``: citizen id -> ascending tuple of contact
-    citizen ids, for citizens with any contact.
+    origin place, dest place) in citizen id order; the citizens placed in
+    each place after this tick's arrivals as ``occupancy``: place id ->
+    count, for places with any; and the symmetric contact graph as
+    ``contacts``: citizen id -> ascending tuple of contact citizen ids, for
+    citizens with any contact.
     """
     citizens = cctx.members(ROLE_CITIZEN)
     if not citizens:
@@ -173,6 +175,7 @@ def social_settlement(cctx: CoordinatorContext) -> None:
                     if cctx.get(member)["location"] == "place:" + place:
                         contacts[cid].add(member)
     cctx.publish("trips", tuple(trips))
+    cctx.publish("occupancy", occupancy)
     cctx.publish("contacts", {cid: tuple(sorted(c)) for cid, c in contacts.items() if c})
 
 
@@ -195,42 +198,27 @@ def _init_place(params: dict, stream) -> dict:
     return {"occupancy": 0}
 
 
-def _init_mover(params: dict, stream) -> dict:
-    return {"current_place": "place:" + params["home_place"]}
-
-
-def mover_coupling(ctx: RuleContext) -> dict | None:
-    citizen = ctx.sibling("social")
-    if citizen is None:
-        return None
-    location = citizen["location"]
-    if location == ctx.state["current_place"]:
-        return None
-    return {"current_place": location}
-
-
 def urban_settlement(cctx: CoordinatorContext) -> None:
-    """Rebuild place occupancy from the moving-entity mirrors (one tick behind)."""
+    """Write each place's occupancy from the social settlement's last
+    ``occupancy`` product (one tick behind).  Before the first, every
+    citizen is at its home, so the moving entities' homes are counted."""
     places = cctx.members(ROLE_PLACE)
     if not places:
         return
-    movers: dict[str, int] = {}
-    for mid in cctx.members(ROLE_MOVER):
-        loc = cctx.get(mid)["current_place"]
-        if loc.startswith("place:"):
-            movers[loc[6:]] = movers.get(loc[6:], 0) + 1
+    placed = cctx.published("occupancy")
+    if placed is None:
+        placed = {}
+        for mid in cctx.members(ROLE_MOVER):
+            home = cctx.params(mid)["home_place"]
+            placed[home] = placed.get(home, 0) + 1
     for sid in places:
-        occupancy = movers.get(cctx.params(sid)["place_id"], 0)
+        occupancy = placed.get(cctx.params(sid)["place_id"], 0)
         if cctx.get(sid)["occupancy"] != occupancy:
             cctx.set(sid, {"occupancy": occupancy})
 
 
 def _observe_citizen(state, params) -> list[tuple[str, object]]:
     return [("current_activity", state["current_activity"])]
-
-
-def _observe_mover(state, params) -> list[tuple[str, object]]:
-    return [("current_place", state["current_place"])]
 
 
 def _observe_place(state, params) -> list[tuple[str, object]]:
@@ -287,11 +275,7 @@ def register(registry: Registry) -> None:
         init_state=_init_place,
         observe=_observe_place,
     ))
-    registry.register_role(ROLE_MOVER, RuleSet(
-        init_state=_init_mover,
-        coupling=mover_coupling,
-        observe=_observe_mover,
-    ))
+    registry.register_role(ROLE_MOVER, STATELESS)
     registry.register_role(ROLE_STREET, STATELESS)
     registry.register_role(ROLE_FIXED, STATELESS)
     registry.register_coordinator("social", social_settlement)

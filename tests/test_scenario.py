@@ -284,6 +284,17 @@ def test_cli_seed_override_validates_only_at_that_seed(tmp_path, capsys, monkeyp
     assert json.loads((out / "manifest.json").read_text())["seed"] == 10
 
 
+def test_cli_validate_uses_the_env_seed(tmp_path, capsys, monkeypatch):
+    # this home exists at the file's seed 10, not at seed 1: validate agrees with run
+    raw = casestudy_copy()
+    _add_hazard(_override_event({"id": "home_outskirts_85::urban_landscape"}, {"capacity": 5}))(raw)
+    path = write_scenario(tmp_path, raw)
+    monkeypatch.setenv("CITYSIM_SEED", "1")
+    assert main(["validate", str(path)]) == 2
+    assert "error: hazards[2]: selector" in capsys.readouterr().err
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_cli_seed_env_not_an_integer(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CITYSIM_SEED", "abc")
     assert main(["run", str(small_config(tmp_path)), "--out", str(tmp_path / "o")]) == 2
@@ -325,6 +336,28 @@ def test_cli_oracle_commands(capsys):
     assert main(["oracle", "attack", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["star_expected_mean_leaves_at_p_half"] == 2.0
+
+
+@pytest.mark.parametrize("args", [
+    "--population 1", "--initial-infected -1", "--initial-infected 501",
+    "--beta -0.1", "--beta 5", "--beta nan", "--contacts -1", "--contacts 5000",
+    "--duration 0", "--duration -3", "--horizon -1",
+])
+def test_cli_oracle_sir_out_of_range_is_exit_2(args, capsys):
+    assert main(["oracle", "sir", *args.split()]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {args.split()[0]} must be" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_oracle_sir_more_infected_than_partners(capsys):
+    # once everyone else is infected a susceptible's infectious share is 1
+    argv = ["oracle", "sir", "--population", "10", "--initial-infected", "5",
+            "--beta", "1", "--contacts", "4", "--horizon", "48", "--json"]
+    assert main(argv) == 0
+    curve = json.loads(capsys.readouterr().out)["prevalence"]
+    assert len(curve) == 49 and curve[0] == 5.0
+    assert all(0.0 <= v <= 10.0 for v in curve)
 
 
 def test_seed_change_changes_stochastic_output():

@@ -142,6 +142,31 @@ def test_place_occupancy_mirror_tracks_citizens():
     assert world.states[place_sid]["occupancy"] == 12
 
 
+def test_place_occupancy_follows_last_ticks_placements():
+    # tick 1 counts everyone at home; later ticks write the social
+    # settlement's previous placements; the moving entity is structure only
+    config = tiny_city()
+    world = build_world(config)
+    places = world.role_members("place")
+    residents: dict[str, int] = {}
+    for cid in world.role_members("citizen"):
+        home = world.params[cid]["home_place"]
+        residents[home] = residents.get(home, 0) + 1
+    world.step()
+    for sid in places:
+        place = world.params[sid]
+        if place["kind"] == "home":
+            assert world.states[sid]["occupancy"] == residents[place["place_id"]]
+    for _ in range(2 * 24):
+        placed = world.published["occupancy"]
+        world.step()
+        for sid in places:
+            assert world.states[sid]["occupancy"] == placed.get(world.params[sid]["place_id"], 0)
+    assert all(world.states[mid] == {} for mid in world.role_members("moving-entity"))
+    rules = world.registry.rules["moving-entity"]
+    assert rules.internal is None and rules.network is None and rules.coupling is None
+
+
 def test_dead_citizen_never_moves_again():
     world = build_sir_world(10, seeds=0, beta=0.0, contact_k=2, duration=24)
     victim = world.role_members("patient")[3]
