@@ -58,7 +58,7 @@ def main():
         prevalence.append(float(sum(
             1 for p in patients if world.states[p]["infection"] == "infected")))
     engine = np.array(prevalence)
-    oracle = sir_prevalence(N, SEEDS, BETA, K, DURATION, HORIZON)
+    oracle, _ = sir_prevalence(N, SEEDS, BETA, K, DURATION, HORIZON)
 
     scale = 50 / max(engine.max(), oracle.max())
     print("day  engine oracle   (# = engine, . = oracle)")

@@ -145,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error: {flag} must be in [{lo}, {hi}], got {v}", file=sys.stderr)
             if bad:
                 return EXIT_VALIDATION
-            curve = oracles.sir_prevalence(
+            curve, susceptible = oracles.sir_prevalence(
                 args.population, args.initial_infected, args.beta,
                 args.contacts, args.duration, args.horizon,
             )
@@ -157,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"contacts {args.contacts}, duration {args.duration}h")
                 print(f"peak prevalence {curve.max():.1f} at tick {peak} "
                       f"(day {peak // 24}); final susceptible share "
-                      f"{1 - curve.sum() / (args.duration * args.population):.3f}")
+                      f"{susceptible[-1] / args.population:.3f}")
         else:
             chain = {"a": ["b"], "b": ["c"], "c": []}
             times = oracles.compromise_times(chain, "a", 1)

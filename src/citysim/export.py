@@ -48,6 +48,12 @@ def export_report(report: ComparisonReport, out_dir: str | Path) -> dict[str, st
     def row(tick: int, scope: str, metric: str, value) -> str:
         return f"{tick},{tick // tpd},{scope},{metric},{_fmt(value)}"
 
+    def service_levels(name: str, tick: int):  # (system, value): ict, healthcare, mobility
+        sl = report.runs[name].sl
+        yield from ((system, sl[system][tick]) for system in ("ict", "healthcare") if sl.get(system))
+        if name in report.sl_mobility:
+            yield "mobility", report.sl_mobility[name][tick]
+
     for name in report.order:
         result = report.runs[name]
         lines = [HEADER]
@@ -58,13 +64,8 @@ def export_report(report: ComparisonReport, out_dir: str | Path) -> dict[str, st
 
         lines = [HEADER]
         for tick in range(result.horizon_ticks + 1):
-            for system in ("ict", "healthcare"):
-                series = result.sl.get(system)
-                if series:
-                    lines.append(row(tick, system, "service_level", series[tick]))
-            if name in report.sl_mobility:
-                lines.append(row(tick, "mobility", "service_level",
-                                 report.sl_mobility[name][tick]))
+            lines.extend(row(tick, system, "service_level", value)
+                         for system, value in service_levels(name, tick))
         digests[f"service_levels_{name}.csv"] = _write(
             out / f"service_levels_{name}.csv", lines)
 
@@ -78,13 +79,8 @@ def export_report(report: ComparisonReport, out_dir: str | Path) -> dict[str, st
     for name in report.order:
         result = report.runs[name]
         for tick in range(result.horizon_ticks + 1):
-            for system in ("ict", "healthcare"):
-                if result.sl.get(system):
-                    lines.append(row(tick, f"{name}:{system}", "service_level",
-                                     result.sl[system][tick]))
-            if name in report.sl_mobility:
-                lines.append(row(tick, f"{name}:mobility", "service_level",
-                                 report.sl_mobility[name][tick]))
+            lines.extend(row(tick, f"{name}:{system}", "service_level", value)
+                         for system, value in service_levels(name, tick))
             lines.append(row(tick, f"{name}:city", "cumulative_deaths",
                              result.deaths[tick]))
             for station in sorted(result.station_speeds):

@@ -21,7 +21,7 @@ rules return a fresh dict (or None for "unchanged") and must never mutate
 the dict handed to them.
 
 A settlement may publish a read-only product for the settlements of other
-layers, such as the tick's contact graph, trips or place occupancy.  It is
+layers, such as the tick's trips or where its citizens were placed.  It is
 replaced whole, never mutated, and committed when the network stage ends,
 so every settlement reads what was published in the previous tick,
 wherever its system sits in ``SYSTEMS``.
@@ -232,7 +232,10 @@ class CoordinatorContext:
         return self._world.params[sid]
 
     def rng(self, sid: str, label: str) -> TickRng:
-        return self._world.records[sid].stream.at(self.tick, label)
+        return self._records[sid].stream.at(self.tick, label)
+
+    def stream(self, sid: str) -> Stream:  # the structure's own: keeping it keeps no run
+        return self._records[sid].stream
 
     def service(self, name: str):
         return self._world.services[name]

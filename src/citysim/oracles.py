@@ -1,10 +1,10 @@
 """Independent oracles used to validate the engine from the outside.
 
 Nothing here touches the kernel or the rule modules: the epidemic oracle
-is a closed-form difference-equation integrator, the attack oracle is a
-plain breadth-first walk over the dependency graph, and the ward-occupancy
-oracle is a direct array simulation.  Tests compare engine output against
-these, so they must stay independent of the code paths they check.
+is a closed-form difference-equation integrator and the attack oracle a
+plain breadth-first walk over the dependency graph.  The CLI, demos and
+tests compare the engine against them (test-only oracles live in the
+tests), so they must stay independent of the code paths they check.
 """
 
 from __future__ import annotations
@@ -13,14 +13,16 @@ import numpy as np
 
 
 def sir_prevalence(population: int, initial_infected: int, beta: float,
-                   contact_k: int, infectious_hours: int, horizon: int) -> np.ndarray:
+                   contact_k: int, infectious_hours: int,
+                   horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic discrete-time epidemic curve for a fully mixed group.
 
     Contacts: each person draws `contact_k` distinct partners per hour and
     links are symmetrized, giving an effective degree of
     2k - k^2/(n-1).  A susceptible with m infectious partners (at most n-1)
     escapes with probability (1-beta)^m; infections last `infectious_hours`.
-    Returns the prevalence (infected count) series, length horizon + 1.
+    Returns the prevalence (infected count) and susceptible count series,
+    each of length horizon + 1.
     """
     n = population
     degree = 2.0 * contact_k - (contact_k ** 2) / (n - 1)
@@ -30,6 +32,8 @@ def sir_prevalence(population: int, initial_infected: int, beta: float,
     new_infections[0] = initial_infected
     prevalence = np.zeros(horizon + 1)
     prevalence[0] = infected
+    susceptibles = np.zeros(horizon + 1)
+    susceptibles[0] = susceptible
     for t in range(1, horizon + 1):
         pressure = 1.0 - (1.0 - beta * min(infected, n - 1) / (n - 1)) ** degree
         fresh = susceptible * pressure
@@ -38,7 +42,8 @@ def sir_prevalence(population: int, initial_infected: int, beta: float,
         infected += fresh - recovered
         new_infections[t] = fresh
         prevalence[t] = infected
-    return prevalence
+        susceptibles[t] = susceptible
+    return prevalence, susceptibles
 
 
 def single_peaked(series: np.ndarray, smooth_window: int = 24,
@@ -79,23 +84,3 @@ def compromise_times(dependents_of: dict[str, list[str]], first_hit: str,
         frontier = nxt
     return times
 
-
-def ward_occupancy_mc(arrivals_per_tick: int, service_lo: int, service_hi: int,
-                      horizon: int, runs: int, seed: int) -> float:
-    """Monte-Carlo mean ward occupancy for a steady admission trickle.
-
-    Direct array simulation: each arrival occupies a bed for a uniform
-    integer stay; occupancy at t counts arrivals whose stay covers t.
-    Mean is taken over the second half of the horizon, past warm-up.
-    """
-    rng = np.random.default_rng(seed)
-    occupancy_sum = 0.0
-    window = slice(horizon // 2, horizon)
-    for _ in range(runs):
-        occupancy = np.zeros(horizon + 1)
-        for t in range(horizon):
-            stays = rng.integers(service_lo, service_hi + 1, size=arrivals_per_tick)
-            for stay in stays:
-                occupancy[t:min(t + stay, horizon + 1)] += 1
-        occupancy_sum += occupancy[window].mean()
-    return occupancy_sum / runs

@@ -79,35 +79,3 @@ def shortest_route(graph: StreetGraph, origin: str, dest: str) -> list[str] | No
         route.append(min(options)[1])
     return route
 
-
-def enumerate_cheapest_route(graph: StreetGraph, origin: str, dest: str,
-                             max_depth: int = 12) -> list[str] | None:
-    """Brute-force oracle: enumerate all simple paths, pick (cost, nodes) min."""
-    if origin == dest:
-        return []
-    best: tuple[float, tuple[str, ...]] | None = None
-
-    def walk(node: str, path: tuple[str, ...], cost: float) -> None:
-        nonlocal best
-        if len(path) > max_depth:
-            return
-        for nbr, _rid, weight in graph.adjacency.get(node, ()):
-            if nbr in path:
-                continue
-            nxt = path + (nbr,)
-            total = cost + weight
-            if nbr == dest:
-                cand = (total, nxt)
-                if best is None or cand < best:
-                    best = cand
-            else:
-                walk(nbr, nxt, total)
-
-    walk(origin, (origin,), 0.0)
-    if best is None:
-        return None
-    _, path = best
-    return [
-        min((w, rid) for nbr, rid, w in graph.adjacency[path[i - 1]] if nbr == path[i])[1]
-        for i in range(1, len(path))
-    ]

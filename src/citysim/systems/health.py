@@ -11,14 +11,14 @@ at critical resolution.  Severe and critical patients are bedridden: they
 stay home unless admitted, and recovery from either is followed by a
 convalescence window before normal activity.
 
-Transmission runs at the start of the healthcare settlement, from the
-infectious side, over the contact graph the social settlement published in
-the previous tick.  Bed assignment follows in the same serialized pass:
-discharges free beds the same tick, critical inpatients are moved to ICU
-when one is free, then unplaced severe/critical patients are admitted
-home-hospital-first with referral to the least-occupied peer.  Patients
-placed nowhere are counted as unattended against the hospital they first
-approached and retry every tick.
+Transmission runs first in the healthcare settlement, from the infectious
+side, over their citizens' contacts in the social settlement's previous
+placement, which draws contacts only at the places asked about.  Bed
+assignment follows in the same serialized pass: discharges free beds the
+same tick, critical inpatients are moved to ICU when one is free, then
+unplaced severe/critical patients are admitted home-hospital-first with
+referral to the least-occupied peer.  Patients placed nowhere are counted
+as unattended against the hospital they first approached and retry every tick.
 """
 
 from __future__ import annotations
@@ -168,20 +168,20 @@ def _bed_field(bed_class: str) -> tuple[str, str]:
 
 
 def _transmit(cctx: CoordinatorContext, patients: list[str]) -> None:
-    """Disease transmission over the contact graph published last tick,
-    tried from each infectious patient to its citizen's contacts.
+    """Disease transmission over last tick's placement, tried from each
+    infectious patient to its citizen's contacts there.
 
     A contact without a patient is skipped.  Each susceptible contact draws
     ``inf:<source patient>`` on its own stream, so every draw is a pure
     function of (seed, id, tick, label) and a patient is infected iff any
     infectious contact succeeds, whatever order the tries come in.
     """
-    graph = cctx.published("contacts")
-    if not graph:
+    placement = cctx.published("placement")
+    if placement is None:
         return
     sources = [pid for pid in patients if cctx.get(pid)["infection"] == "infected"]
     for src in sources:
-        for contact in graph.get(cctx.counterpart(src, "social"), ()):
+        for contact in placement.contacts(cctx.counterpart(src, "social")):
             pid = cctx.counterpart(contact, "healthcare")
             if pid is None:
                 continue

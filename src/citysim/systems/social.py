@@ -3,14 +3,14 @@
 Citizens follow a precomputed 24-hour schedule (timetable template plus a
 per-citizen seeded boundary jitter, fixed at build).  Crossing a window
 boundary to a different place puts the citizen in transit for one tick and
-starts a trip.  Arrivals, place capacity, trips and contact generation are
-resolved in a single deterministic settlement pass per tick.  It publishes
-the tick's trips, which the mobility layer turns into road demand (a
-citizen's passenger subagent is only its vehicle id and has no state); the
-place occupancy, which the urban landscape layer writes into its places;
-and the contact graph: every occupant of a place draws a fixed fan-out of
-distinct co-occupants, household members in the same home contact each
-other deterministically, and all contacts are symmetrized.
+starts a trip.  Arrivals, place capacity and trips are resolved in a single
+deterministic settlement pass per tick.  It publishes the tick's trips,
+which the mobility layer turns into road demand (a citizen's passenger
+subagent is only its vehicle id and has no state), and its ``Placement``:
+the place occupancy, which the urban landscape layer writes into its places,
+and contacts, drawn per place only where transmission asks: every occupant
+draws a fixed fan-out of distinct co-occupants, household members at home
+contact each other, and all contacts are symmetrized.
 
 The citizen's location string is authoritative ("place:X", "transit",
 "hospital:X" or "dead").  The moving-entity subagent is the citizen in the
@@ -20,7 +20,7 @@ urban landscape layer; it is structure only and has no state.
 from __future__ import annotations
 
 from ..hazards import param_kind
-from ..kernel import STATELESS, CoordinatorContext, Registry, RuleContext, RuleSet
+from ..kernel import STATELESS, CoordinatorContext, Registry, RuleContext, RuleSet, Stream
 
 ROLE_CITIZEN = "citizen"
 ROLE_PLACE = "place"
@@ -114,16 +114,48 @@ def citizen_coupling(ctx: RuleContext) -> dict | None:
     return new
 
 
+class Placement:
+    """Where the social settlement placed citizens at ``tick``: each place's
+    ``occupants`` in citizen id order and their ``occupancy`` count.  A place's
+    contact graph is drawn the first time it is asked for, from the params and
+    streams its occupants had when placed, so no question order shows."""
+
+    def __init__(self, tick: int, occupants: dict[str, list[str]], occupancy: dict[str, int],
+                 placed: dict[str, tuple[str, dict, Stream]]):
+        self.tick, self.occupants, self.occupancy = tick, occupants, occupancy
+        self._placed = placed  # citizen -> (place, params, stream)
+        self._contacts: dict[str, tuple[str, ...]] = {}  # of the places drawn so far
+
+    def contacts(self, cid: str | None) -> tuple[str, ...]:
+        """The citizen's contacts in ascending id order; () if it was not placed."""
+        if cid not in self._contacts and cid in self._placed:
+            self._draw(self._placed[cid][0])
+        return self._contacts.get(cid, ())
+
+    def _draw(self, place: str) -> None:
+        # a household member at home adds its side of a pair; the other, the reverse
+        occupants = self.occupants[place]
+        n = len(occupants)
+        graph: dict[str, set[str]] = {cid: set() for cid in occupants}
+        for idx, cid in enumerate(occupants):
+            _, params, stream = self._placed[cid]
+            k = min(params["contact_k"], n - 1)
+            if k > 0:
+                for j in stream.at(self.tick, "contacts").sample_distinct(n - 1, k):
+                    other = occupants[j if j < idx else j + 1]
+                    graph[cid].add(other)
+                    graph[other].add(cid)
+            if place == params["home_place"]:
+                graph[cid].update(m for m in params["household"] if m in graph)
+        self._contacts.update((cid, tuple(sorted(c))) for cid, c in graph.items())
+
+
 def social_settlement(cctx: CoordinatorContext) -> None:
-    """Arrivals, place capacity, trips and contact generation, in citizen
-    id order.
+    """Arrivals, place capacity and trips, in citizen id order.
 
     Publishes the trips that start this tick as ``trips``: (citizen id,
-    origin place, dest place) in citizen id order; the citizens placed in
-    each place after this tick's arrivals as ``occupancy``: place id ->
-    count, for places with any; and the symmetric contact graph as
-    ``contacts``: citizen id -> ascending tuple of contact citizen ids, for
-    citizens with any contact.
+    origin place, dest place) in citizen id order; and where the citizens
+    are after this tick's arrivals as ``placement``, a ``Placement``.
     """
     citizens = cctx.members(ROLE_CITIZEN)
     if not citizens:
@@ -136,6 +168,7 @@ def social_settlement(cctx: CoordinatorContext) -> None:
     # trips and arrivals; each citizen's location after its own arrival places it
     trips: list[tuple[str, str, str]] = []
     by_place: dict[str, list[str]] = {}  # place -> its occupants after settlement
+    placed: dict[str, tuple[str, dict, Stream]] = {}
     for cid in citizens:
         st = cctx.get(cid)
         location, trip = st["location"], st["trip_pending"]
@@ -155,28 +188,9 @@ def social_settlement(cctx: CoordinatorContext) -> None:
             cctx.set(cid, new)
         if location.startswith("place:"):
             by_place.setdefault(location[6:], []).append(cid)
-    # contacts are sets and every draw is the citizen's own, so walking the
-    # places in any order gives the same graph; households are symmetric, so
-    # each member at home adds its own side of a pair and the other member's
-    # turn adds the reverse
-    contacts: dict[str, set[str]] = {cid: set() for cid in citizens}
-    for place, occupants in by_place.items():
-        n = len(occupants)
-        for idx, cid in enumerate(occupants):
-            params = cctx.params(cid)
-            k = min(params["contact_k"], n - 1)
-            if k > 0:
-                for j in cctx.rng(cid, "contacts").sample_distinct(n - 1, k):
-                    other = occupants[j if j < idx else j + 1]
-                    contacts[cid].add(other)
-                    contacts[other].add(cid)
-            if place == params["home_place"]:
-                for member in params["household"]:
-                    if cctx.get(member)["location"] == "place:" + place:
-                        contacts[cid].add(member)
+            placed[cid] = (location[6:], cctx.params(cid), cctx.stream(cid))
     cctx.publish("trips", tuple(trips))
-    cctx.publish("occupancy", occupancy)
-    cctx.publish("contacts", {cid: tuple(sorted(c)) for cid, c in contacts.items() if c})
+    cctx.publish("placement", Placement(cctx.tick, by_place, occupancy, placed))
 
 
 def _place_capacity(cctx: CoordinatorContext, place_id: str) -> int | None:
@@ -200,12 +214,12 @@ def _init_place(params: dict, stream) -> dict:
 
 def urban_settlement(cctx: CoordinatorContext) -> None:
     """Write each place's occupancy from the social settlement's last
-    ``occupancy`` product (one tick behind).  Before the first, every
-    citizen is at its home, so the moving entities' homes are counted."""
+    ``placement`` (one tick behind).  Before the first, every citizen is at
+    its home, so the moving entities' homes are counted."""
     places = cctx.members(ROLE_PLACE)
     if not places:
         return
-    placed = cctx.published("occupancy")
+    placed = getattr(cctx.published("placement"), "occupancy", None)
     if placed is None:
         placed = {}
         for mid in cctx.members(ROLE_MOVER):

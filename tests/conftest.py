@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from citysim.kernel import Registry, RuleSet, World
+from citysim.rng import Stream
 from citysim.scenario import DISEASE_DEFAULTS, ScenarioConfig, parse_config
 from citysim.systems import default_registry
 
@@ -94,6 +95,31 @@ def build_sir_world(n: int, seeds: int, beta: float, contact_k: int,
         })])
     world.finalize()
     return world.start()
+
+
+def eager_contacts(world: World) -> dict[str, tuple[str, ...]]:
+    """Oracle for the last placement's contacts: the whole graph drawn at
+    once, place by place.  Every occupant draws ``contact_k`` distinct
+    co-occupants on its own ``contacts`` stream at the placement tick, every
+    contact is made mutual, and an occupant at its home meets its household
+    members there.  Returns citizen id -> ascending contacts, for citizens
+    with any.  Reads ``world.params``, so call it before they change."""
+    placement = world.published["placement"]
+    contacts: dict[str, set[str]] = {cid: set() for cid in world.role_members("citizen")}
+    for place, occupants in placement.occupants.items():
+        n = len(occupants)
+        for idx, cid in enumerate(occupants):
+            params = world.params[cid]
+            k = min(params["contact_k"], n - 1)
+            if k > 0:
+                rng = Stream(world.master_seed, cid).at(placement.tick, "contacts")
+                for j in rng.sample_distinct(n - 1, k):
+                    other = occupants[j if j < idx else j + 1]
+                    contacts[cid].add(other)
+                    contacts[other].add(cid)
+            if place == params["home_place"]:
+                contacts[cid].update(m for m in params["household"] if m in occupants)
+    return {cid: tuple(sorted(c)) for cid, c in contacts.items() if c}
 
 
 def build_ict_world(nodes: list[dict], attackers: list[dict],

@@ -213,7 +213,7 @@ def test_criterion_4_sir_oracle_equivalence():
         prevalence.append(float(sum(
             1 for p in patients if world.states[p]["infection"] == "infected")))
     engine = np.array(prevalence)
-    oracle = sir_prevalence(n, seeds, beta, k, duration, horizon)
+    oracle, _ = sir_prevalence(n, seeds, beta, k, duration, horizon)
     sup_norm = np.max(np.abs(engine - oracle))
     peak = oracle.max()
     assert sup_norm <= 0.15 * peak, f"sup-norm {sup_norm:.1f} vs peak {peak:.1f}"

@@ -2,14 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from citysim.hazards import HazardSchedule, apply_due
 from citysim.kernel import SimulationAbort
-from citysim.oracles import ward_occupancy_mc
 from citysim.rng import Stream
 
-from conftest import build_patient_world, build_sir_world
+from conftest import build_patient_world, build_sir_world, eager_contacts
 
 
 def tick_n(world, n, schedule=None):
@@ -161,6 +161,27 @@ def test_occupancy_bookkeeping_mismatch_aborts():
         world.step()
 
 
+def ward_occupancy_mc(arrivals_per_tick: int, service_lo: int, service_hi: int,
+                      horizon: int, runs: int, seed: int) -> float:
+    """Monte-Carlo mean ward occupancy for a steady admission trickle.
+
+    Direct array simulation: each arrival occupies a bed for a uniform
+    integer stay; occupancy at t counts arrivals whose stay covers t.
+    Mean is taken over the second half of the horizon, past warm-up.
+    """
+    rng = np.random.default_rng(seed)
+    occupancy_sum = 0.0
+    window = slice(horizon // 2, horizon)
+    for _ in range(runs):
+        occupancy = np.zeros(horizon + 1)
+        for t in range(horizon):
+            stays = rng.integers(service_lo, service_hi + 1, size=arrivals_per_tick)
+            for stay in stays:
+                occupancy[t:min(t + stay, horizon + 1)] += 1
+        occupancy_sum += occupancy[window].mean()
+    return occupancy_sum / runs
+
+
 def test_ward_occupancy_matches_littles_law_oracle():
     """Steady trickle of severe cases into an ample ward: long-run engine
     occupancy within 10% of an independent Monte-Carlo mean."""
@@ -202,8 +223,9 @@ def test_contact_without_patient_is_skipped():
     # comes first in every contact list; transmission passes over it
     world = build_sir_world(6, seeds=3, beta=1.0, contact_k=6, duration=48, bystanders=1)
     world.step()
-    graph = world.published["contacts"]
-    assert len(graph) == 7
+    placement = world.published["placement"]
+    graph = {cid: placement.contacts(cid) for cid in world.role_members("citizen")}
+    assert all(len(contacts) == 6 for contacts in graph.values())  # each of 7 meets the other 6
     assert all(contacts[0] == "b0000::social"
                for cid, contacts in graph.items() if cid != "b0000::social")
     world.step()
@@ -212,8 +234,8 @@ def test_contact_without_patient_is_skipped():
 
 def test_new_infections_match_contact_graph_oracle():
     """Each tick, a susceptible patient is infected iff some contact in the
-    previous tick's graph was infectious and its ``inf:<source>`` draw on the
-    patient's own stream fell below beta."""
+    previous tick's graph (drawn by the eager oracle) was infectious and its
+    ``inf:<source>`` draw on the patient's own stream fell below beta."""
     beta, duration = 0.05, 48
     world = build_sir_world(12, seeds=2, beta=beta, contact_k=3, duration=duration,
                             bystanders=1)
@@ -221,7 +243,7 @@ def test_new_infections_match_contact_graph_oracle():
     world.step()  # the first contact graph
     spread = 0
     for _ in range(duration - 2):  # nobody recovers, so infected means infectious
-        graph, before = world.published["contacts"], world.states
+        graph, before = eager_contacts(world), world.states
         world.step()
         expected = set()
         for pid in patients:

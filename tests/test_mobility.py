@@ -7,12 +7,45 @@ from citysim.federation import (
     LockstepError, ReferenceTrafficSimulator, roadway_mean_speed,
 )
 from citysim.hazards import apply_due
-from citysim.routing import StreetGraph, enumerate_cheapest_route, shortest_route
+from citysim.routing import StreetGraph, shortest_route
 from citysim.runner import run_variant
 from citysim.systems import mobility
 from citysim.systems.mobility import memo_route
 
 from conftest import config_from
+
+
+def enumerate_cheapest_route(graph: StreetGraph, origin: str, dest: str,
+                             max_depth: int = 12) -> list[str] | None:
+    """Brute-force oracle: enumerate all simple paths, pick (cost, nodes) min."""
+    if origin == dest:
+        return []
+    best: tuple[float, tuple[str, ...]] | None = None
+
+    def walk(node: str, path: tuple[str, ...], cost: float) -> None:
+        nonlocal best
+        if len(path) > max_depth:
+            return
+        for nbr, _rid, weight in graph.adjacency.get(node, ()):
+            if nbr in path:
+                continue
+            nxt = path + (nbr,)
+            total = cost + weight
+            if nbr == dest:
+                cand = (total, nxt)
+                if best is None or cand < best:
+                    best = cand
+            else:
+                walk(nbr, nxt, total)
+
+    walk(origin, (origin,), 0.0)
+    if best is None:
+        return None
+    _, path = best
+    return [
+        min((w, rid) for nbr, rid, w in graph.adjacency[path[i - 1]] if nbr == path[i])[1]
+        for i in range(1, len(path))
+    ]
 
 
 def diamond() -> StreetGraph:

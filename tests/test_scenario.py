@@ -360,6 +360,13 @@ def test_cli_oracle_sir_more_infected_than_partners(capsys):
     assert all(0.0 <= v <= 10.0 for v in curve)
 
 
+@pytest.mark.parametrize("horizon,share", [("0", "0.980"), ("5", "0.977")])
+def test_cli_oracle_sir_final_susceptible_share_at_the_horizon(horizon, share, capsys):
+    # 10 of the default 500 start infected; a short horizon ends the count early
+    assert main(["oracle", "sir", "--horizon", horizon]) == 0
+    assert capsys.readouterr().out.endswith(f"final susceptible share {share}\n")
+
+
 def test_seed_change_changes_stochastic_output():
     from conftest import build_sir_world
 

@@ -1,9 +1,13 @@
-"""Citizen timetables, trips, contact generation, occupancy bookkeeping."""
+"""Citizen timetables, trips, placement and its contacts, occupancy bookkeeping."""
 
+import gc
+import weakref
+
+from citysim import hazards
 from citysim.build import build_world
 from citysim.runner import run_variant
 
-from conftest import build_sir_world, config_from
+from conftest import build_sir_world, config_from, eager_contacts
 
 
 def tiny_city(seed=6, citizens=30, lockdown=False, jitter=0, days=3):
@@ -81,8 +85,8 @@ def test_contact_symmetry_and_household_contacts():
     world = build_sir_world(40, seeds=0, beta=0.0, contact_k=3, duration=24)
     for _ in range(3):
         world.step()
-    graph = world.published["contacts"]
-    lists = {c: set(graph.get(c, ())) for c in world.role_members("citizen")}
+    placement = world.published["placement"]
+    lists = {c: set(placement.contacts(c)) for c in world.role_members("citizen")}
     seen_any = False
     for cid, contacts in lists.items():
         for other in contacts:
@@ -97,7 +101,7 @@ def test_household_members_contact_each_other_at_home():
     world.step()  # hour 1: everyone home
     for cid in world.role_members("citizen"):
         household = set(world.records[cid].params["household"])
-        assert household <= set(world.published["contacts"].get(cid, ()))
+        assert household <= set(world.published["placement"].contacts(cid))
 
 
 def test_lockdown_reduces_contacts_to_household():
@@ -109,13 +113,15 @@ def test_lockdown_reduces_contacts_to_household():
             state = world.states[cid]
             assert state["location"] == "place:" + world.records[cid].params["home_place"]
             household = set(world.records[cid].params["household"])
-            assert set(world.published["contacts"].get(cid, ())) <= household
+            assert set(world.published["placement"].contacts(cid)) <= household
 
 
 def test_sole_occupant_has_no_contacts():
     world = build_sir_world(1, seeds=0, beta=0.0, contact_k=4, duration=24)
     world.step()
-    assert world.published["contacts"] == {}
+    placement = world.published["placement"]
+    assert placement.occupants == {"commons": ["c0000::social"]}
+    assert placement.contacts("c0000::social") == ()
 
 
 def test_place_capacity_redirects_home():
@@ -158,7 +164,7 @@ def test_place_occupancy_follows_last_ticks_placements():
         if place["kind"] == "home":
             assert world.states[sid]["occupancy"] == residents[place["place_id"]]
     for _ in range(2 * 24):
-        placed = world.published["occupancy"]
+        placed = world.published["placement"].occupancy
         world.step()
         for sid in places:
             assert world.states[sid]["occupancy"] == placed.get(world.params[sid]["place_id"], 0)
@@ -180,9 +186,81 @@ def test_dead_citizen_never_moves_again():
         if world.tick == 1:
             # tick 1's graph is settled before the death reaches the citizen
             continue
-        graph = world.published["contacts"]
-        assert citizen not in graph
-        assert all(citizen not in contacts for contacts in graph.values())
+        placement = world.published["placement"]
+        assert all(citizen not in occupants for occupants in placement.occupants.values())
+        assert placement.contacts(citizen) == ()
+        assert all(citizen not in placement.contacts(c) for c in world.role_members("citizen"))
+
+
+def test_contacts_match_eager_oracle():
+    # the placement's on-demand contacts equal the whole graph drawn at once,
+    # for every citizen on every tick; the occupants are the citizens placed
+    # at each place, in id order, and the occupancy counts them
+    worlds = [(build_world(tiny_city(jitter=1)), 72),
+              (build_sir_world(40, seeds=3, beta=0.05, contact_k=3, duration=24), 60)]
+    for world, ticks in worlds:
+        citizens = world.role_members("citizen")
+        met = 0
+        for _ in range(ticks):
+            world.step()
+            placement = world.published["placement"]
+            assert placement.tick == world.tick
+            oracle = eager_contacts(world)
+            for cid in citizens:
+                assert placement.contacts(cid) == oracle.get(cid, ()), (world.tick, cid)
+            met += len(oracle)
+            at: dict[str, list[str]] = {}
+            for cid in citizens:
+                if world.states[cid]["location"].startswith("place:"):
+                    at.setdefault(world.states[cid]["location"][6:], []).append(cid)
+            assert placement.occupants == at
+            assert placement.occupancy == {p: len(o) for p, o in placement.occupants.items()}
+        assert met > 0
+
+
+def test_contacts_do_not_depend_on_question_order():
+    forward, backward = build_world(tiny_city(jitter=1)), build_world(tiny_city(jitter=1))
+    citizens = forward.role_members("citizen")
+    for _ in range(30):
+        forward.step()
+        backward.step()
+        answers = [backward.published["placement"].contacts(c) for c in reversed(citizens)]
+        assert answers[::-1] == [forward.published["placement"].contacts(c) for c in citizens]
+
+
+def test_contacts_use_the_params_of_the_placement_tick():
+    # a change made after step T (as a hazard makes it) reaches the next
+    # placement, not the contacts of tick T that transmission reads at T + 1
+    changed, twin = build_world(tiny_city()), build_world(tiny_city())
+    citizens = changed.role_members("citizen")
+    for _ in range(10):
+        changed.step()
+        twin.step()
+    hazards.change_params(changed, changed.params, citizens, [("contact_k", "set", 0)])
+    expected = [twin.published["placement"].contacts(c) for c in citizens]
+    assert [changed.published["placement"].contacts(c) for c in citizens] == expected
+    assert any(len(contacts) > 2 for contacts in expected)  # more than the household
+    changed.step()
+    for cid in citizens:
+        assert set(changed.published["placement"].contacts(cid)) <= set(
+            changed.params[cid]["household"])
+
+
+def test_finished_run_is_freed_without_cyclic_gc():
+    # no product holds its run, so a finished run is freed by reference
+    # counting alone
+    config = tiny_city()
+    gc.disable()
+    try:
+        world = build_world(config)
+        for _ in range(30):
+            world.step()
+        world.published["placement"].contacts(world.role_members("citizen")[0])
+        ref = weakref.ref(world)
+        del world
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_location_partition_every_tick():
