@@ -3,7 +3,9 @@
 Events fire at their trigger tick, right after the step that produced the
 tick and before metrics are observed.  Overrides rewrite parameters on
 every matched subagent and persist; any recovery behavior belongs to the
-domain rules themselves.  Two event kinds carry extra dispatch behavior:
+domain rules themselves.  Every change an event makes reaches the kernel
+through ``World.change``, so the rules that read a target run at the next
+step.  Two event kinds carry extra dispatch behavior:
 ``cyberattack`` arms an attacker subagent, ``disease_seed`` infects a
 seeded selection of patients.
 
@@ -175,6 +177,9 @@ def apply_due(world: World, tick: int, schedule: HazardSchedule) -> list[int]:
             change_params(world, world.params, targets, ev.changes)
         except HazardError as exc:
             raise HazardError(f"hazard event {ev.index} at tick {tick}: {exc}") from None
+        if ev.changes:
+            for sid in targets:
+                world.change(sid)
         if ev.kind == "cyberattack":
             _dispatch_cyberattack(world, tick, targets)
         elif ev.kind == "disease_seed":
@@ -185,9 +190,7 @@ def apply_due(world: World, tick: int, schedule: HazardSchedule) -> list[int]:
 
 def _dispatch_cyberattack(world: World, tick: int, targets: list[str]) -> None:
     for sid in targets:
-        state = dict(world.states[sid])
-        state["active"] = True
-        world.states[sid] = state
+        world.change(sid, dict(world.states[sid], active=True))
 
 
 def _dispatch_disease_seed(world: World, tick: int, ev: HazardEvent, targets: list[str]) -> None:
@@ -205,7 +208,5 @@ def _dispatch_disease_seed(world: World, tick: int, ev: HazardEvent, targets: li
     for _, sid in candidates[:count]:
         rng = world.records[sid].stream.at(tick, "seed_course")
         lo, hi = world.params[sid]["mild_hours"]
-        state = dict(world.states[sid])
-        state.update(infection="infected", severity="mild",
-                     stage_end=tick + rng.randint(int(lo), int(hi)))
-        world.states[sid] = state
+        world.change(sid, dict(world.states[sid], infection="infected", severity="mild",
+                               stage_end=tick + rng.randint(int(lo), int(hi))))

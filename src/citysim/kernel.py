@@ -1,8 +1,8 @@
 """Multi-layer world of agents and subagents with a staged tick pipeline.
 
 A functional city entity (an agent) is split into one subagent per system
-it participates in.  Each simulated hour every subagent's state advances
-through three stages:
+it participates in.  Each simulated hour the world advances through three
+stages:
 
   internal  -- self-contained dynamics; reads only the subagent's own
                previous state and parameters.
@@ -14,11 +14,20 @@ through three stages:
   coupling  -- interaction between the subagents of one agent; reads the
                post-network snapshot of the agent's own members.
 
-Each stage is evaluated for every subagent against the previous stage's
-completed snapshot, so trajectories do not depend on registration or
-iteration order.  State dicts are treated as immutable once published:
-rules return a fresh dict (or None for "unchanged") and must never mutate
-the dict handed to them.
+Each stage is evaluated against the previous stage's completed snapshot,
+so trajectories do not depend on registration or iteration order.  State
+dicts are treated as immutable once published: rules return a fresh dict
+(or None for "unchanged") and must never mutate the dict handed to them.
+
+A stage rule runs only when it can return a new state.  A role that
+declares a ``Wake`` for a stage has its rule called at tick 1, at the due
+tick it declares, and when a subagent it reads has changed since its slot
+last ran: the subagent itself, in the network stage its peers over the
+declared edges, in the coupling stage its siblings.  A stage a role
+declares nothing for runs every tick.  Every change the kernel sees is a
+rule's new state, a settlement's ``set`` or ``World.change``, which is how
+a change made outside the stages (a hazard, a test) reaches it.  The calls
+of a stage run in subagent id order either way.
 
 A settlement may publish a read-only product for the settlements of other
 layers, such as the tick's trips or where its citizens were placed.  It is
@@ -31,7 +40,8 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Callable
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .rng import Stream, TickRng
 
@@ -61,16 +71,38 @@ class SimulationAbort(KernelError):
         super().__init__(f"run aborted at tick {tick} in subagent {subagent_id!r}: {cause}")
 
 
+class Wake(NamedTuple):
+    """When a declared stage rule is due, besides tick 1 and a change of a
+    subagent it reads.
+
+    ``due(ctx, state)`` gives the first tick after ``ctx.tick`` at which the
+    rule may return a new state, where ``state`` is the subagent's state
+    after this call; a tick at or before ``ctx.tick`` means the next tick,
+    None means that only a change can make it act.  ``peers`` names the
+    edges over which a network rule reads its peers, as ``(label,
+    "providers" | "dependents")`` in the sense of ``RuleContext``.
+    """
+
+    due: Callable[["RuleContext", dict], int | None] | None = None
+    peers: tuple[tuple[str, str], ...] = ()
+
+
 @dataclass
 class RuleSet:
-    """Named, parameterizable behavior bound to a subagent role tag."""
+    """Named, parameterizable behavior bound to a subagent role tag.
+
+    ``wakes`` maps a stage to the ``Wake`` of its rule.  A declared rule must
+    return None whenever it is called with nothing changed before its due
+    tick, for the kernel then skips it; a stage without a ``Wake`` runs every
+    tick.
+    """
 
     init_state: Callable[[dict, Stream], dict]
     internal: Callable | None = None
     network: Callable | None = None
     coupling: Callable | None = None
     observe: Callable | None = None  # (state, params) -> list[(metric name, value)]
-
+    wakes: dict[str, Wake] = field(default_factory=dict)
 
 # the rules of a role that is structure only: no state, no stage rule,
 # nothing observed
@@ -227,6 +259,7 @@ class CoordinatorContext:
         if self._records[sid].system != self.system:
             raise KernelError(f"{self.system} settlement wrote to foreign subagent {sid!r}")
         self._nxt[sid] = state
+        self._world._note(sid)
 
     def params(self, sid: str) -> dict:
         return self._world.params[sid]
@@ -277,8 +310,10 @@ class World:
     plans, ``derived`` and the services a build attaches.  ``start`` begins
     a run: a shallow copy that shares all of that and owns its ``params``
     map (sharing the records' dicts until a change copies one), the states
-    derived from it, ``tick``, ``published``, ``run_log`` and a ``services``
-    dict.  A structure holds neither params map nor states; it cannot step.
+    derived from it, ``tick``, ``published``, ``run_log``, a ``services``
+    dict, and what decides which rules run: per stage, the subagents changed
+    since it last ran and the declared rules due at each tick.  A structure
+    holds neither params map nor states; it cannot step.
     """
 
     def __init__(self, master_seed: int, registry: Registry):
@@ -293,8 +328,20 @@ class World:
         self.tick = 0
         self.run_log: list[tuple[int, str]] = []
         self.published: dict[str, object] = {}
-        # stage -> (records with a rule for it, in id order; their rules)
-        self._stage_plan: dict[str, tuple[list[SubAgentRecord], list[Callable]]] = {}
+        # stage -> the records with a rule for it, in id order; the part
+        # whose role declares no Wake for it; role -> (rule, Wake or None);
+        # the roles that declare a Wake
+        self._stage_plan: dict[str, list[SubAgentRecord]] = {}
+        self._every_tick: dict[str, list[SubAgentRecord]] = {}
+        self._stage_rules: dict[str, dict[str, tuple[Callable, Wake | None]]] = {}
+        self._declared: dict[str, set[str]] = {}
+        # system -> (edge index, label, roles): a changed subagent wakes the
+        # network rules of these roles at the other end of its edges
+        self._peer_wakes: dict[str, list[tuple[dict, str, set[str]]]] = {}
+        # per run, stage -> subagents changed since it last ran, and
+        # stage -> tick -> declared subagents due then
+        self._changed: dict[str, set[str]] = {}
+        self._due: dict[str, dict[int, set[str]]] = {}
         self._role_order: dict[str, list[str]] = {}
         self.layer_role_order: dict[tuple[str, str], list[str]] = {}
         self._finalized = False
@@ -355,14 +402,26 @@ class World:
             if ruleset.observe is None:
                 raise BuildError(f"role {rec.role!r} has no observability function")
             ruleset.init_state(rec.params, rec.stream)
+        readers: dict[tuple[str, str, str], set[str]] = {}  # (system, end, label) -> roles
+        for system, role in self.layer_role_order:
+            wake = self.registry.rules[role].wakes.get(STAGE_NETWORK)
+            for label, end in wake.peers if wake else ():
+                if end not in ("providers", "dependents"):
+                    raise BuildError(f"role {role!r} reads peers at unknown end {end!r}")
+                readers.setdefault((system, end, label), set()).add(role)
+        for (system, end, label), roles in readers.items():
+            layer = self.layers[system]
+            index = layer.targets if end == "dependents" else layer.sources
+            self._peer_wakes.setdefault(system, []).append((index, label, roles))
         for stage in STAGES:
-            staged, fns = [], []
-            for rec in self.records.values():
-                fn = getattr(self.registry.rules[rec.role], stage)
-                if fn is not None:
-                    staged.append(rec)
-                    fns.append(fn)
-            self._stage_plan[stage] = (staged, fns)
+            rules = self._stage_rules[stage] = {
+                role: (getattr(ruleset, stage), ruleset.wakes.get(stage))
+                for role, ruleset in self.registry.rules.items() if getattr(ruleset, stage)
+            }
+            self._declared[stage] = {role for role, (_, wake) in rules.items() if wake}
+            self._stage_plan[stage] = [rec for rec in self.records.values() if rec.role in rules]
+            self._every_tick[stage] = [rec for rec in self._stage_plan[stage]
+                                       if rec.role not in self._declared[stage]]
         self._finalized = True
 
     def start(self, params: dict[str, dict] | None = None) -> "World":
@@ -376,6 +435,8 @@ class World:
             for sid, rec in self.records.items()
         }
         run.tick, run.run_log, run.published, run.services = 0, [], {}, dict(self.services)
+        run._changed = {stage: set() for stage in STAGES}
+        run._due = {stage: {} for stage in STAGES}
         return run
 
     # -- queries ------------------------------------------------------------
@@ -395,8 +456,48 @@ class World:
 
     # -- dynamics -----------------------------------------------------------
 
+    def change(self, sid: str, state: dict | None = None) -> None:
+        """A change made outside the stages, such as a hazard's: the new
+        state of ``sid`` if one is given, else a change of its params already
+        made in ``self.params``.  The rules that read it run at the next step."""
+        if state is not None:
+            self.states[sid] = state
+        self._note(sid)
+
+    def _note(self, sid: str) -> None:
+        for changed in self._changed.values():
+            changed.add(sid)
+
+    def _calls(self, stage: str, tick: int) -> list[SubAgentRecord]:
+        """This tick's rule calls of one stage, in subagent id order: all of
+        them at tick 1; later the every-tick rules and the declared rules
+        that are due or read a subagent changed since the stage last ran."""
+        changed, self._changed[stage] = self._changed[stage], set()
+        declared, records = self._declared[stage], self.records
+        if tick == 1 or not declared:
+            return self._stage_plan[stage]
+        woken = self._due[stage].pop(tick, set())
+        for sid in changed:
+            rec = records[sid]
+            if stage == STAGE_COUPLING:
+                for sibling in rec.siblings.values():
+                    if records[sibling].role in declared:
+                        woken.add(sibling)
+                continue
+            if rec.role in declared:
+                woken.add(sid)
+            if stage == STAGE_NETWORK:
+                for index, label, roles in self._peer_wakes.get(rec.system, ()):
+                    for peer in index.get((sid, label), ()):
+                        if records[peer].role in roles:
+                            woken.add(peer)
+        every = self._every_tick[stage]
+        if not woken:
+            return every
+        return sorted(every + [records[sid] for sid in woken], key=attrgetter("id"))
+
     def step(self) -> None:
-        """Advance every subagent one tick through the three-stage pipeline."""
+        """Advance the world one tick through the three-stage pipeline."""
         if self.states is None:
             raise KernelError("world not started")
         tick = self.tick + 1
@@ -404,17 +505,24 @@ class World:
         for stage in STAGES:
             nxt = dict(prev)
             ctx = RuleContext(self, stage, prev, tick)
-            for rec, fn in zip(*self._stage_plan[stage]):
+            rules, due_at = self._stage_rules[stage], self._due[stage]
+            for rec in self._calls(stage, tick):
+                fn, wake = rules[rec.role]
                 ctx.sid = sid = rec.id
                 ctx._record = rec
                 try:
                     out = fn(ctx)
+                    due = None if wake is None or wake.due is None else wake.due(
+                        ctx, prev[sid] if out is None else out)
                 except KernelError:
                     raise
                 except Exception as exc:
                     raise SimulationAbort(sid, tick, exc) from exc
                 if out is not None:
                     nxt[sid] = out
+                    self._note(sid)
+                if due is not None:
+                    due_at.setdefault(max(due, tick + 1), set()).add(sid)
             if stage == STAGE_NETWORK:
                 products: dict[str, object] = {}
                 for system in SYSTEMS:

@@ -105,8 +105,11 @@ class Recorder:
 
     ``observed_roles`` limits which roles get per-subagent rows in the
     export; population-scale roles are covered by the system aggregates so
-    exports stay a few MB instead of hundreds.  ``rollups`` keeps this tick's
-    system aggregates by (system, metric), the one count of population state.
+    exports stay a few MB instead of hundreds.  An observed subagent whose
+    state and params are the objects it had when last observed gets the
+    same (metric, value) pairs again without a call to its observe function.
+    ``rollups`` keeps this tick's system aggregates by (system, metric), the
+    one count of population state.
     """
 
     DEFAULT_ROLES = (
@@ -130,12 +133,24 @@ class Recorder:
         self._ict_nodes = world.role_members("cyber-infrastructure")
         self._hospitals = world.role_members("hospital")
         self.rollups: dict[tuple[str, str], object] = {}
+        # observed subagent -> (state, params, pairs) when last observed
+        self._seen: dict[str, tuple[dict, dict, list[tuple[str, object]]]] = {}
 
     def observe(self) -> None:
         world = self.world
         tick = world.tick
+        rows, seen, states, params_of = self.rows, self._seen, world.states, world.params
+        append, new = rows.append, tuple.__new__  # a row without a Python-level __new__
         for sid in self._observed:
-            self.rows.extend(observe_subagent(world, sid))
+            state, params = states[sid], params_of[sid]
+            last = seen.get(sid)
+            if last is not None and last[0] is state and last[1] is params:
+                for name, value in last[2]:
+                    append(new(MetricSample, (tick, sid, name, value)))
+                continue
+            samples = observe_subagent(world, sid)
+            seen[sid] = (state, params, [(s.name, s.value) for s in samples])
+            rows.extend(samples)
         rollups = [s for system in world.layers for s in aggregate_system(world, system)]
         self.rows.extend(rollups)
         self.rollups = {(s.scope, s.name): s.value for s in rollups}

@@ -23,7 +23,7 @@ as unattended against the hospital they first approached and retry every tick.
 
 from __future__ import annotations
 
-from ..kernel import CoordinatorContext, Registry, RuleContext, RuleSet
+from ..kernel import STAGE_INTERNAL, CoordinatorContext, Registry, RuleContext, RuleSet, Wake
 
 ROLE_PATIENT = "patient"
 ROLE_HOSPITAL = "hospital"
@@ -109,6 +109,11 @@ def patient_internal(ctx: RuleContext) -> dict | None:
         else:
             _resolve(new, "recovered", ctx.tick, int(p["convalescence_hours"]))
     return new
+
+
+def stage_due(ctx: RuleContext, state: dict) -> int | None:
+    """``patient_internal`` acts next when the current stage ends."""
+    return state["stage_end"] if state["infection"] == "infected" else None
 
 
 def _init_hospital(params: dict, stream) -> dict:
@@ -342,6 +347,7 @@ def register(registry: Registry) -> None:
         init_state=_init_patient,
         internal=patient_internal,
         observe=_observe_patient,
+        wakes={STAGE_INTERNAL: Wake(due=stage_due)},
     ))
     registry.register_role(ROLE_HOSPITAL, RuleSet(
         init_state=_init_hospital,

@@ -14,7 +14,8 @@ compromised and keeps no recovery clock.
 from __future__ import annotations
 
 from ..hazards import param_kind
-from ..kernel import CoordinatorContext, Registry, RuleContext, RuleSet
+from ..kernel import (STAGE_INTERNAL, STAGE_NETWORK, CoordinatorContext, Registry, RuleContext,
+                      RuleSet, Wake)
 
 ROLE_NODE = "cyber-infrastructure"
 ROLE_ATTACKER = "cyber-attacker"
@@ -88,6 +89,11 @@ def node_internal(ctx: RuleContext) -> dict | None:
         recovery_due=None, attack_prop=None, attack_recovery_scale=None,
     )
     return new
+
+
+def recovery_due(ctx: RuleContext, state: dict) -> int | None:
+    """``node_internal`` acts next when a down node's recovery clock runs out."""
+    return None if state["available"] else state["recovery_due"]
 
 
 def node_network(ctx: RuleContext) -> dict | None:
@@ -207,11 +213,18 @@ def register(registry: Registry) -> None:
         internal=node_internal,
         network=node_network,
         observe=_observe_node,
+        wakes={
+            STAGE_INTERNAL: Wake(due=recovery_due),
+            # an attack arrives only from an attacker that changed (emitted)
+            # or a provider that changed (was compromised) since last tick
+            STAGE_NETWORK: Wake(peers=((EDGE_ATTACKS, "dependents"), (EDGE_DEPENDS, "providers"))),
+        },
     ))
     registry.register_role(ROLE_ATTACKER, RuleSet(
         init_state=_init_attacker,
         internal=attacker_internal,
         observe=_observe_attacker,
+        wakes={STAGE_INTERNAL: Wake()},  # only a hazard arms it
     ))
     registry.register_coordinator("ict", ict_settlement)
     registry.register_aggregator("ict", _aggregate)

@@ -20,7 +20,8 @@ urban landscape layer; it is structure only and has no state.
 from __future__ import annotations
 
 from ..hazards import param_kind
-from ..kernel import STATELESS, CoordinatorContext, Registry, RuleContext, RuleSet, Stream
+from ..kernel import (STAGE_COUPLING, STAGE_INTERNAL, STATELESS, CoordinatorContext, Registry,
+                      RuleContext, RuleSet, Stream, Wake)
 
 ROLE_CITIZEN = "citizen"
 ROLE_PLACE = "place"
@@ -74,6 +75,21 @@ def citizen_internal(ctx: RuleContext) -> dict | None:
     return new
 
 
+def next_boundary(ctx: RuleContext, state: dict) -> int | None:
+    """``citizen_internal`` acts next at the first hour after this tick whose
+    timetable place differs from the hour before; never while the citizen
+    is off its routine (only a change brings it back) or when its timetable
+    has one place."""
+    if state["homebound"] or not state["location"].startswith("place:"):
+        return None
+    schedule = ctx.params["schedule"]
+    for tick in range(ctx.tick + 1, ctx.tick + 25):
+        hour = tick % 24
+        if schedule[hour][0] != schedule[hour - 1][0]:
+            return tick
+    return None
+
+
 def citizen_coupling(ctx: RuleContext) -> dict | None:
     """Sync health status from the patient sibling into social state.
 
@@ -112,6 +128,12 @@ def citizen_coupling(ctx: RuleContext) -> dict | None:
         new = dict(state)
         new["homebound"] = homebound
     return new
+
+
+def rest_due(ctx: RuleContext, state: dict) -> int | None:
+    """``citizen_coupling`` acts next when the patient's convalescence ends."""
+    pst = ctx.sibling("healthcare")
+    return pst["rest_until"] if pst is not None and pst["rest_until"] > ctx.tick else None
 
 
 class Placement:
@@ -284,6 +306,7 @@ def register(registry: Registry) -> None:
         internal=citizen_internal,
         coupling=citizen_coupling,
         observe=_observe_citizen,
+        wakes={STAGE_INTERNAL: Wake(due=next_boundary), STAGE_COUPLING: Wake(due=rest_due)},
     ))
     registry.register_role(ROLE_PLACE, RuleSet(
         init_state=_init_place,

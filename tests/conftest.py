@@ -65,7 +65,8 @@ def build_patient_world(n: int, seed: int = 7, hospitals: list[dict] | None = No
 
 
 def build_sir_world(n: int, seeds: int, beta: float, contact_k: int,
-                    duration: int, master_seed: int = 11, bystanders: int = 0) -> World:
+                    duration: int, master_seed: int = 11, bystanders: int = 0,
+                    **disease_overrides) -> World:
     """Fully mixed epidemic toy: everyone shares one place around the clock.
 
     Bystanders are citizens without a patient sibling; their ids sort before
@@ -86,7 +87,7 @@ def build_sir_world(n: int, seeds: int, beta: float, contact_k: int,
             }),
             (f"{cid}::healthcare", "healthcare", "patient", disease_params(
                 beta=beta, mild_hours=[duration, duration],
-                initially_infected=i < seeds)),
+                initially_infected=i < seeds, **disease_overrides)),
         ])
     for i in range(bystanders):
         world.add_agent(f"b{i:04d}", [(f"b{i:04d}::social", "social", "citizen", {

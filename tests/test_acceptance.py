@@ -109,9 +109,8 @@ def _random_patient_world(rng: random.Random):
         mild_hours=[1, rng.randint(1, 30)],
         severe_hours=[1, rng.randint(1, 30)],
         critical_hours=[1, rng.randint(1, 30)],
+        home_hospital="h0::healthcare",
     )
-    for p in world.role_members("patient"):
-        world.records[p].params["home_hospital"] = "h0::healthcare"
     return world
 
 

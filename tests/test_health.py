@@ -66,9 +66,8 @@ def test_treated_critical_survival_differs_from_untreated():
             hospitals=[{"id": "h", "general": 200, "icu": icu}],
             p_severe=1.0, p_worsen=1.0, p_die_treated=0.05, p_die_untreated=0.9,
             mild_hours=[2, 2], severe_hours=[2, 2], critical_hours=[4, 4],
+            home_hospital="h::healthcare",
         )
-        for p in world.role_members("patient"):
-            world.records[p].params["home_hospital"] = "h::healthcare"
         tick_n(world, 16)
         return infections(world).count("dead")
 
@@ -80,10 +79,8 @@ def test_admission_fills_hospital_and_counts_unattended():
         10, seed=3, initially_infected=True,
         hospitals=[{"id": "h", "general": 4, "icu": 1}],
         p_severe=1.0, p_worsen=0.0,
-        mild_hours=[1, 1], severe_hours=[200, 200],
+        mild_hours=[1, 1], severe_hours=[200, 200], home_hospital="h::healthcare",
     )
-    for p in world.role_members("patient"):
-        world.records[p].params["home_hospital"] = "h::healthcare"
     tick_n(world, 2)
     h = world.states["h::healthcare"]
     assert h["general_occupancy"] == 4
@@ -105,9 +102,8 @@ def test_referral_to_peer_with_space():
             {"id": "c", "general": 5, "icu": 0, "peers": ["a"]},
         ],
         p_severe=1.0, p_worsen=0.0, mild_hours=[1, 1], severe_hours=[300, 300],
+        home_hospital="a::healthcare",
     )
-    for p in world.role_members("patient"):
-        world.records[p].params["home_hospital"] = "a::healthcare"
     tick_n(world, 2)
     assert world.states["a::healthcare"]["general_occupancy"] == 1
     # least-occupied peer wins, ties by id: b gets one, then b/c tie -> b
@@ -121,9 +117,8 @@ def test_discharge_frees_bed_same_tick():
         1, seed=9, initially_infected=True,
         hospitals=[{"id": "h", "general": 1, "icu": 0}],
         p_severe=1.0, p_worsen=0.0, mild_hours=[1, 1], severe_hours=[5, 5],
-        convalescence_hours=0,
+        convalescence_hours=0, home_hospital="h::healthcare",
     )
-    world.records["p0000::healthcare"].params["home_hospital"] = "h::healthcare"
     occupancy = []
     for _ in range(10):
         world.step()
@@ -150,13 +145,11 @@ def test_occupancy_bookkeeping_mismatch_aborts():
         2, seed=4, initially_infected=True,
         hospitals=[{"id": "h", "general": 5, "icu": 1}],
         p_severe=1.0, p_worsen=0.0, mild_hours=[1, 1], severe_hours=[50, 50],
+        home_hospital="h::healthcare",
     )
-    for p in world.role_members("patient"):
-        world.records[p].params["home_hospital"] = "h::healthcare"
     tick_n(world, 3)
-    state = dict(world.states["h::healthcare"])
-    state["general_occupancy"] += 1  # corrupt the counter
-    world.states["h::healthcare"] = state
+    state = world.states["h::healthcare"]  # corrupt the counter
+    world.change("h::healthcare", dict(state, general_occupancy=state["general_occupancy"] + 1))
     with pytest.raises(SimulationAbort, match="bookkeeping mismatch"):
         world.step()
 
@@ -191,10 +184,8 @@ def test_ward_occupancy_matches_littles_law_oracle():
         2000, seed=19,
         hospitals=[{"id": "h", "general": 60, "icu": 1}],
         p_severe=1.0, p_worsen=0.0,
-        mild_hours=[1, 1], severe_hours=[6, 18],
+        mild_hours=[1, 1], severe_hours=[6, 18], home_hospital="h::healthcare",
     )
-    for p in world.role_members("patient"):
-        world.records[p].params["home_hospital"] = "h::healthcare"
     seeds = HazardSchedule.from_config([
         {"tick": t, "kind": "disease_seed", "selector": {"role": "patient"},
          "payload": {"count": arrivals}}
@@ -299,10 +290,8 @@ def test_population_conservation_through_epidemic():
 
 def test_vaccination_factor_scales_susceptibility():
     def attack_rate(vaccinated):
-        world = build_sir_world(100, seeds=5, beta=0.01, contact_k=4, duration=72)
-        for p in world.role_members("patient"):
-            world.records[p].params["vaccinated"] = vaccinated
-            world.records[p].params["vaccination_factor"] = 0.2
+        world = build_sir_world(100, seeds=5, beta=0.01, contact_k=4, duration=72,
+                                vaccinated=vaccinated, vaccination_factor=0.2)
         for _ in range(300):
             world.step()
         return sum(1 for s in infections(world) if s != "susceptible")

@@ -18,7 +18,7 @@ HOSPITAL = "hospital_center::healthcare"
 
 def _set(sid, **changes):
     def corrupt(world):
-        world.states[sid] = dict(world.states[sid], **changes)
+        world.change(sid, dict(world.states[sid], **changes))
     return corrupt
 
 

@@ -65,8 +65,8 @@ def test_network_stage_reads_post_internal_snapshot_swap():
     # regardless of evaluation order
     registry = toy_registry(swapper=swapper_rules())
     world = build_pair(registry, "swapper")
-    world.states["a::ict"] = {"count": 10}
-    world.states["b::ict"] = {"count": 20}
+    world.change("a::ict", {"count": 10})
+    world.change("b::ict", {"count": 20})
     world.step()
     assert world.states["a::ict"]["count"] == 20
     assert world.states["b::ict"]["count"] == 10
@@ -77,10 +77,10 @@ def test_registration_order_does_not_change_trajectory():
     registry2 = toy_registry(swapper=swapper_rules())
     w1 = build_pair(registry1, "swapper", order=("a", "b"))
     w2 = build_pair(registry2, "swapper", order=("b", "a"))
-    w1.states["a::ict"] = {"count": 1}
-    w1.states["b::ict"] = {"count": 2}
-    w2.states["a::ict"] = {"count": 1}
-    w2.states["b::ict"] = {"count": 2}
+    w1.change("a::ict", {"count": 1})
+    w1.change("b::ict", {"count": 2})
+    w2.change("a::ict", {"count": 1})
+    w2.change("b::ict", {"count": 2})
     for _ in range(5):
         w1.step()
         w2.step()

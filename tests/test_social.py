@@ -176,9 +176,7 @@ def test_place_occupancy_follows_last_ticks_placements():
 def test_dead_citizen_never_moves_again():
     world = build_sir_world(10, seeds=0, beta=0.0, contact_k=2, duration=24)
     victim = world.role_members("patient")[3]
-    state = dict(world.states[victim])
-    state.update(infection="dead", severity="none")
-    world.states[victim] = state
+    world.change(victim, dict(world.states[victim], infection="dead", severity="none"))
     citizen = world.counterpart(victim, "social")
     for _ in range(48):
         world.step()
