@@ -181,14 +181,14 @@ def apply_due(world: World, tick: int, schedule: HazardSchedule) -> list[int]:
             for sid in targets:
                 world.change(sid)
         if ev.kind == "cyberattack":
-            _dispatch_cyberattack(world, tick, targets)
+            _dispatch_cyberattack(world, targets)
         elif ev.kind == "disease_seed":
             _dispatch_disease_seed(world, tick, ev, targets)
         applied.append(ev.index)
     return applied
 
 
-def _dispatch_cyberattack(world: World, tick: int, targets: list[str]) -> None:
+def _dispatch_cyberattack(world: World, targets: list[str]) -> None:
     for sid in targets:
         world.change(sid, dict(world.states[sid], active=True))
 

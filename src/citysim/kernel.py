@@ -1,38 +1,35 @@
 """Multi-layer world of agents and subagents with a staged tick pipeline.
 
 A functional city entity (an agent) is split into one subagent per system
-it participates in.  Each simulated hour the world advances through three
-stages:
+it participates in.  Each simulated hour the world advances in three
+steps:
 
-  internal  -- self-contained dynamics; reads only the subagent's own
-               previous state and parameters.
-  network   -- interaction with subagents of the same system layer; reads
-               the post-internal snapshot of that layer.  Systems that need
-               serialized arbitration (bed assignment, place settlement,
-               the traffic federate) run a deterministic settlement pass
-               here, after the per-subagent map.
-  coupling  -- interaction between the subagents of one agent; reads the
-               post-network snapshot of the agent's own members.
+  internal     -- per-subagent map of self-contained dynamics; a rule
+                  reads only its own previous state and parameters.
+  settlements  -- interaction inside a system, on its network: one
+                  deterministic pass per system in ``SYSTEMS`` order,
+                  reading and writing its own layer's post-internal states.
+  coupling     -- per-subagent map of interaction between systems; a rule
+                  reads the post-settlement states of its agent's members.
 
-Each stage is evaluated against the previous stage's completed snapshot,
-so trajectories do not depend on registration or iteration order.  State
+Each map is evaluated against the previous step's completed snapshot, so
+trajectories do not depend on registration or iteration order.  State
 dicts are treated as immutable once published: rules return a fresh dict
 (or None for "unchanged") and must never mutate the dict handed to them.
 
 A stage rule runs only when it can return a new state.  A role that
-declares a ``Wake`` for a stage has its rule called at tick 1, at the due
-tick it declares, and when a subagent it reads has changed since its slot
-last ran: the subagent itself, in the network stage its peers over the
-declared edges, in the coupling stage its siblings.  A stage a role
-declares nothing for runs every tick.  Every change the kernel sees is a
-rule's new state, a settlement's ``set`` or ``World.change``, which is how
-a change made outside the stages (a hazard, a test) reaches it.  The calls
-of a stage run in subagent id order either way.
+declares a wake for a stage has its rule called at tick 1, at the due tick
+it declares, and when a subagent it reads has changed since its slot last
+ran: the subagent itself, and in the coupling stage its siblings.  A stage
+a role declares nothing for runs every tick.  Every change the kernel sees
+is a rule's new state, a settlement's ``set`` or ``World.change``, which is
+how a change made outside the stages (a hazard, a test) reaches it.  The
+calls of a stage run in subagent id order either way.
 
 A settlement may publish a read-only product for the settlements of other
 layers, such as the tick's trips or where its citizens were placed.  It is
-replaced whole, never mutated, and committed when the network stage ends,
-so every settlement reads what was published in the previous tick,
+replaced whole, never mutated, and committed when the last settlement has
+run, so every settlement reads what was published in the previous tick,
 wherever its system sits in ``SYSTEMS``.
 """
 
@@ -41,16 +38,15 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .rng import Stream, TickRng
 
 SYSTEMS = ("ict", "healthcare", "mobility", "social", "urban_landscape")
 
 STAGE_INTERNAL = "internal"
-STAGE_NETWORK = "network"
 STAGE_COUPLING = "coupling"
-STAGES = (STAGE_INTERNAL, STAGE_NETWORK, STAGE_COUPLING)
+STAGES = (STAGE_INTERNAL, STAGE_COUPLING)
 
 
 class KernelError(Exception):
@@ -71,38 +67,26 @@ class SimulationAbort(KernelError):
         super().__init__(f"run aborted at tick {tick} in subagent {subagent_id!r}: {cause}")
 
 
-class Wake(NamedTuple):
-    """When a declared stage rule is due, besides tick 1 and a change of a
-    subagent it reads.
-
-    ``due(ctx, state)`` gives the first tick after ``ctx.tick`` at which the
-    rule may return a new state, where ``state`` is the subagent's state
-    after this call; a tick at or before ``ctx.tick`` means the next tick,
-    None means that only a change can make it act.  ``peers`` names the
-    edges over which a network rule reads its peers, as ``(label,
-    "providers" | "dependents")`` in the sense of ``RuleContext``.
-    """
-
-    due: Callable[["RuleContext", dict], int | None] | None = None
-    peers: tuple[tuple[str, str], ...] = ()
-
-
 @dataclass
 class RuleSet:
     """Named, parameterizable behavior bound to a subagent role tag.
 
-    ``wakes`` maps a stage to the ``Wake`` of its rule.  A declared rule must
-    return None whenever it is called with nothing changed before its due
-    tick, for the kernel then skips it; a stage without a ``Wake`` runs every
-    tick.
+    ``internal`` and ``coupling`` are the rules of the two per-subagent
+    maps.  ``wakes`` maps a stage to ``due(ctx, state)``, the first tick
+    after ``ctx.tick`` at which its rule may return a new state, where
+    ``state`` is the subagent's state after this call (a tick at or before
+    ``ctx.tick`` means the next tick, None only a change), or to None when
+    only a change can wake the rule.  A declared rule must return None
+    whenever it is called with nothing changed before its due tick, for the
+    kernel then skips it; a stage without a declaration runs every tick.
     """
 
     init_state: Callable[[dict, Stream], dict]
     internal: Callable | None = None
-    network: Callable | None = None
     coupling: Callable | None = None
     observe: Callable | None = None  # (state, params) -> list[(metric name, value)]
-    wakes: dict[str, Wake] = field(default_factory=dict)
+    wakes: dict[str, Callable | None] = field(default_factory=dict)
+    network = None  # not a field; kept for tracers that read every stage rule by name
 
 # the rules of a role that is structure only: no state, no stage rule,
 # nothing observed
@@ -164,11 +148,11 @@ class SystemLayer:
 
 
 class RuleContext:
-    """Read interface handed to rules; enforces the stage read discipline.
+    """Read interface handed to the rules of the two per-subagent maps;
+    enforces the stage read discipline.
 
-    internal: own state only.  network: own state plus same-layer peers.
-    coupling: own state plus same-agent siblings.  Parameters of any
-    subagent are readable everywhere (they are configuration, not state).
+    internal: own state and params only.  coupling: also the states of the
+    same agent's siblings, after the settlements.
     """
 
     __slots__ = ("_world", "_stage", "_prev", "tick", "sid", "_record")
@@ -192,29 +176,6 @@ class RuleContext:
     def rng(self, label: str) -> TickRng:
         return self._record.stream.at(self.tick, label)
 
-    def params_of(self, sid: str) -> dict:
-        return self._world.params[sid]
-
-    def peer_state(self, sid: str) -> dict:
-        if self._stage != STAGE_NETWORK:
-            raise KernelError(f"peer_state only available in the network stage, not {self._stage}")
-        if self._world.records[sid].system != self._record.system:
-            raise KernelError(
-                f"{self.sid!r} tried to read {sid!r} across layers "
-                f"(own layer {self._record.system})"
-            )
-        return self._prev[sid]
-
-    def providers(self, label: str) -> list[str]:
-        """Targets of this subagent's outgoing edges with the given label,
-        ascending.  The list is shared: read it, never mutate it."""
-        return self._world.layers[self._record.system].targets.get((self.sid, label), [])
-
-    def dependents(self, label: str) -> list[str]:
-        """Sources of this subagent's incoming edges with the given label,
-        ascending.  The list is shared: read it, never mutate it."""
-        return self._world.layers[self._record.system].sources.get((self.sid, label), [])
-
     def sibling(self, system: str) -> dict | None:
         """State of this agent's subagent in another system (coupling stage),
         or None if the agent has none there."""
@@ -225,21 +186,19 @@ class RuleContext:
 
 
 class CoordinatorContext:
-    """Write interface for a system's settlement pass within the network stage.
+    """Write interface for a system's settlement pass, which runs after the
+    internal map.
 
-    Reads the post-internal snapshot, sees the network map's output for its
-    own layer, and may overwrite states of its own layer's members only.
-    Products it publishes go into ``products``, which the kernel commits
-    when the stage ends.
+    Reads and overwrites the states of its own layer's members only, in the
+    post-internal snapshot.  Products it publishes go into ``products``,
+    which the kernel commits when the last settlement has run.
     """
 
-    __slots__ = ("_world", "system", "_prev", "_nxt", "tick", "_records", "_products")
+    __slots__ = ("_world", "system", "_nxt", "tick", "_records", "_products")
 
-    def __init__(self, world: "World", system: str, prev: dict, nxt: dict, tick: int,
-                 products: dict):
+    def __init__(self, world: "World", system: str, nxt: dict, tick: int, products: dict):
         self._world = world
         self.system = system
-        self._prev = prev
         self._nxt = nxt
         self.tick = tick
         self._records = world.records
@@ -274,8 +233,14 @@ class CoordinatorContext:
         return self._world.services[name]
 
     def providers(self, sid: str, label: str) -> list[str]:
-        """As ``RuleContext.providers``, for any member of this layer."""
+        """Targets of the member's outgoing edges with the given label,
+        ascending.  The list is shared: read it, never mutate it."""
         return self._world.layers[self.system].targets.get((sid, label), [])
+
+    def dependents(self, sid: str, label: str) -> list[str]:
+        """Sources of the member's incoming edges with the given label,
+        ascending.  The list is shared: read it, never mutate it."""
+        return self._world.layers[self.system].sources.get((sid, label), [])
 
     def log(self, message: str) -> None:
         self._world.run_log.append((self.tick, message))
@@ -329,15 +294,12 @@ class World:
         self.run_log: list[tuple[int, str]] = []
         self.published: dict[str, object] = {}
         # stage -> the records with a rule for it, in id order; the part
-        # whose role declares no Wake for it; role -> (rule, Wake or None);
-        # the roles that declare a Wake
+        # whose role declares no wake for it; role -> (rule, due function or
+        # None); the roles that declare a wake
         self._stage_plan: dict[str, list[SubAgentRecord]] = {}
         self._every_tick: dict[str, list[SubAgentRecord]] = {}
-        self._stage_rules: dict[str, dict[str, tuple[Callable, Wake | None]]] = {}
+        self._stage_rules: dict[str, dict[str, tuple[Callable, Callable | None]]] = {}
         self._declared: dict[str, set[str]] = {}
-        # system -> (edge index, label, roles): a changed subagent wakes the
-        # network rules of these roles at the other end of its edges
-        self._peer_wakes: dict[str, list[tuple[dict, str, set[str]]]] = {}
         # per run, stage -> subagents changed since it last ran, and
         # stage -> tick -> declared subagents due then
         self._changed: dict[str, set[str]] = {}
@@ -402,23 +364,13 @@ class World:
             if ruleset.observe is None:
                 raise BuildError(f"role {rec.role!r} has no observability function")
             ruleset.init_state(rec.params, rec.stream)
-        readers: dict[tuple[str, str, str], set[str]] = {}  # (system, end, label) -> roles
-        for system, role in self.layer_role_order:
-            wake = self.registry.rules[role].wakes.get(STAGE_NETWORK)
-            for label, end in wake.peers if wake else ():
-                if end not in ("providers", "dependents"):
-                    raise BuildError(f"role {role!r} reads peers at unknown end {end!r}")
-                readers.setdefault((system, end, label), set()).add(role)
-        for (system, end, label), roles in readers.items():
-            layer = self.layers[system]
-            index = layer.targets if end == "dependents" else layer.sources
-            self._peer_wakes.setdefault(system, []).append((index, label, roles))
         for stage in STAGES:
             rules = self._stage_rules[stage] = {
                 role: (getattr(ruleset, stage), ruleset.wakes.get(stage))
                 for role, ruleset in self.registry.rules.items() if getattr(ruleset, stage)
             }
-            self._declared[stage] = {role for role, (_, wake) in rules.items() if wake}
+            self._declared[stage] = {role for role in rules
+                                     if stage in self.registry.rules[role].wakes}
             self._stage_plan[stage] = [rec for rec in self.records.values() if rec.role in rules]
             self._every_tick[stage] = [rec for rec in self._stage_plan[stage]
                                        if rec.role not in self._declared[stage]]
@@ -478,64 +430,58 @@ class World:
             return self._stage_plan[stage]
         woken = self._due[stage].pop(tick, set())
         for sid in changed:
-            rec = records[sid]
             if stage == STAGE_COUPLING:
-                for sibling in rec.siblings.values():
+                for sibling in records[sid].siblings.values():
                     if records[sibling].role in declared:
                         woken.add(sibling)
-                continue
-            if rec.role in declared:
+            elif records[sid].role in declared:
                 woken.add(sid)
-            if stage == STAGE_NETWORK:
-                for index, label, roles in self._peer_wakes.get(rec.system, ()):
-                    for peer in index.get((sid, label), ()):
-                        if records[peer].role in roles:
-                            woken.add(peer)
         every = self._every_tick[stage]
         if not woken:
             return every
         return sorted(every + [records[sid] for sid in woken], key=attrgetter("id"))
 
+    def _map(self, stage: str, prev: dict, tick: int) -> dict:
+        """The snapshot after this tick's rule calls of one stage, each of
+        which reads ``prev``."""
+        nxt = dict(prev)
+        ctx = RuleContext(self, stage, prev, tick)
+        rules, due_at = self._stage_rules[stage], self._due[stage]
+        for rec in self._calls(stage, tick):
+            fn, due_fn = rules[rec.role]
+            ctx.sid = sid = rec.id
+            ctx._record = rec
+            try:
+                out = fn(ctx)
+                due = None if due_fn is None else due_fn(ctx, prev[sid] if out is None else out)
+            except KernelError:
+                raise
+            except Exception as exc:
+                raise SimulationAbort(sid, tick, exc) from exc
+            if out is not None:
+                nxt[sid] = out
+                self._note(sid)
+            if due is not None:
+                due_at.setdefault(max(due, tick + 1), set()).add(sid)
+        return nxt
+
     def step(self) -> None:
-        """Advance the world one tick through the three-stage pipeline."""
+        """Advance the world one tick: the internal map, the settlements in
+        ``SYSTEMS`` order writing into its snapshot, then the coupling map."""
         if self.states is None:
             raise KernelError("world not started")
         tick = self.tick + 1
-        prev = self.states
-        for stage in STAGES:
-            nxt = dict(prev)
-            ctx = RuleContext(self, stage, prev, tick)
-            rules, due_at = self._stage_rules[stage], self._due[stage]
-            for rec in self._calls(stage, tick):
-                fn, wake = rules[rec.role]
-                ctx.sid = sid = rec.id
-                ctx._record = rec
+        nxt = self._map(STAGE_INTERNAL, self.states, tick)
+        products: dict[str, object] = {}
+        for system in SYSTEMS:
+            coord = self.registry.coordinators.get(system)
+            if coord is not None:
                 try:
-                    out = fn(ctx)
-                    due = None if wake is None or wake.due is None else wake.due(
-                        ctx, prev[sid] if out is None else out)
+                    coord(CoordinatorContext(self, system, nxt, tick, products))
                 except KernelError:
                     raise
                 except Exception as exc:
-                    raise SimulationAbort(sid, tick, exc) from exc
-                if out is not None:
-                    nxt[sid] = out
-                    self._note(sid)
-                if due is not None:
-                    due_at.setdefault(max(due, tick + 1), set()).add(sid)
-            if stage == STAGE_NETWORK:
-                products: dict[str, object] = {}
-                for system in SYSTEMS:
-                    coord = self.registry.coordinators.get(system)
-                    if coord is not None:
-                        cctx = CoordinatorContext(self, system, prev, nxt, tick, products)
-                        try:
-                            coord(cctx)
-                        except KernelError:
-                            raise
-                        except Exception as exc:
-                            raise SimulationAbort(f"<{system} settlement>", tick, exc) from exc
-                self.published.update(products)
-            prev = nxt
-        self.states = prev
+                    raise SimulationAbort(f"<{system} settlement>", tick, exc) from exc
+        self.published.update(products)
+        self.states = self._map(STAGE_COUPLING, nxt, tick)
         self.tick = tick

@@ -48,7 +48,6 @@ def shortest_route(graph: StreetGraph, origin: str, dest: str) -> list[str] | No
     if origin == dest:
         return []
     best: dict[str, tuple[float, tuple[str, ...]]] = {origin: (0.0, (origin,))}
-    edge_of: dict[str, str] = {}
     heap: list[tuple[float, tuple[str, ...], str]] = [(0.0, (origin,), origin)]
     done: set[str] = set()
     while heap:
@@ -58,13 +57,12 @@ def shortest_route(graph: StreetGraph, origin: str, dest: str) -> list[str] | No
         done.add(node)
         if node == dest:
             break
-        for nbr, roadway_id, weight in graph.adjacency[node]:
+        for nbr, _, weight in graph.adjacency[node]:
             if nbr in done:
                 continue
             cand = (cost + weight, path + (nbr,))
             if nbr not in best or cand < best[nbr]:
                 best[nbr] = cand
-                edge_of[nbr] = roadway_id
                 heapq.heappush(heap, (cand[0], cand[1], nbr))
     if dest not in best or dest not in done:
         return None

@@ -23,7 +23,7 @@ as unattended against the hospital they first approached and retry every tick.
 
 from __future__ import annotations
 
-from ..kernel import STAGE_INTERNAL, CoordinatorContext, Registry, RuleContext, RuleSet, Wake
+from ..kernel import STAGE_INTERNAL, CoordinatorContext, Registry, RuleContext, RuleSet
 
 ROLE_PATIENT = "patient"
 ROLE_HOSPITAL = "hospital"
@@ -303,7 +303,8 @@ def healthcare_settlement(cctx: CoordinatorContext) -> None:
                     f"occupancy bookkeeping mismatch at {h}: "
                     f"{occ} counter {work[h][occ]} vs recount {recount[h][occ]}"
                 )
-        cctx.set(h, work[h])
+        if work[h] != cctx.get(h):
+            cctx.set(h, work[h])
 
 
 def _observe_patient(state, params) -> list[tuple[str, object]]:
@@ -347,7 +348,7 @@ def register(registry: Registry) -> None:
         init_state=_init_patient,
         internal=patient_internal,
         observe=_observe_patient,
-        wakes={STAGE_INTERNAL: Wake(due=stage_due)},
+        wakes={STAGE_INTERNAL: stage_due},
     ))
     registry.register_role(ROLE_HOSPITAL, RuleSet(
         init_state=_init_hospital,

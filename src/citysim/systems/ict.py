@@ -9,13 +9,16 @@ from compromise, unavailability cascades through the dependency graph
 instantly: a node whose upstream provider is down reports itself
 effectively unavailable in the same tick, even though it is not itself
 compromised and keeps no recovery clock.
+
+The per-subagent rules are local: an attacker's emission and a node's
+recovery.  Everything that travels over the layer's edges, the arrival of
+attacks and effective availability, happens in the ICT settlement.
 """
 
 from __future__ import annotations
 
 from ..hazards import param_kind
-from ..kernel import (STAGE_INTERNAL, STAGE_NETWORK, CoordinatorContext, Registry, RuleContext,
-                      RuleSet, Wake)
+from ..kernel import STAGE_INTERNAL, CoordinatorContext, Registry, RuleContext, RuleSet
 
 ROLE_NODE = "cyber-infrastructure"
 ROLE_ATTACKER = "cyber-attacker"
@@ -96,47 +99,6 @@ def recovery_due(ctx: RuleContext, state: dict) -> int | None:
     return None if state["available"] else state["recovery_due"]
 
 
-def node_network(ctx: RuleContext) -> dict | None:
-    """Attack defense and re-transmission.
-
-    Arrivals this tick: direct emissions from attacker neighbors, and waves
-    from upstream providers freshly compromised last tick.  Every potential
-    arrival consumes the same draws whether or not it succeeds, keeping
-    draw streams aligned across paired scenarios.  A successful arrival on
-    an already-down node rewinds its clock (last write wins).
-    """
-    hit: tuple[float, float] | None = None
-    for attacker in ctx.dependents(EDGE_ATTACKS):
-        a_state = ctx.peer_state(attacker)
-        if a_state["emitted_at"] != ctx.tick:
-            continue
-        prop, scale = _wave_spec(ctx.params_of(attacker))
-        if ctx.rng(f"def:{attacker}").random() < ctx.params["vulnerability"]:
-            if hit is None:
-                hit = (prop, scale)
-    for provider in ctx.providers(EDGE_DEPENDS):
-        p_state = ctx.peer_state(provider)
-        if p_state["compromised_at"] != ctx.tick - 1:
-            continue
-        transmitted = ctx.rng(f"prop:{provider}").random() < p_state["attack_prop"]
-        defended = ctx.rng(f"def:{provider}").random() >= ctx.params["vulnerability"]
-        if transmitted and not defended and hit is None:
-            hit = (p_state["attack_prop"], p_state["attack_recovery_scale"])
-    if hit is None:
-        return None
-    prop, scale = hit
-    recovery = max(1, round(ctx.params["recovery_ticks"] * scale))
-    new = dict(ctx.state)
-    new.update(
-        available=False,
-        compromised_at=ctx.tick,
-        recovery_due=ctx.tick + recovery,
-        attack_prop=prop,
-        attack_recovery_scale=scale,
-    )
-    return new
-
-
 def dependency_order(nodes: list[str], providers) -> list[str] | None:
     """``nodes`` ordered so that each comes after all its providers, or None
     if the dependencies have a cycle.  Iterative (Kahn's algorithm), so the
@@ -158,30 +120,86 @@ def dependency_order(nodes: list[str], providers) -> list[str] | None:
     return order if len(order) == len(waiting) else None
 
 
-def _settlement_plan(cctx: CoordinatorContext) -> list[tuple[str, list[str]]]:
+def _settlement_plan(cctx: CoordinatorContext) -> list[tuple[str, list[str], list[str]]]:
     order = dependency_order(cctx.members(ROLE_NODE),
                              lambda sid: cctx.providers(sid, EDGE_DEPENDS))
     if order is None:
         raise ValueError("ICT dependency graph has a cycle")
-    return [(sid, cctx.providers(sid, EDGE_DEPENDS)) for sid in order]
+    return [(sid, cctx.providers(sid, EDGE_DEPENDS), cctx.dependents(sid, EDGE_DEPENDS))
+            for sid in order]
+
+
+def _arrival(cctx: CoordinatorContext, sid: str, providers: list[str],
+             wave: dict[str, tuple[float, float]]) -> tuple[float, float] | None:
+    """The (propagation, recovery scale) of the first attack that gets
+    through to ``sid`` this tick, or None.
+
+    Arrivals are direct emissions from attackers, then waves from providers
+    compromised last tick.  Every potential arrival consumes the same draws,
+    on the node's own stream, whether or not it succeeds, keeping draw
+    streams aligned across paired scenarios.
+    """
+    hit = None
+    vulnerability = cctx.params(sid)["vulnerability"]
+    for attacker in cctx.dependents(sid, EDGE_ATTACKS):
+        if cctx.get(attacker)["emitted_at"] != cctx.tick:
+            continue
+        spec = _wave_spec(cctx.params(attacker))
+        if cctx.rng(sid, f"def:{attacker}").random() < vulnerability and hit is None:
+            hit = spec
+    for provider in providers:
+        spec = wave.get(provider)
+        if spec is None:
+            continue
+        transmitted = cctx.rng(sid, f"prop:{provider}").random() < spec[0]
+        defended = cctx.rng(sid, f"def:{provider}").random() >= vulnerability
+        if transmitted and not defended and hit is None:
+            hit = spec
+    return hit
 
 
 def ict_settlement(cctx: CoordinatorContext) -> None:
-    """Effective availability over the acyclic dependency graph.
+    """Attack arrivals, then effective availability, in one walk over the
+    acyclic dependency graph.
 
-    A whole hierarchy outage shows up in the same tick's metrics: a node is
-    effectively available iff it is up and all its providers are.  Nodes
-    are visited in dependency order, computed once per structure.
+    Nodes are visited in dependency order, computed once per structure with
+    each node's providers and dependents.  A node an attack can reach this
+    tick first takes its arrivals: a successful one compromises it, and on
+    an already-down node rewinds its clock.  A node compromised last tick
+    sends its wave with the attack it had before any hit of this tick.
+    Then a node is effectively available iff it is up and all its providers
+    are, so a whole hierarchy outage shows up in the same tick's metrics.
+    A node gets one new state, and only if it changed.
     """
+    tick = cctx.tick
+    last = tick - 1
+    # the nodes an attack can reach this tick: the targets of the attackers
+    # that emitted, and, added during the walk, the dependents of the wave
+    reached = {target for attacker in cctx.members(ROLE_ATTACKER)
+               if cctx.get(attacker)["emitted_at"] == tick
+               for target in cctx.providers(attacker, EDGE_ATTACKS)}
+    wave: dict[str, tuple[float, float]] = {}  # compromised last tick -> its attack
     effective: dict[str, bool] = {}
-    for sid, providers in cctx.derived("ict_dependency_order", lambda: _settlement_plan(cctx)):
+    for sid, providers, dependents in cctx.derived("ict_dependency_order",
+                                                   lambda: _settlement_plan(cctx)):
         state = cctx.get(sid)
+        if state["compromised_at"] == last:
+            wave[sid] = (state["attack_prop"], state["attack_recovery_scale"])
+            reached.update(dependents)
+        if sid in reached:
+            hit = _arrival(cctx, sid, providers, wave)
+            if hit is not None:
+                prop, scale = hit
+                recovery = max(1, round(cctx.params(sid)["recovery_ticks"] * scale))
+                cctx.set(sid, dict(state, available=False, effective_available=False,
+                                   compromised_at=tick, recovery_due=tick + recovery,
+                                   attack_prop=prop, attack_recovery_scale=scale))
+                effective[sid] = False
+                continue
         value = state["available"] and all(effective[p] for p in providers)
         effective[sid] = value
         if state["effective_available"] != value:
-            new = dict(state)
-            new["effective_available"] = value
-            cctx.set(sid, new)
+            cctx.set(sid, dict(state, effective_available=value))
 
 
 def _observe_node(state, params) -> list[tuple[str, object]]:
@@ -211,20 +229,14 @@ def register(registry: Registry) -> None:
     registry.register_role(ROLE_NODE, RuleSet(
         init_state=_init_node,
         internal=node_internal,
-        network=node_network,
         observe=_observe_node,
-        wakes={
-            STAGE_INTERNAL: Wake(due=recovery_due),
-            # an attack arrives only from an attacker that changed (emitted)
-            # or a provider that changed (was compromised) since last tick
-            STAGE_NETWORK: Wake(peers=((EDGE_ATTACKS, "dependents"), (EDGE_DEPENDS, "providers"))),
-        },
+        wakes={STAGE_INTERNAL: recovery_due},
     ))
     registry.register_role(ROLE_ATTACKER, RuleSet(
         init_state=_init_attacker,
         internal=attacker_internal,
         observe=_observe_attacker,
-        wakes={STAGE_INTERNAL: Wake()},  # only a hazard arms it
+        wakes={STAGE_INTERNAL: None},  # only a hazard arms it
     ))
     registry.register_coordinator("ict", ict_settlement)
     registry.register_aggregator("ict", _aggregate)

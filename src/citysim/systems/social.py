@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from ..hazards import param_kind
 from ..kernel import (STAGE_COUPLING, STAGE_INTERNAL, STATELESS, CoordinatorContext, Registry,
-                      RuleContext, RuleSet, Stream, Wake)
+                      RuleContext, RuleSet, Stream)
 
 ROLE_CITIZEN = "citizen"
 ROLE_PLACE = "place"
@@ -306,7 +306,7 @@ def register(registry: Registry) -> None:
         internal=citizen_internal,
         coupling=citizen_coupling,
         observe=_observe_citizen,
-        wakes={STAGE_INTERNAL: Wake(due=next_boundary), STAGE_COUPLING: Wake(due=rest_due)},
+        wakes={STAGE_INTERNAL: next_boundary, STAGE_COUPLING: rest_due},
     ))
     registry.register_role(ROLE_PLACE, RuleSet(
         init_state=_init_place,

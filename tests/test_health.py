@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from citysim import metrics
+from citysim.build import build_world
 from citysim.hazards import HazardSchedule, apply_due
 from citysim.kernel import SimulationAbort
+from citysim.metrics import Recorder
 from citysim.rng import Stream
+from citysim.runner import run
 
 from conftest import build_patient_world, build_sir_world, eager_contacts
 
@@ -297,3 +301,24 @@ def test_vaccination_factor_scales_susceptibility():
         return sum(1 for s in infections(world) if s != "susceptible")
 
     assert attack_rate(True) < attack_rate(False)
+
+
+def test_unchanged_hospital_keeps_its_state_and_rows(casestudy, monkeypatch):
+    # baseline: no epidemic and no attack, so no hospital ever changes
+    world = build_world(casestudy, "baseline")
+    hospitals = world.role_members("hospital")
+    first = {h: world.states[h] for h in hospitals}
+    observed = []
+    observe = metrics.observe_subagent
+    monkeypatch.setattr(metrics, "observe_subagent",
+                        lambda w, sid: observed.append((w.tick, sid)) or observe(w, sid))
+    recorder = Recorder(world)
+
+    def check(w):
+        recorder.observe()
+        assert all(w.states[h] is first[h] for h in hospitals), w.tick
+
+    run(world, 48, observers=(check,))
+    assert hospitals
+    assert sorted(sid for tick, sid in observed if sid in first) == sorted(hospitals)
+    assert all(tick == 0 for tick, sid in observed if sid in first)

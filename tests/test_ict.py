@@ -2,12 +2,17 @@
 
 import pytest
 
+from citysim import build
+from citysim.build import build_world
 from citysim.hazards import HazardSchedule, apply_due
 from citysim.metrics import sl_ict
 from citysim.oracles import compromise_times
 from citysim.runner import run_variant
+from citysim.systems import default_registry
+from citysim.systems.ict import ROLE_ATTACKER, ROLE_NODE, _wave_spec
 
 from conftest import build_ict_world, config_from
+from test_wake import ict_hierarchy, short_casestudy, staggered_attacks
 
 
 def attack_at(tick, target="a"):
@@ -239,3 +244,159 @@ def test_casestudy_attack_arrives_on_day_20(casestudy):
     sl = result.sl["ict"]
     first_drop = next(t for t, v in enumerate(sl) if v < 1.0)
     assert first_drop // 24 == 20
+
+
+def test_rehit_node_still_sends_the_wave_of_its_previous_attack():
+    # a is hit at 1 and again at 2; the wave it sends at 2 is the one of its
+    # compromise at 1, read before the second hit rewinds its clock
+    nodes = [
+        {"id": "a", "depends_on": [], "vulnerability": 1.0, "recovery_ticks": 10},
+        {"id": "b", "depends_on": ["a"], "vulnerability": 1.0, "recovery_ticks": 10},
+    ]
+    attackers = [{"id": name, "target": "a", "attack_type": "botnet",
+                  "propagation_probability": 1.0} for name in ("atk", "atk2")]
+    world, _ = build_ict_world(nodes, attackers)
+    sched = HazardSchedule.from_config([
+        {"tick": 0, "kind": "cyberattack", "selector": {"id": "atk::ict"}},
+        {"tick": 1, "kind": "cyberattack", "selector": {"id": "atk2::ict"}},
+    ], 24)
+    apply_due(world, 0, sched)
+    seen = []
+    for _ in range(3):
+        world.step()
+        apply_due(world, world.tick, sched)
+        seen.append(tuple(world.states[f"{n}::ict"]["compromised_at"] for n in "ab"))
+    assert seen == [(1, None), (2, 2), (2, 3)]
+
+
+# -- the per-node rule that attack arrivals once were, as a reference ----------
+
+def node_network(ctx) -> dict | None:
+    """Attack defense and re-transmission for one node, reading the ICT
+    states before the settlement.
+
+    Arrivals this tick: direct emissions from attacker neighbors, and waves
+    from upstream providers freshly compromised last tick.  Every potential
+    arrival consumes the same draws whether or not it succeeds.  A
+    successful arrival on an already-down node rewinds its clock.
+    """
+    hit = None
+    for attacker in ctx.dependents("attacks"):
+        a_state = ctx.peer_state(attacker)
+        if a_state["emitted_at"] != ctx.tick:
+            continue
+        prop, scale = _wave_spec(ctx.params_of(attacker))
+        if ctx.rng(f"def:{attacker}").random() < ctx.params["vulnerability"]:
+            if hit is None:
+                hit = (prop, scale)
+    for provider in ctx.providers("depends_on"):
+        p_state = ctx.peer_state(provider)
+        if p_state["compromised_at"] != ctx.tick - 1:
+            continue
+        transmitted = ctx.rng(f"prop:{provider}").random() < p_state["attack_prop"]
+        defended = ctx.rng(f"def:{provider}").random() >= ctx.params["vulnerability"]
+        if transmitted and not defended and hit is None:
+            hit = (p_state["attack_prop"], p_state["attack_recovery_scale"])
+    if hit is None:
+        return None
+    prop, scale = hit
+    recovery = max(1, round(ctx.params["recovery_ticks"] * scale))
+    new = dict(ctx.state)
+    new.update(
+        available=False,
+        compromised_at=ctx.tick,
+        recovery_due=ctx.tick + recovery,
+        attack_prop=prop,
+        attack_recovery_scale=scale,
+    )
+    return new
+
+
+class SnapshotContext:
+    """What ``node_network`` reads for one node: the snapshot of ICT states
+    taken before the settlement, and the settlement's edges, params and
+    streams at its tick."""
+
+    def __init__(self, cctx, snapshot, sid):
+        self.tick, self.sid, self._cctx, self._snapshot = cctx.tick, sid, cctx, snapshot
+
+    @property
+    def state(self):
+        return self._snapshot[self.sid]
+
+    @property
+    def params(self):
+        return self._cctx.params(self.sid)
+
+    def params_of(self, sid):
+        return self._cctx.params(sid)
+
+    def peer_state(self, sid):
+        return self._snapshot[sid]
+
+    def providers(self, label):
+        return self._cctx.providers(self.sid, label)
+
+    def dependents(self, label):
+        return self._cctx.dependents(self.sid, label)
+
+    def rng(self, label):
+        return self._cctx.rng(self.sid, label)
+
+
+ATTACK_FIELDS = ("compromised_at", "recovery_due", "attack_prop", "attack_recovery_scale")
+
+
+def assert_arrivals_match_reference(monkeypatch, make, ticks, schedule):
+    """Step ``make()``'s world; after each tick every node's attack fields
+    equal what ``node_network`` computes from the states the ICT settlement
+    started from.  Returns the (direct, wave) compromises seen."""
+    taken = []
+
+    def registry():
+        reg = default_registry()
+        settle = reg.coordinators["ict"]
+
+        def snapshotting(cctx):
+            ids = cctx.members(ROLE_NODE) + cctx.members(ROLE_ATTACKER)
+            taken.append((cctx, {sid: cctx.get(sid) for sid in ids}))
+            settle(cctx)
+
+        reg.coordinators["ict"] = snapshotting
+        return reg
+
+    monkeypatch.setattr(build, "default_registry", registry)
+    world = make()
+    apply_due(world, 0, schedule)
+    direct = wave = 0
+    for _ in range(ticks):
+        world.step()
+        cctx, snapshot = taken.pop()
+        for sid in cctx.members(ROLE_NODE):
+            expected = node_network(SnapshotContext(cctx, snapshot, sid)) or snapshot[sid]
+            got = world.states[sid]
+            assert [got[f] for f in ATTACK_FIELDS] == [expected[f] for f in ATTACK_FIELDS], \
+                (world.tick, sid)
+            if got["compromised_at"] == world.tick:
+                if cctx.dependents(sid, "attacks"):
+                    direct += 1
+                else:
+                    wave += 1
+        apply_due(world, world.tick, schedule)
+    return direct, wave
+
+
+def test_arrivals_match_reference_in_ict_hierarchy(monkeypatch):
+    nodes, attackers = ict_hierarchy()
+    direct, wave = assert_arrivals_match_reference(
+        monkeypatch, lambda: build_ict_world(nodes, attackers)[0], 40,
+        HazardSchedule.from_config(staggered_attacks(), 24))
+    assert direct > 0 and wave > 0
+
+
+def test_arrivals_match_reference_in_casestudy(monkeypatch):
+    config = config_from(short_casestudy())
+    direct, wave = assert_arrivals_match_reference(
+        monkeypatch, lambda: build_world(config_from(short_casestudy()), "risk"),
+        config.horizon_ticks, config.schedule())
+    assert direct > 0 and wave > 0

@@ -3,8 +3,7 @@
 import pytest
 
 from citysim.kernel import (
-    STAGE_NETWORK, SYSTEMS, BuildError, CoordinatorContext, KernelError, RuleContext,
-    RuleSet, SimulationAbort, World,
+    SYSTEMS, BuildError, CoordinatorContext, KernelError, RuleSet, SimulationAbort, World,
 )
 
 from conftest import blank_state_init, toy_registry
@@ -19,22 +18,19 @@ def counter_rules() -> RuleSet:
 
 
 def swapper_rules() -> RuleSet:
-    def network(ctx):
-        peers = ctx.providers("pairs")
-        if not peers:
-            return None
+    def coupling(ctx):
         new = dict(ctx.state)
-        new["count"] = ctx.peer_state(peers[0])["count"]
+        new["count"] = ctx.sibling(ctx.params["other"])["count"]
         return new
-    return RuleSet(init_state=blank_state_init({"count": 0}), network=network)
+    return RuleSet(init_state=blank_state_init({"count": 0}), coupling=coupling)
 
 
-def build_pair(registry, role, seed=1, order=("a", "b")) -> World:
+def build_pair(registry, role, seed=1, order=("ict", "social")) -> World:
+    """One agent whose two subagents each copy the other's count."""
+    other = dict(zip(order, reversed(order)))
     world = World(seed, registry)
-    for name in order:
-        world.add_agent(name, [(f"{name}::ict", "ict", role, {})])
-    world.add_edge("ict", "a::ict", "b::ict", "pairs")
-    world.add_edge("ict", "b::ict", "a::ict", "pairs")
+    world.add_agent("a", [(f"a::{system}", system, role, {"other": other[system]})
+                          for system in order])
     world.finalize()
     return world.start()
 
@@ -61,26 +57,26 @@ def test_empty_world_steps():
 
 
 def test_network_stage_reads_post_internal_snapshot_swap():
-    # two subagents swap counters: each ends up with the other's value,
-    # regardless of evaluation order
+    # two siblings swap counters in the coupling stage: each ends up with
+    # the other's value from the snapshot before the stage, regardless of
+    # evaluation order
     registry = toy_registry(swapper=swapper_rules())
     world = build_pair(registry, "swapper")
     world.change("a::ict", {"count": 10})
-    world.change("b::ict", {"count": 20})
+    world.change("a::social", {"count": 20})
     world.step()
     assert world.states["a::ict"]["count"] == 20
-    assert world.states["b::ict"]["count"] == 10
+    assert world.states["a::social"]["count"] == 10
 
 
 def test_registration_order_does_not_change_trajectory():
     registry1 = toy_registry(swapper=swapper_rules())
     registry2 = toy_registry(swapper=swapper_rules())
-    w1 = build_pair(registry1, "swapper", order=("a", "b"))
-    w2 = build_pair(registry2, "swapper", order=("b", "a"))
-    w1.change("a::ict", {"count": 1})
-    w1.change("b::ict", {"count": 2})
-    w2.change("a::ict", {"count": 1})
-    w2.change("b::ict", {"count": 2})
+    w1 = build_pair(registry1, "swapper", order=("ict", "social"))
+    w2 = build_pair(registry2, "swapper", order=("social", "ict"))
+    for world in (w1, w2):
+        world.change("a::ict", {"count": 1})
+        world.change("a::social", {"count": 2})
     for _ in range(5):
         w1.step()
         w2.step()
@@ -194,24 +190,6 @@ def test_every_settlement_sees_previous_tick_product_whatever_its_place():
             assert world.published == {"tick": tick}
 
 
-def test_cross_layer_network_read_rejected():
-    def peeker(ctx):
-        ctx.peer_state("b::social")
-        return None
-
-    registry = toy_registry(
-        peek=RuleSet(init_state=blank_state_init({}), network=peeker),
-        n=RuleSet(init_state=blank_state_init({})),
-    )
-    world = World(1, registry)
-    world.add_agent("a", [("a::ict", "ict", "peek", {})])
-    world.add_agent("b", [("b::social", "social", "n", {})])
-    world.finalize()
-    world = world.start()
-    with pytest.raises(KernelError, match="across layers"):
-        world.step()
-
-
 def test_rule_exception_becomes_abort_with_id_and_tick():
     def boom(ctx):
         if ctx.tick == 3:
@@ -242,7 +220,7 @@ def assert_derived_structure_matches_definition(world: World) -> None:
         expected = [sid for sid in ordered if world.records[sid].role == role]
         assert world.role_members(role) == expected
         for system in SYSTEMS:
-            cctx = CoordinatorContext(world, system, {}, {}, 0, {})
+            cctx = CoordinatorContext(world, system, {}, 0, {})
             assert cctx.members(role) == [
                 sid for sid in expected if world.records[sid].system == system]
     member_of = {(rec.agent_id, rec.system): sid for sid, rec in world.records.items()}
@@ -297,16 +275,13 @@ def test_edge_lookups_match_definition_on_casestudy(casestudy):
     layer = world.layers["ict"]
     labels = sorted({label for _, _, label in layer.edges})
     assert labels == ["attacks", "depends_on"]
-    ctx = RuleContext(world, STAGE_NETWORK, world.states, 1)
-    cctx = CoordinatorContext(world, "ict", world.states, dict(world.states), 1, {})
+    cctx = CoordinatorContext(world, "ict", dict(world.states), 1, {})
     for sid in world.role_members("cyber-infrastructure"):
-        ctx.sid, ctx._record = sid, world.records[sid]
         for label in labels + ["no-such-label"]:
             targets = sorted(to for frm, to, lab in layer.edges if frm == sid and lab == label)
             sources = sorted(frm for frm, to, lab in layer.edges if to == sid and lab == label)
-            assert ctx.providers(label) == targets
             assert cctx.providers(sid, label) == targets
-            assert ctx.dependents(label) == sources
+            assert cctx.dependents(sid, label) == sources
 
 
 def test_returned_role_members_can_be_mutated_safely():

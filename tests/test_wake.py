@@ -17,7 +17,7 @@ import conftest
 from citysim import build, metrics
 from citysim.build import build_world
 from citysim.hazards import HazardSchedule, apply_due
-from citysim.kernel import STAGE_INTERNAL, STAGE_NETWORK, BuildError, RuleSet, Wake, World
+from citysim.kernel import STAGE_INTERNAL, RuleSet, World
 from citysim.metrics import Recorder
 from citysim.scenario import BASELINE
 from citysim.systems import default_registry
@@ -200,7 +200,7 @@ def clock_world(calls):
 
     registry = toy_registry(clock=RuleSet(
         init_state=blank_state_init({}), internal=internal,
-        wakes={STAGE_INTERNAL: Wake(due=due)}))
+        wakes={STAGE_INTERNAL: due}))
     world = World(1, registry)
     for sid, offset in (("later", 3), ("never", None), ("now", 0), ("past", -3)):
         world.add_agent(sid, [(sid, "ict", "clock", {"offset": offset})])
@@ -229,42 +229,6 @@ def test_a_change_outside_the_stages_wakes_the_rule():
         world.step()
     assert calls["never"] == [1, 3]
     assert calls["later"] == [1, 3, 4, 5, 6]
-
-
-def test_network_rule_wakes_when_a_peer_it_reads_changes():
-    calls = []
-
-    def network(ctx):
-        calls.append((ctx.sid, ctx.tick))
-
-    registry = toy_registry(
-        reader=RuleSet(init_state=blank_state_init({}), network=network,
-                       wakes={STAGE_NETWORK: Wake(peers=(("feeds", "providers"),))}),
-        source=RuleSet(init_state=blank_state_init({})),
-    )
-    world = World(1, registry)
-    for sid, role in (("r1", "reader"), ("r2", "reader"), ("s", "source"), ("t", "source")):
-        world.add_agent(sid, [(sid, "ict", role, {})])
-    world.add_edge("ict", "r1", "s", "feeds")
-    world.add_edge("ict", "t", "r2", "feeds")  # r2 is t's provider, not its reader
-    world.finalize()
-    world = world.start()
-    world.step()
-    world.change("s", {"v": 1})
-    world.change("t", {"v": 1})
-    world.step()
-    world.step()
-    assert calls == [("r1", 1), ("r2", 1), ("r1", 2)]
-
-
-def test_peers_at_an_unknown_end_are_rejected():
-    registry = toy_registry(reader=RuleSet(
-        init_state=blank_state_init({}), network=lambda ctx: None,
-        wakes={STAGE_NETWORK: Wake(peers=(("feeds", "upstream"),))}))
-    world = World(1, registry)
-    world.add_agent("r", [("r", "ict", "reader", {})])
-    with pytest.raises(BuildError, match="unknown end 'upstream'"):
-        world.finalize()
 
 
 def recording(role, stage, calls):
