@@ -1,10 +1,12 @@
 """A minimal hand-built world, stepped tick by tick.
 
 Shows the core moving parts without any scenario file: agents are split
-into per-system subagents, every tick runs the three-stage pipeline
-(internal dynamics, same-layer interaction, cross-system coupling), and
-all reads go against the previous stage's completed snapshot - so update
-order can never change the result.
+into per-system subagents, and every tick takes two steps.  First each
+system's settlement advances its own layer in one pass (the subagents' own
+dynamics, then interaction over the layer's network); then the coupling
+map lets each subagent react to its agent's other subagents, every rule
+reading the same completed post-settlement snapshot - so update order can
+never change the result.
 
 Run:  python demos/01_minimal_world.py
 """
@@ -53,10 +55,9 @@ def main():
     print("healthcare layer:",
           sorted(sid for sid, rec in world.records.items() if rec.system == "healthcare"))
 
-    # arm the attacker by hand (scenarios do this through a hazard event)
-    state = dict(world.states["intruder::ict"])
-    state["active"] = True
-    world.states["intruder::ict"] = state
+    # arm the attacker by hand (scenarios do this through a hazard event);
+    # World.change is the one way to change a state from outside the tick
+    world.change("intruder::ict", dict(world.states["intruder::ict"], active=True))
 
     print("\ntick  clinic ICT up  clinic beds  note")
     was_down = False

@@ -71,7 +71,7 @@ class ReferenceTrafficSimulator(FederationAdapter):
     the seed is accepted for contract compatibility.
     """
 
-    def __init__(self, v_min_frac: float = 0.1, light_off_factor: float = 0.4):
+    def __init__(self, v_min_frac: float, light_off_factor: float):
         self.v_min_frac = v_min_frac
         self.light_off_factor = light_off_factor
         self._roadways: dict[str, dict] = {}

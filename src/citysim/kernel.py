@@ -1,30 +1,28 @@
-"""Multi-layer world of agents and subagents with a staged tick pipeline.
+"""Multi-layer world of agents and subagents, advanced one tick at a time.
 
 A functional city entity (an agent) is split into one subagent per system
-it participates in.  Each simulated hour the world advances in three
-steps:
+it participates in.  Each simulated hour the world advances in two steps:
 
-  internal     -- per-subagent map of self-contained dynamics; a rule
-                  reads only its own previous state and parameters.
-  settlements  -- interaction inside a system, on its network: one
-                  deterministic pass per system in ``SYSTEMS`` order,
-                  reading and writing its own layer's post-internal states.
+  settlements  -- each system advances its own layer: one deterministic
+                  pass per system in ``SYSTEMS`` order over a copy of last
+                  tick's states.  The pass applies each member's own
+                  dynamics before anything reads that member, then the
+                  interaction inside the system, on its network.
   coupling     -- per-subagent map of interaction between systems; a rule
                   reads the post-settlement states of its agent's members.
 
-Each map is evaluated against the previous step's completed snapshot, so
-trajectories do not depend on registration or iteration order.  State
-dicts are treated as immutable once published: rules return a fresh dict
-(or None for "unchanged") and must never mutate the dict handed to them.
+The coupling map is evaluated against the completed post-settlement
+snapshot, so trajectories do not depend on registration or iteration
+order.  State dicts are treated as immutable once published: rules return
+a fresh dict (or None for "unchanged") and must never mutate the dict
+handed to them.
 
-A stage rule runs only when it can return a new state.  A role that
-declares a wake for a stage has its rule called at tick 1, at the due tick
-it declares, and when a subagent it reads has changed since its slot last
-ran: the subagent itself, and in the coupling stage its siblings.  A stage
-a role declares nothing for runs every tick.  Every change the kernel sees
-is a rule's new state, a settlement's ``set`` or ``World.change``, which is
-how a change made outside the stages (a hazard, a test) reaches it.  The
-calls of a stage run in subagent id order either way.
+A coupling rule runs only when it can return a new state: at tick 1, at
+the due tick its role declares, and when a subagent it reads has changed
+since it last ran: itself or one of its siblings.  Every change the kernel
+sees is a rule's new state, a settlement's ``set`` or ``World.change``,
+which is how a change made outside the tick (a hazard, a test) reaches it.
+The calls run in subagent id order.
 
 A settlement may publish a read-only product for the settlements of other
 layers, such as the tick's trips or where its citizens were placed.  It is
@@ -43,10 +41,6 @@ from typing import Callable
 from .rng import Stream, TickRng
 
 SYSTEMS = ("ict", "healthcare", "mobility", "social", "urban_landscape")
-
-STAGE_INTERNAL = "internal"
-STAGE_COUPLING = "coupling"
-STAGES = (STAGE_INTERNAL, STAGE_COUPLING)
 
 
 class KernelError(Exception):
@@ -71,24 +65,24 @@ class SimulationAbort(KernelError):
 class RuleSet:
     """Named, parameterizable behavior bound to a subagent role tag.
 
-    ``internal`` and ``coupling`` are the rules of the two per-subagent
-    maps.  ``wakes`` maps a stage to ``due(ctx, state)``, the first tick
-    after ``ctx.tick`` at which its rule may return a new state, where
-    ``state`` is the subagent's state after this call (a tick at or before
-    ``ctx.tick`` means the next tick, None only a change), or to None when
-    only a change can wake the rule.  A declared rule must return None
-    whenever it is called with nothing changed before its due tick, for the
-    kernel then skips it; a stage without a declaration runs every tick.
+    ``coupling`` is the role's rule in the coupling map.  ``due(ctx,
+    state)`` gives the first tick after ``ctx.tick`` at which it may return
+    a new state, where ``state`` is the subagent's state after this call (a
+    tick at or before ``ctx.tick`` means the next tick, None only a
+    change); without ``due`` the rule runs only after a change.  It must
+    return None whenever it is called with nothing changed before its due
+    tick, for the kernel then skips it.
     """
 
     init_state: Callable[[dict, Stream], dict]
-    internal: Callable | None = None
     coupling: Callable | None = None
     observe: Callable | None = None  # (state, params) -> list[(metric name, value)]
-    wakes: dict[str, Callable | None] = field(default_factory=dict)
-    network = None  # not a field; kept for tracers that read every stage rule by name
+    due: Callable | None = None
+    # not fields; kept for tracers that read every stage rule by name
+    internal = None
+    network = None
 
-# the rules of a role that is structure only: no state, no stage rule,
+# the rules of a role that is structure only: no state, no coupling rule,
 # nothing observed
 STATELESS = RuleSet(init_state=lambda params, stream: {}, observe=lambda state, params: [])
 
@@ -148,22 +142,16 @@ class SystemLayer:
 
 
 class RuleContext:
-    """Read interface handed to the rules of the two per-subagent maps;
-    enforces the stage read discipline.
+    """Read interface handed to a coupling rule: its own state and params,
+    and the post-settlement states of its agent's siblings."""
 
-    internal: own state and params only.  coupling: also the states of the
-    same agent's siblings, after the settlements.
-    """
+    __slots__ = ("_world", "_prev", "tick", "sid")
 
-    __slots__ = ("_world", "_stage", "_prev", "tick", "sid", "_record")
-
-    def __init__(self, world: "World", stage: str, prev: dict, tick: int):
+    def __init__(self, world: "World", prev: dict, tick: int):
         self._world = world
-        self._stage = stage
         self._prev = prev
         self.tick = tick
         self.sid = ""
-        self._record: SubAgentRecord | None = None
 
     @property
     def params(self) -> dict:
@@ -173,25 +161,20 @@ class RuleContext:
     def state(self) -> dict:
         return self._prev[self.sid]
 
-    def rng(self, label: str) -> TickRng:
-        return self._record.stream.at(self.tick, label)
-
     def sibling(self, system: str) -> dict | None:
-        """State of this agent's subagent in another system (coupling stage),
-        or None if the agent has none there."""
-        if self._stage != STAGE_COUPLING:
-            raise KernelError(f"sibling only available in the coupling stage, not {self._stage}")
+        """State of this agent's subagent in another system, or None if the
+        agent has none there."""
         sid = self._world.counterpart(self.sid, system)
         return None if sid is None else self._prev[sid]
 
 
 class CoordinatorContext:
-    """Write interface for a system's settlement pass, which runs after the
-    internal map.
+    """Write interface for a system's settlement pass.
 
     Reads and overwrites the states of its own layer's members only, in the
-    post-internal snapshot.  Products it publishes go into ``products``,
-    which the kernel commits when the last settlement has run.
+    tick's snapshot, which starts as a copy of last tick's states.  Products
+    it publishes go into ``products``, which the kernel commits when the
+    last settlement has run.
     """
 
     __slots__ = ("_world", "system", "_nxt", "tick", "_records", "_products")
@@ -218,7 +201,7 @@ class CoordinatorContext:
         if self._records[sid].system != self.system:
             raise KernelError(f"{self.system} settlement wrote to foreign subagent {sid!r}")
         self._nxt[sid] = state
-        self._world._note(sid)
+        self._world._changed.add(sid)
 
     def params(self, sid: str) -> dict:
         return self._world.params[sid]
@@ -271,14 +254,14 @@ class World:
     """A city's frozen structure, or one run on it.
 
     ``finalize`` freezes the structure: registry, records (with the params
-    each subagent was built with), layers and edge index, role orders, stage
-    plans, ``derived`` and the services a build attaches.  ``start`` begins
-    a run: a shallow copy that shares all of that and owns its ``params``
-    map (sharing the records' dicts until a change copies one), the states
-    derived from it, ``tick``, ``published``, ``run_log``, a ``services``
-    dict, and what decides which rules run: per stage, the subagents changed
-    since it last ran and the declared rules due at each tick.  A structure
-    holds neither params map nor states; it cannot step.
+    each subagent was built with), layers and edge index, role orders, the
+    coupling plan, ``derived`` and the services a build attaches.  ``start``
+    begins a run: a shallow copy that shares all of that and owns its
+    ``params`` map (sharing the records' dicts until a change copies one),
+    the states derived from it, ``tick``, ``published``, ``run_log``, a
+    ``services`` dict, and what decides which coupling rules run: the
+    subagents changed since the map last ran and the rules due at each
+    tick.  A structure holds neither params map nor states; it cannot step.
     """
 
     def __init__(self, master_seed: int, registry: Registry):
@@ -293,17 +276,14 @@ class World:
         self.tick = 0
         self.run_log: list[tuple[int, str]] = []
         self.published: dict[str, object] = {}
-        # stage -> the records with a rule for it, in id order; the part
-        # whose role declares no wake for it; role -> (rule, due function or
-        # None); the roles that declare a wake
-        self._stage_plan: dict[str, list[SubAgentRecord]] = {}
-        self._every_tick: dict[str, list[SubAgentRecord]] = {}
-        self._stage_rules: dict[str, dict[str, tuple[Callable, Callable | None]]] = {}
-        self._declared: dict[str, set[str]] = {}
-        # per run, stage -> subagents changed since it last ran, and
-        # stage -> tick -> declared subagents due then
-        self._changed: dict[str, set[str]] = {}
-        self._due: dict[str, dict[int, set[str]]] = {}
+        # the records with a coupling rule, in id order; role -> (rule, due
+        # function or None)
+        self._plan: list[SubAgentRecord] = []
+        self._rules: dict[str, tuple[Callable, Callable | None]] = {}
+        # per run, the subagents changed since the coupling map last ran,
+        # and tick -> subagents due then
+        self._changed: set[str] = set()
+        self._due: dict[int, set[str]] = {}
         self._role_order: dict[str, list[str]] = {}
         self.layer_role_order: dict[tuple[str, str], list[str]] = {}
         self._finalized = False
@@ -346,9 +326,10 @@ class World:
         self.layers[system].edges.append((frm, to, label))
 
     def finalize(self) -> None:
-        """Freeze the structure: records in id order, edge index, stage plans
-        and sorted member lists per role and per (layer, role).  Each record's
-        params must pass its role's init_state; states are derived per run."""
+        """Freeze the structure: records in id order, edge index, coupling
+        plan and sorted member lists per role and per (layer, role).  Each
+        record's params must pass its role's init_state; states are derived
+        per run."""
         if self._finalized:
             raise BuildError("world already finalized")
         for layer in self.layers.values():
@@ -364,16 +345,9 @@ class World:
             if ruleset.observe is None:
                 raise BuildError(f"role {rec.role!r} has no observability function")
             ruleset.init_state(rec.params, rec.stream)
-        for stage in STAGES:
-            rules = self._stage_rules[stage] = {
-                role: (getattr(ruleset, stage), ruleset.wakes.get(stage))
-                for role, ruleset in self.registry.rules.items() if getattr(ruleset, stage)
-            }
-            self._declared[stage] = {role for role in rules
-                                     if stage in self.registry.rules[role].wakes}
-            self._stage_plan[stage] = [rec for rec in self.records.values() if rec.role in rules]
-            self._every_tick[stage] = [rec for rec in self._stage_plan[stage]
-                                       if rec.role not in self._declared[stage]]
+        self._rules = {role: (ruleset.coupling, ruleset.due)
+                       for role, ruleset in self.registry.rules.items() if ruleset.coupling}
+        self._plan = [rec for rec in self.records.values() if rec.role in self._rules]
         self._finalized = True
 
     def start(self, params: dict[str, dict] | None = None) -> "World":
@@ -387,8 +361,7 @@ class World:
             for sid, rec in self.records.items()
         }
         run.tick, run.run_log, run.published, run.services = 0, [], {}, dict(self.services)
-        run._changed = {stage: set() for stage in STAGES}
-        run._due = {stage: {} for stage in STAGES}
+        run._changed, run._due = set(), {}
         return run
 
     # -- queries ------------------------------------------------------------
@@ -409,48 +382,36 @@ class World:
     # -- dynamics -----------------------------------------------------------
 
     def change(self, sid: str, state: dict | None = None) -> None:
-        """A change made outside the stages, such as a hazard's: the new
-        state of ``sid`` if one is given, else a change of its params already
-        made in ``self.params``.  The rules that read it run at the next step."""
+        """A change made outside the tick, such as a hazard's: the new state
+        of ``sid`` if one is given, else a change of its params already made
+        in ``self.params``.  The rules that read it run at the next step."""
         if state is not None:
             self.states[sid] = state
-        self._note(sid)
+        self._changed.add(sid)
 
-    def _note(self, sid: str) -> None:
-        for changed in self._changed.values():
-            changed.add(sid)
-
-    def _calls(self, stage: str, tick: int) -> list[SubAgentRecord]:
-        """This tick's rule calls of one stage, in subagent id order: all of
-        them at tick 1; later the every-tick rules and the declared rules
-        that are due or read a subagent changed since the stage last ran."""
-        changed, self._changed[stage] = self._changed[stage], set()
-        declared, records = self._declared[stage], self.records
-        if tick == 1 or not declared:
-            return self._stage_plan[stage]
-        woken = self._due[stage].pop(tick, set())
+    def _calls(self, tick: int) -> list[SubAgentRecord]:
+        """This tick's coupling rule calls, in subagent id order: all of them
+        at tick 1; later the rules that are due or read a subagent changed
+        since the map last ran."""
+        changed, self._changed = self._changed, set()
+        if tick == 1:
+            return self._plan
+        records, rules = self.records, self._rules
+        woken = self._due.pop(tick, set())
         for sid in changed:
-            if stage == STAGE_COUPLING:
-                for sibling in records[sid].siblings.values():
-                    if records[sibling].role in declared:
-                        woken.add(sibling)
-            elif records[sid].role in declared:
-                woken.add(sid)
-        every = self._every_tick[stage]
-        if not woken:
-            return every
-        return sorted(every + [records[sid] for sid in woken], key=attrgetter("id"))
+            for sibling in records[sid].siblings.values():
+                if records[sibling].role in rules:
+                    woken.add(sibling)
+        return sorted((records[sid] for sid in woken), key=attrgetter("id"))
 
-    def _map(self, stage: str, prev: dict, tick: int) -> dict:
-        """The snapshot after this tick's rule calls of one stage, each of
-        which reads ``prev``."""
-        nxt = dict(prev)
-        ctx = RuleContext(self, stage, prev, tick)
-        rules, due_at = self._stage_rules[stage], self._due[stage]
-        for rec in self._calls(stage, tick):
+    def _couple(self, prev: dict, tick: int) -> None:
+        """Apply this tick's coupling rule calls to ``prev``, after all of
+        them have read it."""
+        ctx = RuleContext(self, prev, tick)
+        rules, due_at, outs = self._rules, self._due, []
+        for rec in self._calls(tick):
             fn, due_fn = rules[rec.role]
             ctx.sid = sid = rec.id
-            ctx._record = rec
             try:
                 out = fn(ctx)
                 due = None if due_fn is None else due_fn(ctx, prev[sid] if out is None else out)
@@ -459,19 +420,19 @@ class World:
             except Exception as exc:
                 raise SimulationAbort(sid, tick, exc) from exc
             if out is not None:
-                nxt[sid] = out
-                self._note(sid)
+                outs.append((sid, out))
             if due is not None:
                 due_at.setdefault(max(due, tick + 1), set()).add(sid)
-        return nxt
+        prev.update(outs)
+        self._changed.update(sid for sid, _ in outs)
 
     def step(self) -> None:
-        """Advance the world one tick: the internal map, the settlements in
-        ``SYSTEMS`` order writing into its snapshot, then the coupling map."""
+        """Advance the world one tick: the settlements in ``SYSTEMS`` order
+        over a copy of last tick's states, then the coupling map."""
         if self.states is None:
             raise KernelError("world not started")
         tick = self.tick + 1
-        nxt = self._map(STAGE_INTERNAL, self.states, tick)
+        nxt = dict(self.states)
         products: dict[str, object] = {}
         for system in SYSTEMS:
             coord = self.registry.coordinators.get(system)
@@ -483,5 +444,6 @@ class World:
                 except Exception as exc:
                     raise SimulationAbort(f"<{system} settlement>", tick, exc) from exc
         self.published.update(products)
-        self.states = self._map(STAGE_COUPLING, nxt, tick)
+        self._couple(nxt, tick)
+        self.states = nxt
         self.tick = tick

@@ -11,19 +11,22 @@ at critical resolution.  Severe and critical patients are bedridden: they
 stay home unless admitted, and recovery from either is followed by a
 convalescence window before normal activity.
 
-Transmission runs first in the healthcare settlement, from the infectious
-side, over their citizens' contacts in the social settlement's previous
-placement, which draws contacts only at the places asked about.  Bed
-assignment follows in the same serialized pass: discharges free beds the
-same tick, critical inpatients are moved to ICU when one is free, then
-unplaced severe/critical patients are admitted home-hospital-first with
-referral to the least-occupied peer.  Patients placed nowhere are counted
-as unattended against the hospital they first approached and retry every tick.
+The healthcare settlement advances the layer in one walk over the patients
+in id order.  Each patient first progresses, then takes its bed: discharges
+free beds the same tick, critical inpatients are moved to ICU when one is
+free, then unplaced severe/critical patients are admitted home-hospital-first
+with referral to the least-occupied peer.  Patients placed nowhere are
+counted as unattended against the hospital they first approached and retry
+every tick.  Transmission follows the walk, from the infectious side, over
+their citizens' contacts in the social settlement's previous placement,
+which draws contacts only at the places asked about.  It touches only
+susceptible patients and bed assignment only infected ones, so the order of
+the two does not show.
 """
 
 from __future__ import annotations
 
-from ..kernel import STAGE_INTERNAL, CoordinatorContext, Registry, RuleContext, RuleSet
+from ..kernel import CoordinatorContext, Registry, RuleContext, RuleSet
 
 ROLE_PATIENT = "patient"
 ROLE_HOSPITAL = "hospital"
@@ -77,43 +80,38 @@ def _resolve(state: dict, outcome: str, tick: int, convalescence: int) -> None:
         state["rest_until"] = tick + convalescence
 
 
-def patient_internal(ctx: RuleContext) -> dict | None:
+def _progress(cctx: CoordinatorContext, pid: str, state: dict) -> dict:
     """Disease progression for one patient: nothing until its stage's due tick."""
-    state = ctx.state
-    if state["infection"] != "infected" or ctx.tick < state["stage_end"]:
-        return None
+    tick = cctx.tick
+    if state["infection"] != "infected" or tick < state["stage_end"]:
+        return state
     new = dict(state)
-    p = ctx.params
-    rng = ctx.rng("course")
+    p = cctx.params(pid)
+    rng = cctx.rng(pid, "course")
     u = rng.random()
     severity = state["severity"]
     if severity == "mild":
         if u < p["p_severe"]:
             lo, hi = p["severe_hours"]
-            _enter_stage(new, "severe", ctx.tick + rng.randint(int(lo), int(hi)))
+            _enter_stage(new, "severe", tick + rng.randint(int(lo), int(hi)))
         else:
-            _resolve(new, "recovered", ctx.tick, 0)
+            _resolve(new, "recovered", tick, 0)
     elif severity == "severe":
         if u < p["p_worsen"]:
             lo, hi = p["critical_hours"]
-            _enter_stage(new, "critical", ctx.tick + rng.randint(int(lo), int(hi)))
+            _enter_stage(new, "critical", tick + rng.randint(int(lo), int(hi)))
         else:
-            _resolve(new, "recovered", ctx.tick, int(p["convalescence_hours"]))
+            _resolve(new, "recovered", tick, int(p["convalescence_hours"]))
     else:  # critical
         if state["bed_class"] == "icu":
             p_die = min(1.0, max(0.0, p["p_die_treated"] * (2.0 - state["care_quality"])))
         else:
             p_die = p["p_die_untreated"]
         if u < p_die:
-            _resolve(new, "dead", ctx.tick, 0)
+            _resolve(new, "dead", tick, 0)
         else:
-            _resolve(new, "recovered", ctx.tick, int(p["convalescence_hours"]))
+            _resolve(new, "recovered", tick, int(p["convalescence_hours"]))
     return new
-
-
-def stage_due(ctx: RuleContext, state: dict) -> int | None:
-    """``patient_internal`` acts next when the current stage ends."""
-    return state["stage_end"] if state["infection"] == "infected" else None
 
 
 def _init_hospital(params: dict, stream) -> dict:
@@ -172,7 +170,7 @@ def _bed_field(bed_class: str) -> tuple[str, str]:
     return "general_occupancy", "general_capacity"
 
 
-def _transmit(cctx: CoordinatorContext, patients: list[str]) -> None:
+def _transmit(cctx: CoordinatorContext, sources: list[str]) -> None:
     """Disease transmission over last tick's placement, tried from each
     infectious patient to its citizen's contacts there.
 
@@ -184,7 +182,6 @@ def _transmit(cctx: CoordinatorContext, patients: list[str]) -> None:
     placement = cctx.published("placement")
     if placement is None:
         return
-    sources = [pid for pid in patients if cctx.get(pid)["infection"] == "infected"]
     for src in sources:
         for contact in placement.contacts(cctx.counterpart(src, "social")):
             pid = cctx.counterpart(contact, "healthcare")
@@ -204,28 +201,26 @@ def _transmit(cctx: CoordinatorContext, patients: list[str]) -> None:
 
 
 def healthcare_settlement(cctx: CoordinatorContext) -> None:
-    """Transmission, then patient reception, discharge and referral,
-    serialized in patient id order."""
+    """Progression, reception, discharge and referral in one walk in
+    patient id order, then transmission from the patients infected after
+    their progression.  A patient gets one new state in the walk, and only
+    if it changed."""
     patients = cctx.members(ROLE_PATIENT)
-    _transmit(cctx, patients)
-    hospitals = cctx.members(ROLE_HOSPITAL)
-    if not hospitals or not patients:
+    if not patients:
         return
-    work = {h: dict(cctx.get(h)) for h in hospitals}
-    for h in work:
-        work[h]["unattended_this_tick"] = 0
+    hospitals = cctx.members(ROLE_HOSPITAL)
+    work = {h: dict(cctx.get(h), unattended_this_tick=0) for h in hospitals}
+    # bookkeeping self-check: counters must match patient placements exactly
+    recount = {h: {"general_occupancy": 0, "icu_occupancy": 0} for h in work}
 
     def has_space(h: str, bed_class: str) -> bool:
         occ, cap = _bed_field(bed_class)
         return work[h][occ] < work[h][cap]
 
-    def place(pid: str, pst: dict, h: str, bed_class: str) -> dict:
+    def place(pst: dict, h: str, bed_class: str) -> dict:
         occ, _ = _bed_field(bed_class)
         work[h][occ] += 1
-        new = dict(pst)
-        new.update(located_in=h, bed_class=bed_class, care_quality=work[h]["care_quality"])
-        cctx.set(pid, new)
-        return new
+        return dict(pst, located_in=h, bed_class=bed_class, care_quality=work[h]["care_quality"])
 
     def release(pst: dict) -> None:
         occ, _ = _bed_field(pst["bed_class"])
@@ -240,62 +235,58 @@ def healthcare_settlement(cctx: CoordinatorContext) -> None:
         ]
         return min(options)[1] if options else None
 
-    for pid in patients:
-        pst = cctx.get(pid)
-        infection = pst["infection"]
+    def take_bed(pid: str, pst: dict) -> dict:
         # discharge: recovered or dead inpatients free their bed this tick
-        if pst["located_in"] is not None and infection in ("recovered", "dead"):
+        if pst["located_in"] is not None and pst["infection"] in ("recovered", "dead"):
             release(pst)
-            new = dict(pst)
-            new.update(located_in=None, bed_class=None)
-            cctx.set(pid, new)
-            continue
-        if infection != "infected":
-            continue
+            return dict(pst, located_in=None, bed_class=None)
+        if pst["infection"] != "infected":
+            return pst
         severity = pst["severity"]
         # escalation: critical inpatient in a general bed wants an ICU bed
         if pst["located_in"] is not None:
             if severity == "critical" and pst["bed_class"] == "general":
-                target = None
                 if has_space(pst["located_in"], "icu"):
                     target = pst["located_in"]
                 else:
                     target = pick_referral(pst["located_in"], "icu")
                 if target is not None:
                     release(pst)
-                    pst = place(pid, pst, target, "icu")
+                    pst = place(pst, target, "icu")
             # refresh care context for all inpatients (degradation mid-stay)
             current = work[pst["located_in"]]["care_quality"]
             if pst["care_quality"] != current:
-                new = dict(pst)
-                new["care_quality"] = current
-                cctx.set(pid, new)
-            continue
+                pst = dict(pst, care_quality=current)
+            return pst
         # admission attempt for unplaced severe/critical patients
         if severity not in ("severe", "critical"):
-            continue
+            return pst
         home = cctx.params(pid)["home_hospital"]
         if home is None or home not in work:
-            continue
+            return pst
         bed_class = "icu" if severity == "critical" else "general"
         if has_space(home, bed_class):
-            place(pid, pst, home, bed_class)
-        else:
-            peer = pick_referral(home, bed_class)
-            if peer is not None:
-                place(pid, pst, peer, bed_class)
-            else:
-                work[home]["unattended_this_tick"] += 1
+            return place(pst, home, bed_class)
+        peer = pick_referral(home, bed_class)
+        if peer is not None:
+            return place(pst, peer, bed_class)
+        work[home]["unattended_this_tick"] += 1
+        return pst
 
-    # bookkeeping self-check: counters must match patient placements exactly
-    recount = {h: {"general_occupancy": 0, "icu_occupancy": 0} for h in work}
+    sources = []  # infectious after progression
     for pid in patients:
-        pst = cctx.get(pid)
+        before = cctx.get(pid)
+        pst = _progress(cctx, pid, before)
+        if pst["infection"] == "infected":
+            sources.append(pid)
+        pst = take_bed(pid, pst)
         if pst["located_in"] is not None:
             if pst["severity"] not in ("severe", "critical"):
                 raise ValueError(f"inpatient {pid} with severity {pst['severity']!r}")
             occ, _ = _bed_field(pst["bed_class"])
             recount[pst["located_in"]][occ] += 1
+        if pst is not before:
+            cctx.set(pid, pst)
     for h in hospitals:
         for occ in ("general_occupancy", "icu_occupancy"):
             if recount[h][occ] != work[h][occ]:
@@ -305,6 +296,7 @@ def healthcare_settlement(cctx: CoordinatorContext) -> None:
                 )
         if work[h] != cctx.get(h):
             cctx.set(h, work[h])
+    _transmit(cctx, sources)
 
 
 def _observe_patient(state, params) -> list[tuple[str, object]]:
@@ -346,9 +338,7 @@ def _aggregate(world) -> list[tuple[str, object]]:
 def register(registry: Registry) -> None:
     registry.register_role(ROLE_PATIENT, RuleSet(
         init_state=_init_patient,
-        internal=patient_internal,
         observe=_observe_patient,
-        wakes={STAGE_INTERNAL: stage_due},
     ))
     registry.register_role(ROLE_HOSPITAL, RuleSet(
         init_state=_init_hospital,

@@ -10,15 +10,16 @@ instantly: a node whose upstream provider is down reports itself
 effectively unavailable in the same tick, even though it is not itself
 compromised and keeps no recovery clock.
 
-The per-subagent rules are local: an attacker's emission and a node's
-recovery.  Everything that travels over the layer's edges, the arrival of
-attacks and effective availability, happens in the ICT settlement.
+The ICT settlement advances the whole layer in one pass: first each armed
+attacker emits, then the walk over the nodes in dependency order recovers
+a node whose clock has run out, takes its attack arrivals and derives its
+effective availability.
 """
 
 from __future__ import annotations
 
 from ..hazards import param_kind
-from ..kernel import STAGE_INTERNAL, CoordinatorContext, Registry, RuleContext, RuleSet
+from ..kernel import CoordinatorContext, Registry, RuleSet
 
 ROLE_NODE = "cyber-infrastructure"
 ROLE_ATTACKER = "cyber-attacker"
@@ -61,16 +62,11 @@ def _init_attacker(params: dict, stream) -> dict:
     return {"active": False, "emitted_at": None, "attacks_emitted": 0}
 
 
-def attacker_internal(ctx: RuleContext) -> dict | None:
-    """One-shot attack generation: armed attackers emit once and disarm."""
-    state = ctx.state
+def _emit(state: dict, tick: int) -> dict:
+    """One-shot attack generation: an armed attacker emits once and disarms."""
     if not state["active"]:
-        return None
-    return {
-        "active": False,
-        "emitted_at": ctx.tick,
-        "attacks_emitted": state["attacks_emitted"] + 1,
-    }
+        return state
+    return {"active": False, "emitted_at": tick, "attacks_emitted": state["attacks_emitted"] + 1}
 
 
 def _wave_spec(attacker_params: dict) -> tuple[float, float]:
@@ -81,22 +77,12 @@ def _wave_spec(attacker_params: dict) -> tuple[float, float]:
     return float(prop), float(recovery_scale)
 
 
-def node_internal(ctx: RuleContext) -> dict | None:
+def _recover(state: dict, tick: int) -> dict:
     """Nominal operation plus recovery: restore once the clock runs out."""
-    state = ctx.state
-    if state["available"] or ctx.tick < state["recovery_due"]:
-        return None
-    new = dict(state)
-    new.update(
-        available=True, compromised_at=None,
-        recovery_due=None, attack_prop=None, attack_recovery_scale=None,
-    )
-    return new
-
-
-def recovery_due(ctx: RuleContext, state: dict) -> int | None:
-    """``node_internal`` acts next when a down node's recovery clock runs out."""
-    return None if state["available"] else state["recovery_due"]
+    if state["available"] or tick < state["recovery_due"]:
+        return state
+    return dict(state, available=True, compromised_at=None, recovery_due=None,
+                attack_prop=None, attack_recovery_scale=None)
 
 
 def dependency_order(nodes: list[str], providers) -> list[str] | None:
@@ -159,14 +145,16 @@ def _arrival(cctx: CoordinatorContext, sid: str, providers: list[str],
 
 
 def ict_settlement(cctx: CoordinatorContext) -> None:
-    """Attack arrivals, then effective availability, in one walk over the
-    acyclic dependency graph.
+    """Attack emission, then recovery, attack arrivals and effective
+    availability in one walk over the acyclic dependency graph.
 
-    Nodes are visited in dependency order, computed once per structure with
-    each node's providers and dependents.  A node an attack can reach this
-    tick first takes its arrivals: a successful one compromises it, and on
-    an already-down node rewinds its clock.  A node compromised last tick
-    sends its wave with the attack it had before any hit of this tick.
+    Each armed attacker emits first.  Nodes are then visited in dependency
+    order, computed once per structure with each node's providers and
+    dependents.  A node whose recovery clock has run out recovers before
+    anything reads it, so it sends no wave.  A node an attack can reach
+    this tick then takes its arrivals: a successful one compromises it, and
+    on an already-down node rewinds its clock.  A node compromised last
+    tick sends its wave with the attack it had before any hit of this tick.
     Then a node is effectively available iff it is up and all its providers
     are, so a whole hierarchy outage shows up in the same tick's metrics.
     A node gets one new state, and only if it changed.
@@ -175,31 +163,36 @@ def ict_settlement(cctx: CoordinatorContext) -> None:
     last = tick - 1
     # the nodes an attack can reach this tick: the targets of the attackers
     # that emitted, and, added during the walk, the dependents of the wave
-    reached = {target for attacker in cctx.members(ROLE_ATTACKER)
-               if cctx.get(attacker)["emitted_at"] == tick
-               for target in cctx.providers(attacker, EDGE_ATTACKS)}
+    reached: set[str] = set()
+    for attacker in cctx.members(ROLE_ATTACKER):
+        state = cctx.get(attacker)
+        emitted = _emit(state, tick)
+        if emitted is not state:
+            cctx.set(attacker, emitted)
+            reached.update(cctx.providers(attacker, EDGE_ATTACKS))
     wave: dict[str, tuple[float, float]] = {}  # compromised last tick -> its attack
     effective: dict[str, bool] = {}
     for sid, providers, dependents in cctx.derived("ict_dependency_order",
                                                    lambda: _settlement_plan(cctx)):
-        state = cctx.get(sid)
+        before = cctx.get(sid)
+        state = _recover(before, tick)
         if state["compromised_at"] == last:
             wave[sid] = (state["attack_prop"], state["attack_recovery_scale"])
             reached.update(dependents)
-        if sid in reached:
-            hit = _arrival(cctx, sid, providers, wave)
-            if hit is not None:
-                prop, scale = hit
-                recovery = max(1, round(cctx.params(sid)["recovery_ticks"] * scale))
-                cctx.set(sid, dict(state, available=False, effective_available=False,
-                                   compromised_at=tick, recovery_due=tick + recovery,
-                                   attack_prop=prop, attack_recovery_scale=scale))
-                effective[sid] = False
-                continue
-        value = state["available"] and all(effective[p] for p in providers)
-        effective[sid] = value
-        if state["effective_available"] != value:
-            cctx.set(sid, dict(state, effective_available=value))
+        hit = _arrival(cctx, sid, providers, wave) if sid in reached else None
+        if hit is not None:
+            prop, scale = hit
+            recovery = max(1, round(cctx.params(sid)["recovery_ticks"] * scale))
+            state = dict(state, available=False, effective_available=False,
+                         compromised_at=tick, recovery_due=tick + recovery,
+                         attack_prop=prop, attack_recovery_scale=scale)
+        else:
+            value = state["available"] and all(effective[p] for p in providers)
+            if state["effective_available"] != value:
+                state = dict(state, effective_available=value)
+        effective[sid] = state["effective_available"]
+        if state is not before:
+            cctx.set(sid, state)
 
 
 def _observe_node(state, params) -> list[tuple[str, object]]:
@@ -228,15 +221,11 @@ def _aggregate(world) -> list[tuple[str, object]]:
 def register(registry: Registry) -> None:
     registry.register_role(ROLE_NODE, RuleSet(
         init_state=_init_node,
-        internal=node_internal,
         observe=_observe_node,
-        wakes={STAGE_INTERNAL: recovery_due},
     ))
     registry.register_role(ROLE_ATTACKER, RuleSet(
         init_state=_init_attacker,
-        internal=attacker_internal,
         observe=_observe_attacker,
-        wakes={STAGE_INTERNAL: None},  # only a hazard arms it
     ))
     registry.register_coordinator("ict", ict_settlement)
     registry.register_aggregator("ict", _aggregate)

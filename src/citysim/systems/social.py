@@ -3,14 +3,17 @@
 Citizens follow a precomputed 24-hour schedule (timetable template plus a
 per-citizen seeded boundary jitter, fixed at build).  Crossing a window
 boundary to a different place puts the citizen in transit for one tick and
-starts a trip.  Arrivals, place capacity and trips are resolved in a single
-deterministic settlement pass per tick.  It publishes the tick's trips,
-which the mobility layer turns into road demand (a citizen's passenger
-subagent is only its vehicle id and has no state), and its ``Placement``:
-the place occupancy, which the urban landscape layer writes into its places,
-and contacts, drawn per place only where transmission asks: every occupant
-draws a fixed fan-out of distinct co-occupants, household members at home
-contact each other, and all contacts are symmetrized.
+starts a trip.  The social settlement advances the layer in one walk over
+the citizens in id order: each takes its timetable step, then its trip is
+recorded, its arrival collected or its place noted.  The arrivals are then
+placed in id order against place capacity.  The settlement publishes the
+tick's trips, which the mobility layer turns into road demand (a citizen's
+passenger subagent is only its vehicle id and has no state), and its
+``Placement``: the place occupancy, which the urban landscape layer writes
+into its places, and contacts, drawn per place only where transmission
+asks: every occupant draws a fixed fan-out of distinct co-occupants,
+household members at home contact each other, and all contacts are
+symmetrized.
 
 The citizen's location string is authoritative ("place:X", "transit",
 "hospital:X" or "dead").  The moving-entity subagent is the citizen in the
@@ -19,9 +22,10 @@ urban landscape layer; it is structure only and has no state.
 
 from __future__ import annotations
 
+from bisect import insort
+
 from ..hazards import param_kind
-from ..kernel import (STAGE_COUPLING, STAGE_INTERNAL, STATELESS, CoordinatorContext, Registry,
-                      RuleContext, RuleSet, Stream)
+from ..kernel import STATELESS, CoordinatorContext, Registry, RuleContext, RuleSet, Stream
 
 ROLE_CITIZEN = "citizen"
 ROLE_PLACE = "place"
@@ -41,7 +45,7 @@ def _init_citizen(params: dict, stream) -> dict:
     }
 
 
-def citizen_internal(ctx: RuleContext) -> dict | None:
+def _timetable_step(state: dict, schedule: list, tick: int) -> dict:
     """Daily activity evolution: act only at this citizen's own timetable
     boundaries, emitting a trip when the new window's place differs.
 
@@ -50,44 +54,20 @@ def citizen_internal(ctx: RuleContext) -> dict | None:
     the routine, so a trip can only ever happen at a tick where the
     undisturbed timetable also travels.
     """
-    state = ctx.state
     location = state["location"]
     if state["homebound"] or not location.startswith("place:"):
-        return None  # dead, sick-at-home, hospitalized or in transit
-    schedule = ctx.params["schedule"]
-    hour = ctx.tick % 24
+        return state  # dead, sick-at-home, hospitalized or in transit
+    hour = tick % 24
     target, activity = schedule[hour]
     if target == schedule[(hour - 1) % 24][0]:
-        return None  # mid-window: hold position until the next boundary
+        return state  # mid-window: hold position until the next boundary
     current = location[6:]
     if target == current:
         if activity == state["current_activity"]:
-            return None
-        new = dict(state)
-        new["current_activity"] = activity
-        return new
-    new = dict(state)
-    new.update(
-        location="transit",
-        current_activity=activity,
-        trip_pending={"origin": current, "dest": target, "depart": ctx.tick},
-    )
-    return new
-
-
-def next_boundary(ctx: RuleContext, state: dict) -> int | None:
-    """``citizen_internal`` acts next at the first hour after this tick whose
-    timetable place differs from the hour before; never while the citizen
-    is off its routine (only a change brings it back) or when its timetable
-    has one place."""
-    if state["homebound"] or not state["location"].startswith("place:"):
-        return None
-    schedule = ctx.params["schedule"]
-    for tick in range(ctx.tick + 1, ctx.tick + 25):
-        hour = tick % 24
-        if schedule[hour][0] != schedule[hour - 1][0]:
-            return tick
-    return None
+            return state
+        return dict(state, current_activity=activity)
+    return dict(state, location="transit", current_activity=activity,
+                trip_pending={"origin": current, "dest": target, "depart": tick})
 
 
 def citizen_coupling(ctx: RuleContext) -> dict | None:
@@ -173,46 +153,54 @@ class Placement:
 
 
 def social_settlement(cctx: CoordinatorContext) -> None:
-    """Arrivals, place capacity and trips, in citizen id order.
+    """Timetable steps, trips, arrivals and place capacity, in citizen id
+    order.
 
-    Publishes the trips that start this tick as ``trips``: (citizen id,
-    origin place, dest place) in citizen id order; and where the citizens
-    are after this tick's arrivals as ``placement``, a ``Placement``.
+    One walk applies each citizen's timetable step, records the trips that
+    start this tick, collects the arrivals and lists the citizens already
+    at a place.  The arrivals are then placed in id order, each against the
+    occupancy so far, and inserted into their place's occupants in id order.
+    Publishes the trips as ``trips``: (citizen id, origin place, dest place)
+    in citizen id order; and where the citizens are after this tick's
+    arrivals as ``placement``, a ``Placement``.
     """
     citizens = cctx.members(ROLE_CITIZEN)
     if not citizens:
         return
-    occupancy: dict[str, int] = {}
-    for cid in citizens:
-        st = cctx.get(cid)
-        if st["location"].startswith("place:"):
-            occupancy[st["location"][6:]] = occupancy.get(st["location"][6:], 0) + 1
-    # trips and arrivals; each citizen's location after its own arrival places it
+    tick = cctx.tick
     trips: list[tuple[str, str, str]] = []
+    arrivals: list[tuple[str, dict, dict]] = []  # in transit with a trip: (id, state, params)
     by_place: dict[str, list[str]] = {}  # place -> its occupants after settlement
     placed: dict[str, tuple[str, dict, Stream]] = {}
     for cid in citizens:
-        st = cctx.get(cid)
+        before = cctx.get(cid)
+        params = cctx.params(cid)
+        st = _timetable_step(before, params["schedule"], tick)
+        if st is not before:
+            cctx.set(cid, st)
         location, trip = st["location"], st["trip_pending"]
-        if trip is not None and trip["depart"] == cctx.tick:
+        if trip is not None and trip["depart"] == tick:
             trips.append((cid, trip["origin"], trip["dest"]))
         elif location == "transit" and trip is not None:
-            dest = trip["dest"]
-            home = cctx.params(cid)["home_place"]
-            capacity = _place_capacity(cctx, dest)
-            if dest != home and capacity is not None and occupancy.get(dest, 0) >= capacity:
-                cctx.log(f"{cid} redirected home: {dest} at capacity")
-                dest = home
-            occupancy[dest] = occupancy.get(dest, 0) + 1
-            location = "place:" + dest
-            new = dict(st)
-            new.update(location=location, trip_pending=None)
-            cctx.set(cid, new)
+            arrivals.append((cid, st, params))
+            continue
         if location.startswith("place:"):
             by_place.setdefault(location[6:], []).append(cid)
-            placed[cid] = (location[6:], cctx.params(cid), cctx.stream(cid))
+            placed[cid] = (location[6:], params, cctx.stream(cid))
+    occupancy = {place: len(occupants) for place, occupants in by_place.items()}
+    for cid, st, params in arrivals:
+        dest = st["trip_pending"]["dest"]
+        capacity = _place_capacity(cctx, dest)
+        if dest != params["home_place"] and capacity is not None \
+                and occupancy.get(dest, 0) >= capacity:
+            cctx.log(f"{cid} redirected home: {dest} at capacity")
+            dest = params["home_place"]
+        occupancy[dest] = occupancy.get(dest, 0) + 1
+        insort(by_place.setdefault(dest, []), cid)
+        placed[cid] = (dest, params, cctx.stream(cid))
+        cctx.set(cid, dict(st, location="place:" + dest, trip_pending=None))
     cctx.publish("trips", tuple(trips))
-    cctx.publish("placement", Placement(cctx.tick, by_place, occupancy, placed))
+    cctx.publish("placement", Placement(tick, by_place, occupancy, placed))
 
 
 def _place_capacity(cctx: CoordinatorContext, place_id: str) -> int | None:
@@ -303,10 +291,9 @@ def _aggregate_urban(world) -> list[tuple[str, object]]:
 def register(registry: Registry) -> None:
     registry.register_role(ROLE_CITIZEN, RuleSet(
         init_state=_init_citizen,
-        internal=citizen_internal,
         coupling=citizen_coupling,
         observe=_observe_citizen,
-        wakes={STAGE_INTERNAL: next_boundary, STAGE_COUPLING: rest_due},
+        due=rest_due,
     ))
     registry.register_role(ROLE_PLACE, RuleSet(
         init_state=_init_place,

@@ -129,6 +129,20 @@ def test_one_tick_recovery():
     assert availability == [False, True, True, True]
 
 
+def test_node_recovering_this_tick_sends_no_wave():
+    # a is compromised at tick 1 and due back at 2: it recovers before its
+    # wave is read, so b, with every gate open, is never hit
+    world, _ = chain_world(recovery=1, prop=1.0)
+    sched = attack_at(0)
+    apply_due(world, 0, sched)
+    seen = []
+    for _ in range(4):
+        world.step()
+        apply_due(world, world.tick, sched)
+        seen.append(tuple(world.states[f"{n}::ict"]["compromised_at"] for n in "ab"))
+    assert seen == [(1, None), (None, None), (None, None), (None, None)]
+
+
 def test_dependency_cascade_same_tick_and_restoration():
     world, _ = chain_world(vb=0.0, vc=0.0, recovery=5)
     sched = attack_at(0)
@@ -269,11 +283,36 @@ def test_rehit_node_still_sends_the_wave_of_its_previous_attack():
     assert seen == [(1, None), (2, 2), (2, 3)]
 
 
-# -- the per-node rule that attack arrivals once were, as a reference ----------
+# -- the per-subagent rules the ICT settlement once was, as references ---------
+
+def attacker_internal(ctx) -> dict | None:
+    """One-shot attack generation: armed attackers emit once and disarm."""
+    state = ctx.state
+    if not state["active"]:
+        return None
+    return {
+        "active": False,
+        "emitted_at": ctx.tick,
+        "attacks_emitted": state["attacks_emitted"] + 1,
+    }
+
+
+def node_internal(ctx) -> dict | None:
+    """Nominal operation plus recovery: restore once the clock runs out."""
+    state = ctx.state
+    if state["available"] or ctx.tick < state["recovery_due"]:
+        return None
+    new = dict(state)
+    new.update(
+        available=True, compromised_at=None,
+        recovery_due=None, attack_prop=None, attack_recovery_scale=None,
+    )
+    return new
+
 
 def node_network(ctx) -> dict | None:
     """Attack defense and re-transmission for one node, reading the ICT
-    states before the settlement.
+    states after ``attacker_internal`` and ``node_internal``.
 
     Arrivals this tick: direct emissions from attacker neighbors, and waves
     from upstream providers freshly compromised last tick.  Every potential
@@ -313,9 +352,8 @@ def node_network(ctx) -> dict | None:
 
 
 class SnapshotContext:
-    """What ``node_network`` reads for one node: the snapshot of ICT states
-    taken before the settlement, and the settlement's edges, params and
-    streams at its tick."""
+    """What the reference rules read for one node: a snapshot of ICT states,
+    and the settlement's edges, params and streams at its tick."""
 
     def __init__(self, cctx, snapshot, sid):
         self.tick, self.sid, self._cctx, self._snapshot = cctx.tick, sid, cctx, snapshot
@@ -350,7 +388,8 @@ ATTACK_FIELDS = ("compromised_at", "recovery_due", "attack_prop", "attack_recove
 def assert_arrivals_match_reference(monkeypatch, make, ticks, schedule):
     """Step ``make()``'s world; after each tick every node's attack fields
     equal what ``node_network`` computes from the states the ICT settlement
-    started from.  Returns the (direct, wave) compromises seen."""
+    started from, once ``attacker_internal`` and ``node_internal`` have been
+    applied to them.  Returns the (direct, wave) compromises seen."""
     taken = []
 
     def registry():
@@ -371,7 +410,11 @@ def assert_arrivals_match_reference(monkeypatch, make, ticks, schedule):
     direct = wave = 0
     for _ in range(ticks):
         world.step()
-        cctx, snapshot = taken.pop()
+        cctx, before = taken.pop()
+        snapshot = dict(before)
+        for role, rule in ((ROLE_ATTACKER, attacker_internal), (ROLE_NODE, node_internal)):
+            for sid in cctx.members(role):
+                snapshot[sid] = rule(SnapshotContext(cctx, before, sid)) or before[sid]
         for sid in cctx.members(ROLE_NODE):
             expected = node_network(SnapshotContext(cctx, snapshot, sid)) or snapshot[sid]
             got = world.states[sid]

@@ -1,4 +1,5 @@
-"""Kernel semantics: staged snapshots, order independence, build errors."""
+"""Kernel semantics: settlements then the coupling map, order independence,
+build errors."""
 
 import pytest
 
@@ -10,11 +11,11 @@ from conftest import blank_state_init, toy_registry
 
 
 def counter_rules() -> RuleSet:
-    def internal(ctx):
+    def coupling(ctx):
         new = dict(ctx.state)
         new["count"] += 1
         return new
-    return RuleSet(init_state=blank_state_init({"count": 0}), internal=internal)
+    return RuleSet(init_state=blank_state_init({"count": 0}), coupling=coupling)
 
 
 def swapper_rules() -> RuleSet:
@@ -84,12 +85,18 @@ def test_registration_order_does_not_change_trajectory():
 
 
 def test_same_seed_same_trajectory():
-    def noisy_internal(ctx):
-        return {"count": ctx.state["count"] + ctx.rng("jump").random()}
+    # the ict settlement draws each member's jump; the coupling rule adds it
+    def draw_jumps(cctx):
+        for sid in cctx.members("noisy"):
+            cctx.set(sid, dict(cctx.get(sid), jump=cctx.rng(sid, "jump").random()))
+
+    def noisy_coupling(ctx):
+        return {"count": ctx.state["count"] + ctx.state["jump"], "jump": 0.0}
 
     def make():
         registry = toy_registry(noisy=RuleSet(
-            init_state=blank_state_init({"count": 0.0}), internal=noisy_internal))
+            init_state=blank_state_init({"count": 0.0, "jump": 0.0}), coupling=noisy_coupling))
+        registry.register_coordinator("ict", draw_jumps)
         world = World(99, registry)
         for name in ("a", "b", "c"):
             world.add_agent(name, [(f"{name}::ict", "ict", "noisy", {})])
@@ -101,6 +108,7 @@ def test_same_seed_same_trajectory():
         w1.step()
         w2.step()
     assert w1.states == w2.states
+    assert 0 < w1.states["a::ict"]["count"] != w1.states["b::ict"]["count"]
 
 
 def test_tick_increments_by_one():
@@ -196,7 +204,8 @@ def test_rule_exception_becomes_abort_with_id_and_tick():
             raise ValueError("negative capacity")
         return None
 
-    registry = toy_registry(bomb=RuleSet(init_state=blank_state_init({}), internal=boom))
+    registry = toy_registry(bomb=RuleSet(init_state=blank_state_init({}), coupling=boom,
+                                         due=lambda ctx, state: ctx.tick))
     world = World(1, registry)
     world.add_agent("a", [("a::ict", "ict", "bomb", {})])
     world.finalize()

@@ -111,7 +111,7 @@ def network(lights=("L",)):
 
 
 def test_reference_adapter_lockstep_enforced():
-    sim = ReferenceTrafficSimulator()
+    sim = ReferenceTrafficSimulator(v_min_frac=0.1, light_off_factor=0.4)
     sim.initialize(network(), seed=1)
     sim.advance(1)
     with pytest.raises(LockstepError):
@@ -121,7 +121,7 @@ def test_reference_adapter_lockstep_enforced():
 
 
 def test_query_is_cached_per_tick():
-    sim = ReferenceTrafficSimulator()
+    sim = ReferenceTrafficSimulator(v_min_frac=0.1, light_off_factor=0.4)
     sim.initialize(network(), seed=1)
     sim.inject([{"kind": "route", "vehicle_id": "v", "edges": ["r"]}])
     sim.advance(1)
@@ -130,7 +130,7 @@ def test_query_is_cached_per_tick():
 
 
 def test_roadway_command_changes_the_speed_law_and_checks_its_id():
-    sim = ReferenceTrafficSimulator()
+    sim = ReferenceTrafficSimulator(v_min_frac=0.1, light_off_factor=0.4)
     sim.initialize(network(), seed=1)
     route = {"kind": "route", "vehicle_id": "v", "edges": ["r"]}
     sim.inject([route, {"kind": "roadway", "roadway_id": "r", "capacity": 2,
@@ -143,7 +143,7 @@ def test_roadway_command_changes_the_speed_law_and_checks_its_id():
 
 
 def test_zero_vehicles_free_flow_speed():
-    sim = ReferenceTrafficSimulator()
+    sim = ReferenceTrafficSimulator(v_min_frac=0.1, light_off_factor=0.4)
     sim.initialize(network(), seed=1)
     sim.advance(1)
     assert sim.query()["roadways"]["r"]["mean_speed"] == 10.0
@@ -151,7 +151,7 @@ def test_zero_vehicles_free_flow_speed():
 
 def test_light_off_lowers_speed_under_fixed_demand():
     def speed(light_status):
-        sim = ReferenceTrafficSimulator()
+        sim = ReferenceTrafficSimulator(v_min_frac=0.1, light_off_factor=0.4)
         sim.initialize(network(), seed=1)
         sim.inject([{"kind": "light", "light_id": "L", "status": light_status}])
         sim.inject([{"kind": "route", "vehicle_id": f"v{i}", "edges": ["r"]}

@@ -33,7 +33,8 @@ def test_trace_hooks_attach_and_detach():
         assert tracer.calls["hazards.resolve_selector"] > selected
         runner.run_variant(dataclasses.replace(config, horizon_days=1), "cybersecurity")
         for name in ("runner.build", "hazards.apply_due", "runner.invariants", "kernel.step",
-                     "metrics.observe", "metrics.aggregate", "metrics.observe_subagent"):
+                     "metrics.observe", "metrics.aggregate", "metrics.observe_subagent",
+                     "settle.ict", "settle.healthcare", "settle.social"):
             assert tracer.calls[name] > 0, name
     finally:
         tracer.uninstall()

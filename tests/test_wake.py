@@ -1,68 +1,76 @@
-"""Wake-driven stepping: a declared stage rule runs only at tick 1, at its
-due tick or when a subagent it reads has changed, and the recorder reuses
-the rows of an observed subagent that has not changed.
+"""Wake-driven coupling: a coupling rule runs only at tick 1, at its due
+tick or when a subagent it reads has changed, and the recorder reuses the
+rows of an observed subagent that has not changed.
 
-The equivalence tests build each world twice: as shipped, and with every
-role's wake declarations stripped, so that every rule runs every tick as an
-undeclared role's does.  Both must hold the same states on every tick.
+The equivalence tests step each world twice: as shipped, and as a
+reference ``World`` whose ``_calls`` returns the whole coupling plan on
+every tick.  Both must hold the same states on every tick, and the shipped
+world must make fewer rule calls.
 """
 
-import dataclasses
 import json
-from types import SimpleNamespace
 
 import pytest
 
-import conftest
-from citysim import build, metrics
+from citysim import metrics
 from citysim.build import build_world
 from citysim.hazards import HazardSchedule, apply_due
-from citysim.kernel import STAGE_INTERNAL, RuleSet, World
+from citysim.kernel import RuleSet, World
 from citysim.metrics import Recorder
 from citysim.scenario import BASELINE
-from citysim.systems import default_registry
-from citysim.systems.health import stage_due
-from citysim.systems.ict import recovery_due
-from citysim.systems.social import citizen_internal, next_boundary
 
-from conftest import (SCENARIO_PATH, blank_state_init, build_ict_world, build_patient_world,
-                      build_sir_world, config_from, toy_registry)
+from conftest import (SCENARIO_PATH, blank_state_init, build_ict_world, build_sir_world,
+                      config_from, toy_registry)
 from test_social import tiny_city
 
 
-def every_tick_registry():
-    registry = default_registry()
-    for role, rules in list(registry.rules.items()):
-        registry.rules[role] = dataclasses.replace(rules, wakes={})
-    return registry
+class ShippedWorld(World):
+    """The shipped world, recording its coupling rule calls per tick."""
+
+    def _calls(self, tick):
+        calls = super()._calls(tick)
+        self.call_counts.append(len(calls))
+        return calls
 
 
-def shipped_and_every_tick(monkeypatch, make):
-    """``make()`` as shipped, and again with no wake declared."""
-    shipped = make()
-    with monkeypatch.context() as patch:
-        patch.setattr(build, "default_registry", every_tick_registry)
-        patch.setattr(conftest, "default_registry", every_tick_registry)
-        stripped = make()
-    assert any(rules.wakes for rules in shipped.registry.rules.values())
-    assert not any(rules.wakes for rules in stripped.registry.rules.values())
-    return shipped, stripped
+class EveryTickWorld(World):
+    """The reference: every coupling rule is called on every tick."""
+
+    def _calls(self, tick):
+        self._changed.clear()
+        self.call_counts.append(len(self._plan))
+        return self._plan
+
+
+def shipped_and_every_tick(make):
+    """``make()``'s run twice: as shipped, and as the every-tick reference."""
+    pair = []
+    for cls in (ShippedWorld, EveryTickWorld):
+        world = make()
+        world.__class__ = cls
+        world.call_counts = []
+        pair.append(world)
+    return pair
 
 
 def assert_same_states(pair, until, schedule=None):
     """Step both worlds to tick ``until``, applying the schedule's events as a
-    run does, and compare their states on every tick."""
+    run does, and compare their states on every tick.  The reference calls
+    every coupling rule on every tick; the shipped world calls fewer."""
     schedule = schedule or HazardSchedule([])
-    shipped, stripped = pair
+    shipped, reference = pair
     if shipped.tick == 0:
         for world in pair:
             apply_due(world, 0, schedule)
-    assert shipped.states == stripped.states
+    assert shipped.states == reference.states
     while shipped.tick < until:
         for world in pair:
             world.step()
             apply_due(world, world.tick, schedule)
-        assert shipped.states == stripped.states, shipped.tick
+        assert shipped.states == reference.states, shipped.tick
+    plan = len(reference._plan)
+    assert reference.call_counts == [plan] * reference.tick
+    assert sum(shipped.call_counts) < sum(reference.call_counts) or not plan
 
 
 def short_casestudy(extra_hazards=()) -> dict:
@@ -85,22 +93,22 @@ def short_casestudy(extra_hazards=()) -> dict:
 
 
 @pytest.mark.parametrize("variant", ["baseline", "risk", "beds", "cybersecurity"])
-def test_casestudy_states_match_every_tick_stepping(monkeypatch, variant):
+def test_casestudy_states_match_every_tick_stepping(variant):
     pair = shipped_and_every_tick(
-        monkeypatch, lambda: build_world(config_from(short_casestudy()), variant))
+        lambda: build_world(config_from(short_casestudy()), variant))
     config = config_from(short_casestudy())
     schedule = HazardSchedule([]) if variant == BASELINE else config.schedule()
     assert_same_states(pair, config.horizon_ticks, schedule)
 
 
-def test_jittered_city_states_match_every_tick_stepping(monkeypatch):
-    pair = shipped_and_every_tick(monkeypatch, lambda: build_world(tiny_city(jitter=1)))
+def test_jittered_city_states_match_every_tick_stepping():
+    pair = shipped_and_every_tick(lambda: build_world(tiny_city(jitter=1)))
     assert_same_states(pair, 3 * 24)
 
 
-def test_sir_states_match_every_tick_stepping(monkeypatch):
+def test_sir_states_match_every_tick_stepping():
     pair = shipped_and_every_tick(
-        monkeypatch, lambda: build_sir_world(60, seeds=4, beta=0.03, contact_k=3, duration=30))
+        lambda: build_sir_world(60, seeds=4, beta=0.03, contact_k=3, duration=30))
     assert_same_states(pair, 120)
 
 
@@ -132,16 +140,16 @@ def staggered_attacks():
                                    (9, "a_again"), (14, "a_root"), (15, "a_mid"))]
 
 
-def test_ict_cascade_states_match_every_tick_stepping(monkeypatch):
+def test_ict_cascade_states_match_every_tick_stepping():
     nodes, attackers = ict_hierarchy()
-    pair = shipped_and_every_tick(monkeypatch, lambda: build_ict_world(nodes, attackers)[0])
+    pair = shipped_and_every_tick(lambda: build_ict_world(nodes, attackers)[0])
     assert_same_states(pair, 40, HazardSchedule.from_config(staggered_attacks(), 24))
 
 
-def test_midrun_overrides_match_every_tick_stepping(monkeypatch):
-    # at 21:00, home since its evening trip and next due in the morning, a
-    # citizen gets a timetable that goes out at 22:00; and a node downstream
-    # of the attack is hardened before the wave reaches it
+def test_midrun_overrides_match_every_tick_stepping():
+    # at 21:00, home since its evening trip, a citizen gets a timetable that
+    # goes out at 22:00; and a node downstream of the attack is hardened
+    # before the wave reaches it
     citizen = "cit_outskirts_1::social"
     schedule = build_world(config_from(short_casestudy())).params[citizen]["schedule"]
     home, out = schedule[0], next(entry for entry in schedule if entry[0] != schedule[0][0])
@@ -151,7 +159,7 @@ def test_midrun_overrides_match_every_tick_stepping(monkeypatch):
         {"tick": 2, "kind": "generic_override", "selector": {"id": "hospital_center::ict"},
          "overrides": {"vulnerability": 0.0}},
     ])
-    pair = shipped_and_every_tick(monkeypatch, lambda: build_world(config_from(raw)))
+    pair = shipped_and_every_tick(lambda: build_world(config_from(raw)))
     config = config_from(raw)
     assert_same_states(pair, 46, config.schedule())
     assert pair[0].states[citizen]["trip_pending"]["depart"] == 46
@@ -160,38 +168,10 @@ def test_midrun_overrides_match_every_tick_stepping(monkeypatch):
 
 # -- due ticks ---------------------------------------------------------------
 
-def first_move(schedule, tick):
-    """Brute force: the first of the next 24 ticks at which citizen_internal
-    moves a citizen that is at none of its timetable's places."""
-    state = {"location": "place:elsewhere", "current_activity": None,
-             "trip_pending": None, "homebound": False}
-    for t in range(tick + 1, tick + 25):
-        ctx = SimpleNamespace(tick=t, state=state, params={"schedule": schedule})
-        if citizen_internal(ctx) is not None:
-            return t
-    return None
-
-
-@pytest.mark.parametrize("city", [dict(jitter=2), dict(jitter=1, seed=3), dict(lockdown=True)])
-def test_next_boundary_matches_brute_force_scan(city):
-    world = build_world(tiny_city(**city))
-    at_home = {"location": "place:x", "homebound": False}
-    for cid in world.role_members("citizen"):
-        schedule = world.params[cid]["schedule"]
-        for tick in range(48):
-            ctx = SimpleNamespace(tick=tick, params={"schedule": schedule})
-            assert next_boundary(ctx, at_home) == first_move(schedule, tick), (cid, tick)
-            assert next_boundary(ctx, dict(at_home, homebound=True)) is None
-            assert next_boundary(ctx, dict(at_home, location="transit")) is None
-    if city.get("lockdown"):  # one place: never due
-        assert all(first_move(world.params[cid]["schedule"], 0) is None
-                   for cid in world.role_members("citizen"))
-
-
 def clock_world(calls):
-    """Subagents whose internal rule records its calls and changes nothing;
+    """Subagents whose coupling rule records its calls and changes nothing;
     each is due ``offset`` ticks after a call (None: never)."""
-    def internal(ctx):
+    def coupling(ctx):
         calls.setdefault(ctx.sid, []).append(ctx.tick)
 
     def due(ctx, state):
@@ -199,8 +179,7 @@ def clock_world(calls):
         return None if offset is None else ctx.tick + offset
 
     registry = toy_registry(clock=RuleSet(
-        init_state=blank_state_init({}), internal=internal,
-        wakes={STAGE_INTERNAL: due}))
+        init_state=blank_state_init({}), coupling=coupling, due=due))
     world = World(1, registry)
     for sid, offset in (("later", 3), ("never", None), ("now", 0), ("past", -3)):
         world.add_agent(sid, [(sid, "ict", "clock", {"offset": offset})])
@@ -229,56 +208,6 @@ def test_a_change_outside_the_stages_wakes_the_rule():
         world.step()
     assert calls["never"] == [1, 3]
     assert calls["later"] == [1, 3, 4, 5, 6]
-
-
-def recording(role, stage, calls):
-    """A default registry whose ``role`` records the ticks of its ``stage`` calls."""
-    def registry():
-        reg = default_registry()
-        rules = reg.rules[role]
-        fn = getattr(rules, stage)
-
-        def wrapper(ctx):
-            calls.append(ctx.tick)
-            return fn(ctx)
-
-        reg.rules[role] = dataclasses.replace(rules, **{stage: wrapper})
-        return reg
-    return registry
-
-
-def test_patient_internal_runs_at_its_stage_end(monkeypatch):
-    assert stage_due(None, {"infection": "infected", "stage_end": 9}) == 9
-    assert stage_due(None, {"infection": "recovered", "stage_end": None}) is None
-    calls = []
-    monkeypatch.setattr(conftest, "default_registry", recording("patient", "internal", calls))
-    world = build_patient_world(1, initially_infected=True, mild_hours=[3, 3], p_severe=0.0)
-    for _ in range(10):
-        world.step()
-    assert world.states["p0000::healthcare"]["infection"] == "recovered"
-    # tick 1; the stage end; the tick after its own change
-    assert calls == [1, 3, 4]
-
-
-def test_node_internal_runs_at_its_recovery_due(monkeypatch):
-    assert recovery_due(None, {"available": False, "recovery_due": 7}) == 7
-    assert recovery_due(None, {"available": True, "recovery_due": None}) is None
-    calls = []
-    monkeypatch.setattr(build, "default_registry",
-                        recording("cyber-infrastructure", "internal", calls))
-    nodes = [{"id": "n", "depends_on": [], "vulnerability": 1.0, "recovery_ticks": 5}]
-    attackers = [{"id": "atk", "target": "n", "attack_type": "botnet",
-                  "propagation_probability": 1.0}]
-    world, _ = build_ict_world(nodes, attackers)
-    schedule = HazardSchedule.from_config(
-        [{"tick": 0, "kind": "cyberattack", "selector": {"id": "atk::ict"}}], 24)
-    apply_due(world, 0, schedule)
-    for _ in range(12):
-        world.step()
-    assert world.states["n::ict"]["available"]
-    # tick 1 (compromised then, due at 1 + 5); the tick after that change;
-    # the recovery; the tick after it
-    assert calls == [1, 2, 6, 7]
 
 
 # -- recorder rows -------------------------------------------------------------
