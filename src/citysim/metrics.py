@@ -10,13 +10,20 @@ pure functions so they can be checked against hand arithmetic:
 
 The mobility formula needs a paired baseline run; it is computed post hoc
 from tick-aligned station series, never inside a single run.
+
+A run's rows are kept as blocks: one ``(scope, ((metric, value), ...))``
+tuple per observed subagent observation and per system rollup.  A tick
+holds references to its blocks in row order, so a subagent that has not
+changed since the last tick adds the block it already has, and the export
+formats each distinct block once.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from typing import Mapping, NamedTuple, Sequence
+import operator
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .kernel import World
 
@@ -79,37 +86,69 @@ def sl_mobility(risk_speeds: Mapping[str, float],
 
 # -- subagent / system observation -------------------------------------------
 
-def observe_subagent(world: World, sid: str) -> list[MetricSample]:
+Block = tuple  # (scope, ((metric, value), ...)): rows that share tick and scope
+
+
+def observe_subagent(world: World, sid: str) -> Block | None:
     """Apply the role's observability function to the run's state and params
-    of one subagent; exports only declared keys."""
+    of one subagent; exports only declared keys.  None if it declares none."""
     fn = world.registry.rules[world.records[sid].role].observe
-    tick = world.tick
-    samples = []
-    for name, value in fn(world.states[sid], world.params[sid]):
+    pairs = tuple(fn(world.states[sid], world.params[sid]))
+    for name, value in pairs:
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"non-finite metric {name}={value} on {sid}")
-        samples.append(MetricSample(tick, sid, name, value))
-    return samples
+    return (sid, pairs) if pairs else None
 
 
-def aggregate_system(world: World, system: str) -> list[MetricSample]:
-    """Domain-specific system rollups (registered per system)."""
+def aggregate_system(world: World, system: str) -> Block | None:
+    """Domain-specific system rollups (registered per system); None if
+    there are none."""
     fn = world.registry.aggregators.get(system)
-    if fn is None:
-        return []
-    return [MetricSample(world.tick, system, name, value) for name, value in fn(world)]
+    pairs = tuple(fn(world)) if fn is not None else ()
+    return (system, pairs) if pairs else None
+
+
+class Rows:
+    """One run's rows, read-only: iterating yields its ``MetricSample``s in
+    row order, built one at a time, and ``len`` counts them.
+
+    ``ticks`` holds (tick, blocks) per observed tick; a block appears in
+    every tick that reuses it.  ``blocks`` holds each distinct block once,
+    in the order it was first recorded.  No block is empty.
+    """
+
+    def __init__(self):
+        self.ticks: list[tuple[int, list[Block]]] = []
+        self.blocks: list[Block] = []
+
+    def __len__(self) -> int:
+        return sum(len(pairs) for _, blocks in self.ticks for _, pairs in blocks)
+
+    def __iter__(self) -> Iterator[MetricSample]:
+        new = tuple.__new__  # a row without a Python-level __new__
+        for tick, blocks in self.ticks:
+            for scope, pairs in blocks:
+                for name, value in pairs:
+                    yield new(MetricSample, (tick, scope, name, value))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Rows):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 class Recorder:
-    """Collects one run's samples, SL series and station speeds tick by tick.
+    """Collects one run's rows, SL series and station speeds tick by tick.
 
     ``observed_roles`` limits which roles get per-subagent rows in the
     export; population-scale roles are covered by the system aggregates so
-    exports stay a few MB instead of hundreds.  An observed subagent whose
-    state and params are the objects it had when last observed gets the
-    same (metric, value) pairs again without a call to its observe function.
-    ``rollups`` keeps this tick's system aggregates by (system, metric), the
-    one count of population state.
+    exports stay a few MB instead of hundreds.  Each tick records, in row
+    order, the block of every observed subagent that has rows, then the
+    system rollups, the service levels and the cumulative deaths.  An
+    observed subagent whose state and params are the objects it had when
+    last observed adds the block it got then, without a call to its
+    observe function.  ``rollups`` keeps this tick's system aggregates by
+    (system, metric), the one count of population state.
     """
 
     DEFAULT_ROLES = (
@@ -123,52 +162,53 @@ class Recorder:
         self._observed = sorted(
             sid for role in set(roles) for sid in world.role_members(role)
         )
-        self.rows: list[MetricSample] = []
+        self.rows = Rows()
         self.sl: dict[str, list[float]] = {"ict": [], "healthcare": []}
         self.deaths: list[int] = []
         self.station_speeds: dict[str, list[float]] = {
             sid: [] for sid in world.role_members("roadway")
             if world.params[sid]["station"]
         }
-        self._ict_nodes = world.role_members("cyber-infrastructure")
         self._hospitals = world.role_members("hospital")
         self.rollups: dict[tuple[str, str], object] = {}
-        # observed subagent -> (state, params, pairs) when last observed
-        self._seen: dict[str, tuple[dict, dict, list[tuple[str, object]]]] = {}
+        # observed subagent -> (state, params, block or None) when last observed
+        self._seen: dict[str, tuple[dict, dict, Block | None]] = {}
 
     def observe(self) -> None:
         world = self.world
-        tick = world.tick
         rows, seen, states, params_of = self.rows, self._seen, world.states, world.params
-        append, new = rows.append, tuple.__new__  # a row without a Python-level __new__
+        blocks: list[Block] = []
+        append, add = blocks.append, rows.blocks.append
         for sid in self._observed:
             state, params = states[sid], params_of[sid]
             last = seen.get(sid)
-            if last is not None and last[0] is state and last[1] is params:
-                for name, value in last[2]:
-                    append(new(MetricSample, (tick, sid, name, value)))
-                continue
-            samples = observe_subagent(world, sid)
-            seen[sid] = (state, params, [(s.name, s.value) for s in samples])
-            rows.extend(samples)
-        rollups = [s for system in world.layers for s in aggregate_system(world, system)]
-        self.rows.extend(rollups)
-        self.rollups = {(s.scope, s.name): s.value for s in rollups}
-        if self._ict_nodes:
-            flags = [world.states[s]["effective_available"] for s in self._ict_nodes]
-            value = sl_ict(flags)
+            if last is None or last[0] is not state or last[1] is not params:
+                last = seen[sid] = (state, params, observe_subagent(world, sid))
+                if last[2] is not None:
+                    add(last[2])
+            if last[2] is not None:
+                append(last[2])
+        tail = [block for system in world.layers
+                if (block := aggregate_system(world, system)) is not None]
+        self.rollups = {(system, name): value for system, pairs in tail for name, value in pairs}
+        ict_nodes = self.rollups.get(("ict", "node_count"))
+        if ict_nodes:
+            value = self.rollups["ict", "available_count"] / ict_nodes
             self.sl["ict"].append(value)
-            self.rows.append(MetricSample(tick, "ict", "service_level", value))
+            tail.append(("ict", (("service_level", value),)))
         if self._hospitals:
             terms = [
-                (world.states[s]["unattended_this_tick"], world.states[s]["general_capacity"])
+                (states[s]["unattended_this_tick"], states[s]["general_capacity"])
                 for s in self._hospitals
             ]
             value = sl_healthcare(terms)
             self.sl["healthcare"].append(value)
-            self.rows.append(MetricSample(tick, "healthcare", "service_level", value))
+            tail.append(("healthcare", (("service_level", value),)))
         deaths = self.rollups.get(("healthcare", "total_dead"), 0)
         self.deaths.append(deaths)
-        self.rows.append(MetricSample(tick, "city", "cumulative_deaths", deaths))
+        tail.append(("city", (("cumulative_deaths", deaths),)))
+        blocks += tail
+        rows.blocks += tail
+        rows.ticks.append((world.tick, blocks))
         for sid in self.station_speeds:
-            self.station_speeds[sid].append(world.states[sid]["mean_speed"])
+            self.station_speeds[sid].append(states[sid]["mean_speed"])

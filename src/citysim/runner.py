@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .build import build_world
 from .hazards import HazardSchedule, apply_due
 from .kernel import KernelError, World
-from .metrics import Recorder, sl_mobility
+from .metrics import Recorder, Rows, sl_mobility
 from .scenario import BASELINE, RISK, ScenarioConfig
 from .systems.social import PARTITION, count_partition
 
@@ -128,7 +128,7 @@ class RunResult:
     horizon_ticks: int
     ticks_per_day: int
     config_digest: str
-    samples: list = field(default_factory=list, repr=False)
+    samples: Rows = field(default_factory=Rows, repr=False)
     sl: dict = field(default_factory=dict, repr=False)
     deaths: list = field(default_factory=list, repr=False)
     station_speeds: dict = field(default_factory=dict, repr=False)

@@ -263,6 +263,11 @@ def parse_config(raw: dict, digest: str, path: str | None = None) -> tuple[Scena
     return (None, errors) if errors else (config, [])
 
 
+def _reject_constant(name: str):
+    # json.loads accepts NaN, Infinity and -Infinity; RFC 8259 JSON does not
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_scenario(path: str | Path) -> tuple[dict | None, str, list[str]]:
     """Read and decode a scenario file, unvalidated: (document, sha256 of the
     bytes, errors).  A caller may change the document, say its seed, before
@@ -273,8 +278,8 @@ def read_scenario(path: str | Path) -> tuple[dict | None, str, list[str]]:
     except OSError as exc:
         return None, "", [f"cannot read {path}: {exc}"]
     try:
-        raw = json.loads(blob)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(blob, parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError, a bad byte, or a constant
         return None, "", [f"{path}: invalid JSON: {exc}"]
     if not isinstance(raw, dict):
         return None, "", [f"{path}: top level must be an object"]

@@ -210,11 +210,15 @@ def _aggregate(world) -> list[tuple[str, object]]:
     nodes = world.layer_role_order.get(("ict", ROLE_NODE))
     if not nodes:
         return []
-    states = [world.states[s] for s in nodes]
+    available = compromised = 0
+    for sid in nodes:
+        state = world.states[sid]
+        available += state["effective_available"]
+        compromised += not state["available"]
     return [
         ("node_count", len(nodes)),
-        ("available_count", sum(1 for s in states if s["effective_available"])),
-        ("compromised_count", sum(1 for s in states if not s["available"])),
+        ("available_count", available),
+        ("compromised_count", compromised),
     ]
 
 

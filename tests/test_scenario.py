@@ -103,6 +103,16 @@ def test_invalid_json_reported(tmp_path):
     assert any("invalid JSON" in e for e in errors)
 
 
+def test_undecodable_bytes_reported(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    config, errors = load_scenario(path)
+    assert config is None
+    assert len(errors) == 1 and "invalid JSON" in errors[0]
+    assert main(["validate", str(path)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_mitigation_scales_parameters(casestudy):
     risk = build_world(casestudy, "risk")
     beds = build_world(casestudy, "beds")
@@ -505,6 +515,29 @@ def test_bad_input_gives_errors_and_exit_2(tmp_path, capsys, mutate):
     assert config is None and errors
     assert main(["validate", str(path)]) == 2
     assert "error: " in capsys.readouterr().err
+
+
+NON_FINITE = {"NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf")}
+NON_FINITE_SLOTS = {
+    "landscape-field": lambda value: _set("landscape", "roadways", 0, "length_m", value),
+    "override": lambda value: _add_hazard(_override_event(
+        {"id": "r_c01::mobility"}, {"free_flow_mps": value})),
+}
+
+
+@pytest.mark.parametrize("slot", list(NON_FINITE_SLOTS))
+@pytest.mark.parametrize("constant", list(NON_FINITE))
+def test_non_finite_constant_is_rejected_by_name(tmp_path, capsys, constant, slot):
+    # json.dumps writes the constant; unchecked, Infinity validated and the
+    # run aborted on a non-finite station speed, and NaN ran unchecked
+    raw = casestudy_copy()
+    NON_FINITE_SLOTS[slot](NON_FINITE[constant])(raw)
+    path = write_scenario(tmp_path, raw)
+    assert constant in path.read_text()
+    config, errors = load_scenario(path)
+    assert config is None and errors == [f"{path}: invalid JSON: {constant} is not a JSON number"]
+    assert main(["validate", str(path)]) == 2
+    assert f"{constant} is not a JSON number" in capsys.readouterr().err
 
 
 def test_override_and_mitigation_errors_name_their_source(tmp_path):
