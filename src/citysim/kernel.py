@@ -17,12 +17,14 @@ order.  State dicts are treated as immutable once published: rules return
 a fresh dict (or None for "unchanged") and must never mutate the dict
 handed to them.
 
-A coupling rule runs only when it can return a new state: at tick 1, at
-the due tick its role declares, and when a subagent it reads has changed
-since it last ran: itself or one of its siblings.  Every change the kernel
-sees is a rule's new state, a settlement's ``set`` or ``World.change``,
-which is how a change made outside the tick (a hazard, a test) reaches it.
-The calls run in subagent id order.
+A coupling rule runs only when a subagent it reads has changed since it
+last ran: itself or one of its siblings.  Every change the kernel sees is
+a rule's new state, a settlement's ``set`` or ``World.change``, which is
+how a change made outside the tick (a hazard, a test) reaches it; a run
+starts with every subagent that has a rule changed, so each rule runs at
+tick 1.  A timer that ends a state, such as a convalescence, is kept by
+the settlement of the layer that owns it, which gives the subagent a new
+state at that tick.  The calls run in subagent id order.
 
 A settlement may publish a read-only product for the settlements of other
 layers, such as the tick's trips or where its citizens were placed.  It is
@@ -65,19 +67,14 @@ class SimulationAbort(KernelError):
 class RuleSet:
     """Named, parameterizable behavior bound to a subagent role tag.
 
-    ``coupling`` is the role's rule in the coupling map.  ``due(ctx,
-    state)`` gives the first tick after ``ctx.tick`` at which it may return
-    a new state, where ``state`` is the subagent's state after this call (a
-    tick at or before ``ctx.tick`` means the next tick, None only a
-    change); without ``due`` the rule runs only after a change.  It must
-    return None whenever it is called with nothing changed before its due
-    tick, for the kernel then skips it.
+    ``coupling`` is the role's rule in the coupling map.  It runs only
+    after a change of a subagent it reads, so it must return None whenever
+    it is called with nothing changed, for the kernel then skips it.
     """
 
     init_state: Callable[[dict, Stream], dict]
     coupling: Callable | None = None
     observe: Callable | None = None  # (state, params) -> list[(metric name, value)]
-    due: Callable | None = None
     # not fields; kept for tracers that read every stage rule by name
     internal = None
     network = None
@@ -259,9 +256,9 @@ class World:
     begins a run: a shallow copy that shares all of that and owns its
     ``params`` map (sharing the records' dicts until a change copies one),
     the states derived from it, ``tick``, ``published``, ``run_log``, a
-    ``services`` dict, and what decides which coupling rules run: the
-    subagents changed since the map last ran and the rules due at each
-    tick.  A structure holds neither params map nor states; it cannot step.
+    ``services`` dict, and the subagents changed since the coupling map last
+    ran, which decide the rules it runs.  A structure holds neither params
+    map nor states; it cannot step.
     """
 
     def __init__(self, master_seed: int, registry: Registry):
@@ -276,14 +273,12 @@ class World:
         self.tick = 0
         self.run_log: list[tuple[int, str]] = []
         self.published: dict[str, object] = {}
-        # the records with a coupling rule, in id order; role -> (rule, due
-        # function or None)
+        # the records with a coupling rule, in id order; role -> its rule
         self._plan: list[SubAgentRecord] = []
-        self._rules: dict[str, tuple[Callable, Callable | None]] = {}
-        # per run, the subagents changed since the coupling map last ran,
-        # and tick -> subagents due then
+        self._rules: dict[str, Callable] = {}
+        # per run, the subagents changed since the coupling map last ran; a
+        # run starts with those that have a rule
         self._changed: set[str] = set()
-        self._due: dict[int, set[str]] = {}
         self._role_order: dict[str, list[str]] = {}
         self.layer_role_order: dict[tuple[str, str], list[str]] = {}
         self._finalized = False
@@ -345,13 +340,14 @@ class World:
             if ruleset.observe is None:
                 raise BuildError(f"role {rec.role!r} has no observability function")
             ruleset.init_state(rec.params, rec.stream)
-        self._rules = {role: (ruleset.coupling, ruleset.due)
+        self._rules = {role: ruleset.coupling
                        for role, ruleset in self.registry.rules.items() if ruleset.coupling}
         self._plan = [rec for rec in self.records.values() if rec.role in self._rules]
         self._finalized = True
 
     def start(self, params: dict[str, dict] | None = None) -> "World":
-        """A fresh run at tick 0 with this params map (default: as built)."""
+        """A fresh run at tick 0 with this params map (default: as built),
+        in which every subagent with a coupling rule counts as changed."""
         if not self._finalized:
             raise KernelError("world not finalized")
         run = copy.copy(self)
@@ -361,7 +357,7 @@ class World:
             for sid, rec in self.records.items()
         }
         run.tick, run.run_log, run.published, run.services = 0, [], {}, dict(self.services)
-        run._changed, run._due = set(), {}
+        run._changed = {rec.id for rec in self._plan}
         return run
 
     # -- queries ------------------------------------------------------------
@@ -389,40 +385,30 @@ class World:
             self.states[sid] = state
         self._changed.add(sid)
 
-    def _calls(self, tick: int) -> list[SubAgentRecord]:
-        """This tick's coupling rule calls, in subagent id order: all of them
-        at tick 1; later the rules that are due or read a subagent changed
-        since the map last ran."""
+    def _calls(self) -> list[SubAgentRecord]:
+        """This tick's coupling rule calls, in subagent id order: the rules
+        that read a subagent changed since the map last ran."""
         changed, self._changed = self._changed, set()
-        if tick == 1:
-            return self._plan
         records, rules = self.records, self._rules
-        woken = self._due.pop(tick, set())
-        for sid in changed:
-            for sibling in records[sid].siblings.values():
-                if records[sibling].role in rules:
-                    woken.add(sibling)
+        woken = {sibling for sid in changed for sibling in records[sid].siblings.values()
+                 if records[sibling].role in rules}
         return sorted((records[sid] for sid in woken), key=attrgetter("id"))
 
     def _couple(self, prev: dict, tick: int) -> None:
         """Apply this tick's coupling rule calls to ``prev``, after all of
         them have read it."""
         ctx = RuleContext(self, prev, tick)
-        rules, due_at, outs = self._rules, self._due, []
-        for rec in self._calls(tick):
-            fn, due_fn = rules[rec.role]
+        rules, outs = self._rules, []
+        for rec in self._calls():
             ctx.sid = sid = rec.id
             try:
-                out = fn(ctx)
-                due = None if due_fn is None else due_fn(ctx, prev[sid] if out is None else out)
+                out = rules[rec.role](ctx)
             except KernelError:
                 raise
             except Exception as exc:
                 raise SimulationAbort(sid, tick, exc) from exc
             if out is not None:
                 outs.append((sid, out))
-            if due is not None:
-                due_at.setdefault(max(due, tick + 1), set()).add(sid)
         prev.update(outs)
         self._changed.update(sid for sid, _ in outs)
 

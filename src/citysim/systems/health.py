@@ -17,11 +17,12 @@ free beds the same tick, critical inpatients are moved to ICU when one is
 free, then unplaced severe/critical patients are admitted home-hospital-first
 with referral to the least-occupied peer.  Patients placed nowhere are
 counted as unattended against the hospital they first approached and retry
-every tick.  Transmission follows the walk, from the infectious side, over
-their citizens' contacts in the social settlement's previous placement,
-which draws contacts only at the places asked about.  It touches only
-susceptible patients and bed assignment only infected ones, so the order of
-the two does not show.
+every tick.  A patient whose convalescence ends gets an equal new state,
+the change that lets its citizen resume its routine.  Transmission follows
+the walk, from the infectious side, over their citizens' contacts in the
+social settlement's previous placement, which draws contacts only at the
+places asked about.  It touches only susceptible patients and bed
+assignment only infected ones, so the order of the two does not show.
 """
 
 from __future__ import annotations
@@ -204,10 +205,12 @@ def healthcare_settlement(cctx: CoordinatorContext) -> None:
     """Progression, reception, discharge and referral in one walk in
     patient id order, then transmission from the patients infected after
     their progression.  A patient gets one new state in the walk, and only
-    if it changed."""
+    if it changed or its convalescence ends, so that its citizen's coupling
+    rule runs then."""
     patients = cctx.members(ROLE_PATIENT)
     if not patients:
         return
+    tick = cctx.tick
     hospitals = cctx.members(ROLE_HOSPITAL)
     work = {h: dict(cctx.get(h), unattended_this_tick=0) for h in hospitals}
     # bookkeeping self-check: counters must match patient placements exactly
@@ -277,6 +280,8 @@ def healthcare_settlement(cctx: CoordinatorContext) -> None:
     for pid in patients:
         before = cctx.get(pid)
         pst = _progress(cctx, pid, before)
+        if pst is before and before["rest_until"] == tick:
+            pst = dict(before)  # an equal new state: the end of its convalescence
         if pst["infection"] == "infected":
             sources.append(pid)
         pst = take_bed(pid, pst)

@@ -9,8 +9,8 @@ recorded, its arrival collected or its place noted.  The arrivals are then
 placed in id order against place capacity.  The settlement publishes the
 tick's trips, which the mobility layer turns into road demand (a citizen's
 passenger subagent is only its vehicle id and has no state), and its
-``Placement``: the place occupancy, which the urban landscape layer writes
-into its places, and contacts, drawn per place only where transmission
+``Placement``: each place's occupants, whom the urban landscape layer
+counts into its places, and contacts, drawn per place only where transmission
 asks: every occupant draws a fixed fan-out of distinct co-occupants,
 household members at home contact each other, and all contacts are
 symmetrized.
@@ -110,21 +110,15 @@ def citizen_coupling(ctx: RuleContext) -> dict | None:
     return new
 
 
-def rest_due(ctx: RuleContext, state: dict) -> int | None:
-    """``citizen_coupling`` acts next when the patient's convalescence ends."""
-    pst = ctx.sibling("healthcare")
-    return pst["rest_until"] if pst is not None and pst["rest_until"] > ctx.tick else None
-
-
 class Placement:
     """Where the social settlement placed citizens at ``tick``: each place's
-    ``occupants`` in citizen id order and their ``occupancy`` count.  A place's
-    contact graph is drawn the first time it is asked for, from the params and
-    streams its occupants had when placed, so no question order shows."""
+    ``occupants`` in citizen id order.  A place's contact graph is drawn the
+    first time it is asked for, from the params and streams its occupants had
+    when placed, so no question order shows."""
 
-    def __init__(self, tick: int, occupants: dict[str, list[str]], occupancy: dict[str, int],
+    def __init__(self, tick: int, occupants: dict[str, list[str]],
                  placed: dict[str, tuple[str, dict, Stream]]):
-        self.tick, self.occupants, self.occupancy = tick, occupants, occupancy
+        self.tick, self.occupants = tick, occupants
         self._placed = placed  # citizen -> (place, params, stream)
         self._contacts: dict[str, tuple[str, ...]] = {}  # of the places drawn so far
 
@@ -187,20 +181,18 @@ def social_settlement(cctx: CoordinatorContext) -> None:
         if location.startswith("place:"):
             by_place.setdefault(location[6:], []).append(cid)
             placed[cid] = (location[6:], params, cctx.stream(cid))
-    occupancy = {place: len(occupants) for place, occupants in by_place.items()}
     for cid, st, params in arrivals:
         dest = st["trip_pending"]["dest"]
         capacity = _place_capacity(cctx, dest)
         if dest != params["home_place"] and capacity is not None \
-                and occupancy.get(dest, 0) >= capacity:
+                and len(by_place.get(dest, ())) >= capacity:
             cctx.log(f"{cid} redirected home: {dest} at capacity")
             dest = params["home_place"]
-        occupancy[dest] = occupancy.get(dest, 0) + 1
         insort(by_place.setdefault(dest, []), cid)
         placed[cid] = (dest, params, cctx.stream(cid))
         cctx.set(cid, dict(st, location="place:" + dest, trip_pending=None))
     cctx.publish("trips", tuple(trips))
-    cctx.publish("placement", Placement(tick, by_place, occupancy, placed))
+    cctx.publish("placement", Placement(tick, by_place, placed))
 
 
 def _place_capacity(cctx: CoordinatorContext, place_id: str) -> int | None:
@@ -229,14 +221,15 @@ def urban_settlement(cctx: CoordinatorContext) -> None:
     places = cctx.members(ROLE_PLACE)
     if not places:
         return
-    placed = getattr(cctx.published("placement"), "occupancy", None)
-    if placed is None:
-        placed = {}
+    placement = cctx.published("placement")
+    if placement is None:
+        occupants: dict[str, list[str]] = {}
         for mid in cctx.members(ROLE_MOVER):
-            home = cctx.params(mid)["home_place"]
-            placed[home] = placed.get(home, 0) + 1
+            occupants.setdefault(cctx.params(mid)["home_place"], []).append(mid)
+    else:
+        occupants = placement.occupants
     for sid in places:
-        occupancy = placed.get(cctx.params(sid)["place_id"], 0)
+        occupancy = len(occupants.get(cctx.params(sid)["place_id"], ()))
         if cctx.get(sid)["occupancy"] != occupancy:
             cctx.set(sid, {"occupancy": occupancy})
 
@@ -293,7 +286,6 @@ def register(registry: Registry) -> None:
         init_state=_init_citizen,
         coupling=citizen_coupling,
         observe=_observe_citizen,
-        due=rest_due,
     ))
     registry.register_role(ROLE_PLACE, RuleSet(
         init_state=_init_place,

@@ -268,6 +268,26 @@ def test_stage_ends_at_its_due_tick_without_copying_the_state():
     assert world.states[sid]["infection"] == "recovered"
 
 
+def test_convalescence_ends_at_rest_until_with_a_coupling_call():
+    # mild for 3 ticks, severe for 4, then 5 ticks of convalescence at home;
+    # the end of it is a change of the patient, so the citizen's coupling
+    # rule runs in that tick and lets it out
+    world = build_sir_world(1, seeds=1, beta=0.0, contact_k=0, duration=3, p_severe=1.0,
+                            severe_hours=[4, 4], p_worsen=0.0, convalescence_hours=5)
+    pid, cid = "c0000::healthcare", "c0000::social"
+    calls, rule = [], world._rules["citizen"]
+    world._rules = dict(world._rules, citizen=lambda ctx: calls.append(ctx.tick) or rule(ctx))
+    homebound = []
+    for _ in range(16):
+        world.step()
+        homebound.append(world.states[cid]["homebound"])
+    assert world.states[pid]["infection"] == "recovered"
+    assert world.states[pid]["rest_until"] == 12
+    assert homebound == [False] * 2 + [True] * 9 + [False] * 5
+    # the patient changes at ticks 3, 7 and 12; the citizen at 3 and 12
+    assert calls == [1, 3, 4, 7, 12, 13]
+
+
 def test_seeded_case_resolves_window_ticks_after_its_seed():
     world = build_patient_world(1, mild_hours=[2, 2], p_severe=0.0)
     schedule = HazardSchedule.from_config([

@@ -199,13 +199,13 @@ def test_every_settlement_sees_previous_tick_product_whatever_its_place():
 
 
 def test_rule_exception_becomes_abort_with_id_and_tick():
+    # a new state on every call is a change, so the rule runs again next tick
     def boom(ctx):
         if ctx.tick == 3:
             raise ValueError("negative capacity")
-        return None
+        return dict(ctx.state)
 
-    registry = toy_registry(bomb=RuleSet(init_state=blank_state_init({}), coupling=boom,
-                                         due=lambda ctx, state: ctx.tick))
+    registry = toy_registry(bomb=RuleSet(init_state=blank_state_init({}), coupling=boom))
     world = World(1, registry)
     world.add_agent("a", [("a::ict", "ict", "bomb", {})])
     world.finalize()

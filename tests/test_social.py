@@ -164,10 +164,11 @@ def test_place_occupancy_follows_last_ticks_placements():
         if place["kind"] == "home":
             assert world.states[sid]["occupancy"] == residents[place["place_id"]]
     for _ in range(2 * 24):
-        placed = world.published["placement"].occupancy
+        placed = world.published["placement"].occupants
         world.step()
         for sid in places:
-            assert world.states[sid]["occupancy"] == placed.get(world.params[sid]["place_id"], 0)
+            occupants = placed.get(world.params[sid]["place_id"], ())
+            assert world.states[sid]["occupancy"] == len(occupants)
     assert all(world.states[mid] == {} for mid in world.role_members("moving-entity"))
     rules = world.registry.rules["moving-entity"]
     assert rules.internal is None and rules.network is None and rules.coupling is None
@@ -193,7 +194,7 @@ def test_dead_citizen_never_moves_again():
 def test_contacts_match_eager_oracle():
     # the placement's on-demand contacts equal the whole graph drawn at once,
     # for every citizen on every tick; the occupants are the citizens placed
-    # at each place, in id order, and the occupancy counts them
+    # at each place, in id order
     worlds = [(build_world(tiny_city(jitter=1)), 72),
               (build_sir_world(40, seeds=3, beta=0.05, contact_k=3, duration=24), 60)]
     for world, ticks in worlds:
@@ -212,7 +213,6 @@ def test_contacts_match_eager_oracle():
                 if world.states[cid]["location"].startswith("place:"):
                     at.setdefault(world.states[cid]["location"][6:], []).append(cid)
             assert placement.occupants == at
-            assert placement.occupancy == {p: len(o) for p, o in placement.occupants.items()}
         assert met > 0
 
 

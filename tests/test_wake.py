@@ -1,11 +1,12 @@
-"""Wake-driven coupling: a coupling rule runs only at tick 1, at its due
-tick or when a subagent it reads has changed, and the recorder reuses the
-rows of an observed subagent that has not changed.
+"""Wake-driven coupling: a coupling rule runs only when a subagent it reads
+has changed, and a run starts with every subagent that has a rule changed;
+the recorder reuses the rows of an observed subagent that has not changed.
 
 The equivalence tests step each world twice: as shipped, and as a
 reference ``World`` whose ``_calls`` returns the whole coupling plan on
-every tick.  Both must hold the same states on every tick, and the shipped
-world must make fewer rule calls.
+every tick.  Both must hold the same states on every tick, the shipped
+world must call every rule on its first tick and make fewer rule calls
+over the run.
 """
 
 import json
@@ -27,8 +28,8 @@ from test_social import tiny_city
 class ShippedWorld(World):
     """The shipped world, recording its coupling rule calls per tick."""
 
-    def _calls(self, tick):
-        calls = super()._calls(tick)
+    def _calls(self):
+        calls = super()._calls()
         self.call_counts.append(len(calls))
         return calls
 
@@ -36,7 +37,7 @@ class ShippedWorld(World):
 class EveryTickWorld(World):
     """The reference: every coupling rule is called on every tick."""
 
-    def _calls(self, tick):
+    def _calls(self):
         self._changed.clear()
         self.call_counts.append(len(self._plan))
         return self._plan
@@ -56,7 +57,8 @@ def shipped_and_every_tick(make):
 def assert_same_states(pair, until, schedule=None):
     """Step both worlds to tick ``until``, applying the schedule's events as a
     run does, and compare their states on every tick.  The reference calls
-    every coupling rule on every tick; the shipped world calls fewer."""
+    every coupling rule on every tick; the shipped world calls all of them
+    on its first tick and fewer over the run."""
     schedule = schedule or HazardSchedule([])
     shipped, reference = pair
     if shipped.tick == 0:
@@ -70,6 +72,7 @@ def assert_same_states(pair, until, schedule=None):
         assert shipped.states == reference.states, shipped.tick
     plan = len(reference._plan)
     assert reference.call_counts == [plan] * reference.tick
+    assert shipped.call_counts[0] == plan
     assert sum(shipped.call_counts) < sum(reference.call_counts) or not plan
 
 
@@ -148,9 +151,10 @@ def test_ict_cascade_states_match_every_tick_stepping():
 
 def test_midrun_overrides_match_every_tick_stepping():
     # at 21:00, home since its evening trip, a citizen gets a timetable that
-    # goes out at 22:00; and a node downstream of the attack is hardened
-    # before the wave reaches it
-    citizen = "cit_outskirts_1::social"
+    # goes out at 22:00; a node downstream of the attack is hardened before
+    # the wave reaches it; and a citizen convalescing at home (ticks 47-59)
+    # is given a new home at tick 50, where its coupling rule sends it
+    citizen, mover = "cit_outskirts_1::social", "cit_center_46::social"
     schedule = build_world(config_from(short_casestudy())).params[citizen]["schedule"]
     home, out = schedule[0], next(entry for entry in schedule if entry[0] != schedule[0][0])
     raw = short_casestudy([
@@ -158,42 +162,34 @@ def test_midrun_overrides_match_every_tick_stepping():
          "overrides": {"schedule": [home] * 22 + [out, home]}},
         {"tick": 2, "kind": "generic_override", "selector": {"id": "hospital_center::ict"},
          "overrides": {"vulnerability": 0.0}},
+        {"tick": 50, "kind": "generic_override", "selector": {"id": mover},
+         "overrides": {"home_place": "home_center_0"}},
     ])
     pair = shipped_and_every_tick(lambda: build_world(config_from(raw)))
     config = config_from(raw)
     assert_same_states(pair, 46, config.schedule())
     assert pair[0].states[citizen]["trip_pending"]["depart"] == 46
+    assert_same_states(pair, 50, config.schedule())
+    assert pair[0].states[mover]["location"] == "place:home_center_17"
+    assert_same_states(pair, 51, config.schedule())
+    state = pair[0].states[mover]
+    assert (state["location"], state["homebound"]) == ("place:home_center_0", True)
     assert_same_states(pair, 3 * 24, config.schedule())
 
 
-# -- due ticks ---------------------------------------------------------------
+# -- changes -----------------------------------------------------------------
 
 def clock_world(calls):
-    """Subagents whose coupling rule records its calls and changes nothing;
-    each is due ``offset`` ticks after a call (None: never)."""
+    """Subagents whose coupling rule records its calls and changes nothing."""
     def coupling(ctx):
         calls.setdefault(ctx.sid, []).append(ctx.tick)
 
-    def due(ctx, state):
-        offset = ctx.params["offset"]
-        return None if offset is None else ctx.tick + offset
-
-    registry = toy_registry(clock=RuleSet(
-        init_state=blank_state_init({}), coupling=coupling, due=due))
+    registry = toy_registry(clock=RuleSet(init_state=blank_state_init({}), coupling=coupling))
     world = World(1, registry)
-    for sid, offset in (("later", 3), ("never", None), ("now", 0), ("past", -3)):
-        world.add_agent(sid, [(sid, "ict", "clock", {"offset": offset})])
+    for sid in ("params", "quiet", "state"):
+        world.add_agent(sid, [(sid, "ict", "clock", {"scale": 1.0})])
     world.finalize()
     return world.start()
-
-
-def test_due_at_or_before_now_arms_next_tick():
-    calls = {}
-    world = clock_world(calls)
-    for _ in range(8):
-        world.step()
-    every = list(range(1, 9))
-    assert calls == {"later": [1, 4, 7], "never": [1], "now": every, "past": every}
 
 
 def test_a_change_outside_the_stages_wakes_the_rule():
@@ -201,13 +197,12 @@ def test_a_change_outside_the_stages_wakes_the_rule():
     world = clock_world(calls)
     world.step()
     world.step()
-    world.change("never", {"set": "by a hazard"})
-    world.params["later"] = dict(world.params["later"], offset=1)
-    world.change("later")
+    world.change("state", {"set": "by a hazard"})
+    world.params["params"] = dict(world.params["params"], scale=2.0)
+    world.change("params")
     for _ in range(4):
         world.step()
-    assert calls["never"] == [1, 3]
-    assert calls["later"] == [1, 3, 4, 5, 6]
+    assert calls == {"params": [1, 3], "quiet": [1], "state": [1, 3]}
 
 
 # -- recorder rows -------------------------------------------------------------
