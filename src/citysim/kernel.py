@@ -17,14 +17,24 @@ order.  State dicts are treated as immutable once published: rules return
 a fresh dict (or None for "unchanged") and must never mutate the dict
 handed to them.
 
-A coupling rule runs only when a subagent it reads has changed since it
-last ran: itself or one of its siblings.  Every change the kernel sees is
-a rule's new state, a settlement's ``set`` or ``World.change``, which is
-how a change made outside the tick (a hazard, a test) reaches it; a run
-starts with every subagent that has a rule changed, so each rule runs at
-tick 1.  A timer that ends a state, such as a convalescence, is kept by
-the settlement of the layer that owns it, which gives the subagent a new
-state at that tick.  The calls run in subagent id order.
+Every change the kernel sees is a settlement's ``set``, a coupling rule's
+new state or ``World.change``, which is how a change made outside the tick
+(a hazard, a test) reaches it.  The run keeps them in one change log,
+``World.changes``: each subagent changed since the last step began, with
+its state before that change.  Readers never drain it, so any number of
+them (the recorders' rollups) can take what changed from it.  A
+settlement gets the members of its layer changed outside the settlements
+(``changed_outside``), which is how a settlement that walks only its
+active members hears of a change it did not make.
+
+A coupling rule runs only after a change it can see: a change of one of
+its agent's siblings, or a change of its own subagent made outside its
+settlement (its own new state, or ``World.change``).  A write by its own
+settlement does not wake it.  A run starts with every subagent that has a
+rule changed outside, so each rule runs at tick 1.  A timer that ends a
+state, such as a convalescence, is kept by the settlement of the layer
+that owns it, which gives the subagent a new state at that tick.  The
+calls run in subagent id order.
 
 A settlement may publish a read-only product for the settlements of other
 layers, such as the tick's trips or where its citizens were placed.  It is
@@ -37,7 +47,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import chain
 from typing import Callable
 
 from .rng import Stream, TickRng
@@ -68,13 +78,19 @@ class RuleSet:
     """Named, parameterizable behavior bound to a subagent role tag.
 
     ``coupling`` is the role's rule in the coupling map.  It runs only
-    after a change of a subagent it reads, so it must return None whenever
-    it is called with nothing changed, for the kernel then skips it.
+    after a change of a sibling or a change of its own subagent made
+    outside its settlement, so it must return None whenever it is called
+    with nothing changed, for the kernel then skips it; and it must not
+    depend on what its own settlement writes to its own subagent, which
+    does not wake it.  ``tally`` gives the class a member's state counts
+    in for its system's rollup; the recorder keeps those counts from the
+    change log.
     """
 
     init_state: Callable[[dict, Stream], dict]
     coupling: Callable | None = None
     observe: Callable | None = None  # (state, params) -> list[(metric name, value)]
+    tally: Callable | None = None  # state -> a hashable class
     # not fields; kept for tracers that read every stage rule by name
     internal = None
     network = None
@@ -118,6 +134,8 @@ class SubAgentRecord:
     # system -> subagent id for every member of this agent; one dict shared
     # by all of the agent's records
     siblings: dict[str, str] = field(default_factory=dict, repr=False)
+    # the siblings other than itself with a coupling rule; from finalize
+    wakes: tuple[str, ...] = field(default=(), repr=False)
 
 
 class SystemLayer:
@@ -174,15 +192,17 @@ class CoordinatorContext:
     last settlement has run.
     """
 
-    __slots__ = ("_world", "system", "_nxt", "tick", "_records", "_products")
+    __slots__ = ("_world", "system", "_nxt", "tick", "_records", "_products", "_outside")
 
-    def __init__(self, world: "World", system: str, nxt: dict, tick: int, products: dict):
+    def __init__(self, world: "World", system: str, nxt: dict, tick: int, products: dict,
+                 outside: set[str]):
         self._world = world
         self.system = system
         self._nxt = nxt
         self.tick = tick
         self._records = world.records
         self._products = products
+        self._outside = outside
 
     def members(self, role: str) -> list[str]:
         """Sorted members of this layer with one role.  The list is shared by
@@ -197,8 +217,16 @@ class CoordinatorContext:
     def set(self, sid: str, state: dict) -> None:
         if self._records[sid].system != self.system:
             raise KernelError(f"{self.system} settlement wrote to foreign subagent {sid!r}")
+        self._world.changes.setdefault(sid, self._nxt[sid])
         self._nxt[sid] = state
-        self._world._changed.add(sid)
+
+    def changed_outside(self, role: str) -> list[str]:
+        """The members of this layer with one role changed outside the
+        settlements since the last step began, by a coupling rule or
+        ``World.change``, in no order."""
+        records, system = self._records, self.system
+        return [sid for sid in self._outside
+                if records[sid].system == system and records[sid].role == role]
 
     def params(self, sid: str) -> dict:
         return self._world.params[sid]
@@ -256,9 +284,15 @@ class World:
     begins a run: a shallow copy that shares all of that and owns its
     ``params`` map (sharing the records' dicts until a change copies one),
     the states derived from it, ``tick``, ``published``, ``run_log``, a
-    ``services`` dict, and the subagents changed since the coupling map last
-    ran, which decide the rules it runs.  A structure holds neither params
-    map nor states; it cannot step.
+    ``services`` dict, its change log and the subagents changed outside the
+    settlements since the last step began.  A structure holds neither
+    params map nor states; it cannot step.
+
+    ``changes`` maps each subagent changed since the last step began to
+    its state before that change.  ``version`` counts the steps begun and
+    the ``World.change`` calls of the run, and ``changes_since`` is the
+    version the log opened at: a reader that read at that version finds in
+    the log exactly what changed since.
     """
 
     def __init__(self, master_seed: int, registry: Registry):
@@ -276,9 +310,11 @@ class World:
         # the records with a coupling rule, in id order; role -> its rule
         self._plan: list[SubAgentRecord] = []
         self._rules: dict[str, Callable] = {}
-        # per run, the subagents changed since the coupling map last ran; a
-        # run starts with those that have a rule
-        self._changed: set[str] = set()
+        self.changes: dict[str, dict] = {}
+        self.version = self.changes_since = 0
+        # per run, the subagents changed outside the settlements since the
+        # last step began; a run starts with those that have a rule
+        self._outside: set[str] = set()
         self._role_order: dict[str, list[str]] = {}
         self.layer_role_order: dict[tuple[str, str], list[str]] = {}
         self._finalized = False
@@ -343,6 +379,12 @@ class World:
         self._rules = {role: ruleset.coupling
                        for role, ruleset in self.registry.rules.items() if ruleset.coupling}
         self._plan = [rec for rec in self.records.values() if rec.role in self._rules]
+        for siblings in agents.values():
+            ruled = tuple(s for s in siblings.values() if self.records[s].role in self._rules)
+            for sid in siblings.values():
+                rec = self.records[sid]
+                rec.wakes = ruled if rec.role not in self._rules else tuple(
+                    s for s in ruled if s != sid)
         self._finalized = True
 
     def start(self, params: dict[str, dict] | None = None) -> "World":
@@ -357,7 +399,8 @@ class World:
             for sid, rec in self.records.items()
         }
         run.tick, run.run_log, run.published, run.services = 0, [], {}, dict(self.services)
-        run._changed = {rec.id for rec in self._plan}
+        run.changes, run.version, run.changes_since = {}, 0, 0
+        run._outside = {rec.id for rec in self._plan}
         return run
 
     # -- queries ------------------------------------------------------------
@@ -381,25 +424,29 @@ class World:
         """A change made outside the tick, such as a hazard's: the new state
         of ``sid`` if one is given, else a change of its params already made
         in ``self.params``.  The rules that read it run at the next step."""
+        self.changes.setdefault(sid, self.states[sid])
         if state is not None:
             self.states[sid] = state
-        self._changed.add(sid)
+        self._outside.add(sid)
+        self.version += 1
 
-    def _calls(self) -> list[SubAgentRecord]:
+    def _calls(self, settled: dict, outside: set[str]) -> list[SubAgentRecord]:
         """This tick's coupling rule calls, in subagent id order: the rules
-        that read a subagent changed since the map last ran."""
-        changed, self._changed = self._changed, set()
+        of the siblings of the subagents the settlements changed
+        (``settled``) or that were changed outside them since the map last
+        ran (``outside``), and the rules of the latter themselves."""
         records, rules = self.records, self._rules
-        woken = {sibling for sid in changed for sibling in records[sid].siblings.values()
-                 if records[sibling].role in rules}
-        return sorted((records[sid] for sid in woken), key=attrgetter("id"))
+        woken = {sid for sid in outside if records[sid].role in rules}
+        for sid in chain(settled, outside):
+            woken.update(records[sid].wakes)
+        return [records[sid] for sid in sorted(woken)]
 
-    def _couple(self, prev: dict, tick: int) -> None:
+    def _couple(self, prev: dict, tick: int, outside: set[str]) -> None:
         """Apply this tick's coupling rule calls to ``prev``, after all of
         them have read it."""
         ctx = RuleContext(self, prev, tick)
         rules, outs = self._rules, []
-        for rec in self._calls():
+        for rec in self._calls(self.changes, outside):
             ctx.sid = sid = rec.id
             try:
                 out = rules[rec.role](ctx)
@@ -409,27 +456,34 @@ class World:
                 raise SimulationAbort(sid, tick, exc) from exc
             if out is not None:
                 outs.append((sid, out))
-        prev.update(outs)
-        self._changed.update(sid for sid, _ in outs)
+        changes = self.changes
+        for sid, out in outs:
+            changes.setdefault(sid, prev[sid])
+            prev[sid] = out
+        self._outside.update(sid for sid, _ in outs)
 
     def step(self) -> None:
         """Advance the world one tick: the settlements in ``SYSTEMS`` order
-        over a copy of last tick's states, then the coupling map."""
+        over a copy of last tick's states, then the coupling map.  Opens a
+        new change log."""
         if self.states is None:
             raise KernelError("world not started")
         tick = self.tick + 1
         nxt = dict(self.states)
         products: dict[str, object] = {}
+        outside, self._outside = self._outside, set()
+        self.changes, self.changes_since = {}, self.version
+        self.version += 1
         for system in SYSTEMS:
             coord = self.registry.coordinators.get(system)
             if coord is not None:
                 try:
-                    coord(CoordinatorContext(self, system, nxt, tick, products))
+                    coord(CoordinatorContext(self, system, nxt, tick, products, outside))
                 except KernelError:
                     raise
                 except Exception as exc:
                     raise SimulationAbort(f"<{system} settlement>", tick, exc) from exc
         self.published.update(products)
-        self._couple(nxt, tick)
+        self._couple(nxt, tick, outside)
         self.states = nxt
         self.tick = tick

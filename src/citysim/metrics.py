@@ -23,7 +23,8 @@ from __future__ import annotations
 import logging
 import math
 import operator
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from collections import Counter
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .kernel import World
 
@@ -100,11 +101,12 @@ def observe_subagent(world: World, sid: str) -> Block | None:
     return (sid, pairs) if pairs else None
 
 
-def aggregate_system(world: World, system: str) -> Block | None:
-    """Domain-specific system rollups (registered per system); None if
-    there are none."""
+def aggregate_system(world: World, system: str, tallies: Mapping[str, Counter]) -> Block | None:
+    """Domain-specific system rollups (registered per system), from the
+    world and the tallies of the roles that declare one; None if there are
+    none."""
     fn = world.registry.aggregators.get(system)
-    pairs = tuple(fn(world)) if fn is not None else ()
+    pairs = tuple(fn(world, tallies)) if fn is not None else ()
     return (system, pairs) if pairs else None
 
 
@@ -149,6 +151,14 @@ class Recorder:
     last observed adds the block it got then, without a call to its
     observe function.  ``rollups`` keeps this tick's system aggregates by
     (system, metric), the one count of population state.
+
+    The rollups read, per role with a ``tally``, how many members' states
+    are in each class.  The recorder counts them in full at its first
+    observation, and after that from the world's change log: a changed
+    member moves from the class of its old state to that of its new one.
+    It counts in full again whenever the log does not start where it last
+    observed, as after a change made between an observation and the next
+    step.  Reading the log leaves it as it is for the other readers.
     """
 
     DEFAULT_ROLES = (
@@ -173,6 +183,14 @@ class Recorder:
         self.rollups: dict[tuple[str, str], object] = {}
         # observed subagent -> (state, params, block or None) when last observed
         self._seen: dict[str, tuple[dict, dict, Block | None]] = {}
+        # role -> its tally function and members, for the roles with both
+        self._tallied: dict[str, tuple[Callable, list[str]]] = {}
+        for role, rules in world.registry.rules.items():
+            members = world.role_members(role) if rules.tally else None
+            if members:
+                self._tallied[role] = (rules.tally, members)
+        self._tallies: dict[str, Counter] = {}
+        self._version: int | None = None  # the world's version when last tallied
 
     def observe(self) -> None:
         world = self.world
@@ -188,8 +206,9 @@ class Recorder:
                     add(last[2])
             if last[2] is not None:
                 append(last[2])
+        self._tally()
         tail = [block for system in world.layers
-                if (block := aggregate_system(world, system)) is not None]
+                if (block := aggregate_system(world, system, self._tallies)) is not None]
         self.rollups = {(system, name): value for system, pairs in tail for name, value in pairs}
         ict_nodes = self.rollups.get(("ict", "node_count"))
         if ict_nodes:
@@ -212,3 +231,24 @@ class Recorder:
         rows.ticks.append((world.tick, blocks))
         for sid in self.station_speeds:
             self.station_speeds[sid].append(states[sid]["mean_speed"])
+
+    def _tally(self) -> None:
+        world, tallied = self.world, self._tallied
+        states = world.states
+        if world.changes_since != self._version:
+            self._tallies = {role: Counter(fn(states[sid]) for sid in members)
+                            for role, (fn, members) in tallied.items()}
+        else:
+            records, tallies = world.records, self._tallies
+            for sid, old in world.changes.items():
+                new = states[sid]
+                role = records[sid].role
+                if new is old or role not in tallied:
+                    continue
+                fn = tallied[role][0]
+                before, after = fn(old), fn(new)
+                if before != after:
+                    counts = tallies[role]
+                    counts[before] -= 1
+                    counts[after] += 1
+        self._version = world.version

@@ -39,15 +39,21 @@ def label_hash(label: str) -> int:
 
 
 class Stream:
-    """Per-subagent random stream, derived only from (master seed, id)."""
+    """Per-subagent random stream, derived only from (master seed, id).
 
-    __slots__ = ("base",)
+    Its base is hashed from the id at the first ``at`` and kept, so a
+    subagent that never draws never hashes its id."""
+
+    __slots__ = ("_seed", "_id", "_base")
 
     def __init__(self, master_seed: int, subagent_id: str):
-        self.base = _splitmix64((master_seed & _MASK) ^ fnv64(subagent_id))
+        self._seed, self._id, self._base = master_seed, subagent_id, None
 
     def at(self, tick: int, label: str = "") -> "TickRng":
-        return TickRng(self.base, tick, label)
+        base = self._base
+        if base is None:
+            base = self._base = _splitmix64((self._seed & _MASK) ^ fnv64(self._id))
+        return TickRng(base, tick, label)
 
 
 class TickRng:

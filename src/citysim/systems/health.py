@@ -11,18 +11,27 @@ at critical resolution.  Severe and critical patients are bedridden: they
 stay home unless admitted, and recovery from either is followed by a
 convalescence window before normal activity.
 
-The healthcare settlement advances the layer in one walk over the patients
-in id order.  Each patient first progresses, then takes its bed: discharges
-free beds the same tick, critical inpatients are moved to ICU when one is
-free, then unplaced severe/critical patients are admitted home-hospital-first
-with referral to the least-occupied peer.  Patients placed nowhere are
-counted as unattended against the hospital they first approached and retry
-every tick.  A patient whose convalescence ends gets an equal new state,
-the change that lets its citizen resume its routine.  Transmission follows
-the walk, from the infectious side, over their citizens' contacts in the
-social settlement's previous placement, which draws contacts only at the
-places asked about.  It touches only susceptible patients and bed
-assignment only infected ones, so the order of the two does not show.
+The healthcare settlement advances the layer in one walk over the active
+patients in id order.  Each patient first progresses, then takes its bed:
+discharges free beds the same tick, critical inpatients are moved to ICU
+when one is free, then unplaced severe/critical patients are admitted
+home-hospital-first with referral to the least-occupied peer.  Patients
+placed nowhere are counted as unattended against the hospital they first
+approached and retry every tick.  A patient whose convalescence ends gets
+an equal new state, the change that lets its citizen resume its routine.
+Transmission follows the walk, from the infectious side, over their
+citizens' contacts in the social settlement's previous placement, which
+draws contacts only at the places asked about.  It touches only
+susceptible patients and bed assignment only infected ones, so the order
+of the two does not show.
+
+The active patients are the infected, the inpatients and the
+convalescent up to their ``rest_until``.  The settlement publishes them
+for its next tick, and that tick walks them and the patients changed
+outside the settlements.  Every other patient is neither infected nor in
+a bed nor at the end of a convalescence, so the walk would leave it as it
+is: it does not progress, take a bed, transmit or add to the recount.  The
+first tick of a run walks every patient.
 """
 
 from __future__ import annotations
@@ -171,9 +180,10 @@ def _bed_field(bed_class: str) -> tuple[str, str]:
     return "general_occupancy", "general_capacity"
 
 
-def _transmit(cctx: CoordinatorContext, sources: list[str]) -> None:
+def _transmit(cctx: CoordinatorContext, sources: list[str]) -> list[str]:
     """Disease transmission over last tick's placement, tried from each
-    infectious patient to its citizen's contacts there.
+    infectious patient to its citizen's contacts there; returns the
+    patients it infected.
 
     A contact without a patient is skipped.  Each susceptible contact draws
     ``inf:<source patient>`` on its own stream, so every draw is a pure
@@ -181,8 +191,9 @@ def _transmit(cctx: CoordinatorContext, sources: list[str]) -> None:
     infectious contact succeeds, whatever order the tries come in.
     """
     placement = cctx.published("placement")
+    infected: list[str] = []
     if placement is None:
-        return
+        return infected
     for src in sources:
         for contact in placement.contacts(cctx.counterpart(src, "social")):
             pid = cctx.counterpart(contact, "healthcare")
@@ -199,18 +210,24 @@ def _transmit(cctx: CoordinatorContext, sources: list[str]) -> None:
                 new.update(infection="infected", severity="mild", stage_end=(
                     cctx.tick + cctx.rng(pid, "inf_course").randint(int(lo), int(hi))))
                 cctx.set(pid, new)
+                infected.append(pid)
+    return infected
 
 
 def healthcare_settlement(cctx: CoordinatorContext) -> None:
-    """Progression, reception, discharge and referral in one walk in
-    patient id order, then transmission from the patients infected after
-    their progression.  A patient gets one new state in the walk, and only
-    if it changed or its convalescence ends, so that its citizen's coupling
-    rule runs then."""
+    """Progression, reception, discharge and referral in one walk over the
+    active patients in id order, then transmission from the patients
+    infected after their progression; publishes the next tick's active
+    patients as ``active_patients``.  A patient gets one new state in the
+    walk, and only if it changed or its convalescence ends, so that its
+    citizen's coupling rule runs then."""
     patients = cctx.members(ROLE_PATIENT)
     if not patients:
         return
     tick = cctx.tick
+    last_active = cctx.published("active_patients")
+    if last_active is not None:
+        patients = sorted(last_active.union(cctx.changed_outside(ROLE_PATIENT)))
     hospitals = cctx.members(ROLE_HOSPITAL)
     work = {h: dict(cctx.get(h), unattended_this_tick=0) for h in hospitals}
     # bookkeeping self-check: counters must match patient placements exactly
@@ -277,6 +294,7 @@ def healthcare_settlement(cctx: CoordinatorContext) -> None:
         return pst
 
     sources = []  # infectious after progression
+    active = []  # the next tick's, but for those transmission infects
     for pid in patients:
         before = cctx.get(pid)
         pst = _progress(cctx, pid, before)
@@ -292,6 +310,9 @@ def healthcare_settlement(cctx: CoordinatorContext) -> None:
             recount[pst["located_in"]][occ] += 1
         if pst is not before:
             cctx.set(pid, pst)
+        if pst["infection"] == "infected" or pst["located_in"] is not None \
+                or pst["rest_until"] > tick:
+            active.append(pid)
     for h in hospitals:
         for occ in ("general_occupancy", "icu_occupancy"):
             if recount[h][occ] != work[h][occ]:
@@ -301,7 +322,7 @@ def healthcare_settlement(cctx: CoordinatorContext) -> None:
                 )
         if work[h] != cctx.get(h):
             cctx.set(h, work[h])
-    _transmit(cctx, sources)
+    cctx.publish("active_patients", frozenset(active).union(_transmit(cctx, sources)))
 
 
 def _observe_patient(state, params) -> list[tuple[str, object]]:
@@ -322,16 +343,11 @@ def _observe_hospital(state, params) -> list[tuple[str, object]]:
     ]
 
 
-def _aggregate(world) -> list[tuple[str, object]]:
+def _aggregate(world, tallies) -> list[tuple[str, object]]:
     out = []
-    patients = world.layer_role_order.get(("healthcare", ROLE_PATIENT))
-    if patients:
-        counts = {k: 0 for k in INFECTIONS}
-        for sid in patients:
-            counts[world.states[sid]["infection"]] += 1
-        out.extend(
-            ("total_" + name, counts[name]) for name in INFECTIONS
-        )
+    counts = tallies.get(ROLE_PATIENT)
+    if counts is not None:
+        out.extend(("total_" + name, counts[name]) for name in INFECTIONS)
     hospitals = world.layer_role_order.get(("healthcare", ROLE_HOSPITAL))
     if hospitals:
         states = [world.states[h] for h in hospitals]
@@ -344,6 +360,7 @@ def register(registry: Registry) -> None:
     registry.register_role(ROLE_PATIENT, RuleSet(
         init_state=_init_patient,
         observe=_observe_patient,
+        tally=lambda state: state["infection"],
     ))
     registry.register_role(ROLE_HOSPITAL, RuleSet(
         init_state=_init_hospital,

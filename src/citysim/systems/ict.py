@@ -206,19 +206,18 @@ def _observe_attacker(state, params) -> list[tuple[str, object]]:
     return [("attacks_emitted", state["attacks_emitted"])]
 
 
-def _aggregate(world) -> list[tuple[str, object]]:
-    nodes = world.layer_role_order.get(("ict", ROLE_NODE))
-    if not nodes:
+def _tally_node(state) -> tuple[bool, bool]:
+    return state["effective_available"], state["available"]
+
+
+def _aggregate(world, tallies) -> list[tuple[str, object]]:
+    counts = tallies.get(ROLE_NODE)
+    if counts is None:
         return []
-    available = compromised = 0
-    for sid in nodes:
-        state = world.states[sid]
-        available += state["effective_available"]
-        compromised += not state["available"]
     return [
-        ("node_count", len(nodes)),
-        ("available_count", available),
-        ("compromised_count", compromised),
+        ("node_count", sum(counts.values())),
+        ("available_count", sum(n for (effective, _), n in counts.items() if effective)),
+        ("compromised_count", sum(n for (_, available), n in counts.items() if not available)),
     ]
 
 
@@ -226,6 +225,7 @@ def register(registry: Registry) -> None:
     registry.register_role(ROLE_NODE, RuleSet(
         init_state=_init_node,
         observe=_observe_node,
+        tally=_tally_node,
     ))
     registry.register_role(ROLE_ATTACKER, RuleSet(
         init_state=_init_attacker,

@@ -114,7 +114,7 @@ def _observe_light(state, params) -> list[tuple[str, object]]:
     return [("operation_status", 1 if state["operation_status"] == "on" else 0)]
 
 
-def _aggregate(world) -> list[tuple[str, object]]:
+def _aggregate(world, tallies) -> list[tuple[str, object]]:
     stations = [
         sid for sid in world.layer_role_order.get(("mobility", ROLE_ROADWAY), ())
         if world.params[sid]["station"]

@@ -245,40 +245,46 @@ def _observe_place(state, params) -> list[tuple[str, object]]:
 PARTITION = ("in_place", "in_transit", "hospitalized", "dead")  # count_partition's counts
 
 
+def partition_class(state: dict) -> str | None:
+    """The part of the population partition a citizen's state is in, or
+    None if its location is none of them (in limbo)."""
+    location = state["location"]
+    if location.startswith("place:"):
+        return "in_place"
+    if location == "transit":
+        return "in_transit"
+    if location.startswith("hospital:"):
+        return "hospitalized"
+    return "dead" if location == "dead" else None
+
+
 def count_partition(states: dict, citizens: list[str]) -> tuple[int, int, int, int, list[str]]:
     """The population partition: how many citizens are in a place, in
-    transit, in hospital and dead, and the citizens whose location is none
-    of these (in limbo)."""
-    in_place = in_transit = hospitalized = dead = 0
+    transit, in hospital and dead, and the citizens in limbo."""
+    counts = dict.fromkeys(PARTITION, 0)
     limbo = []
     for sid in citizens:
-        location = states[sid]["location"]
-        if location.startswith("place:"):
-            in_place += 1
-        elif location == "transit":
-            in_transit += 1
-        elif location.startswith("hospital:"):
-            hospitalized += 1
-        elif location == "dead":
-            dead += 1
-        else:
+        part = partition_class(states[sid])
+        if part is None:
             limbo.append(sid)
-    return in_place, in_transit, hospitalized, dead, limbo
+        else:
+            counts[part] += 1
+    return *counts.values(), limbo
 
 
-def _aggregate_social(world) -> list[tuple[str, object]]:
-    citizens = world.layer_role_order.get(("social", ROLE_CITIZEN))
-    if not citizens:
+def _aggregate_social(world, tallies) -> list[tuple[str, object]]:
+    counts = tallies.get(ROLE_CITIZEN)
+    if counts is None:
         return []
-    *counts, _ = count_partition(world.states, citizens)
-    return [*zip(PARTITION, counts), ("population", len(citizens))]
+    return [*((part, counts[part]) for part in PARTITION),
+            ("population", sum(counts.values()))]
 
 
-def _aggregate_urban(world) -> list[tuple[str, object]]:
-    places = world.layer_role_order.get(("urban_landscape", ROLE_PLACE))
-    if not places:
+def _aggregate_urban(world, tallies) -> list[tuple[str, object]]:
+    counts = tallies.get(ROLE_PLACE)
+    if counts is None:
         return []
-    return [("total_place_occupancy", sum(world.states[s]["occupancy"] for s in places))]
+    return [("total_place_occupancy", sum(occupancy * n for occupancy, n in counts.items()))]
 
 
 def register(registry: Registry) -> None:
@@ -286,10 +292,12 @@ def register(registry: Registry) -> None:
         init_state=_init_citizen,
         coupling=citizen_coupling,
         observe=_observe_citizen,
+        tally=partition_class,
     ))
     registry.register_role(ROLE_PLACE, RuleSet(
         init_state=_init_place,
         observe=_observe_place,
+        tally=lambda state: state["occupancy"],
     ))
     registry.register_role(ROLE_MOVER, STATELESS)
     registry.register_role(ROLE_STREET, STATELESS)

@@ -85,21 +85,24 @@ def test_registration_order_does_not_change_trajectory():
 
 
 def test_same_seed_same_trajectory():
-    # the ict settlement draws each member's jump; the coupling rule adds it
+    # the healthcare settlement draws each agent's jump into its die; the
+    # coupling rule of the agent's ict member adds it
     def draw_jumps(cctx):
-        for sid in cctx.members("noisy"):
-            cctx.set(sid, dict(cctx.get(sid), jump=cctx.rng(sid, "jump").random()))
+        for sid in cctx.members("die"):
+            cctx.set(sid, {"jump": cctx.rng(sid, "jump").random()})
 
     def noisy_coupling(ctx):
-        return {"count": ctx.state["count"] + ctx.state["jump"], "jump": 0.0}
+        return {"count": ctx.state["count"] + ctx.sibling("healthcare")["jump"]}
 
     def make():
-        registry = toy_registry(noisy=RuleSet(
-            init_state=blank_state_init({"count": 0.0, "jump": 0.0}), coupling=noisy_coupling))
-        registry.register_coordinator("ict", draw_jumps)
+        registry = toy_registry(
+            noisy=RuleSet(init_state=blank_state_init({"count": 0.0}), coupling=noisy_coupling),
+            die=RuleSet(init_state=blank_state_init({"jump": 0.0})))
+        registry.register_coordinator("healthcare", draw_jumps)
         world = World(99, registry)
         for name in ("a", "b", "c"):
-            world.add_agent(name, [(f"{name}::ict", "ict", "noisy", {})])
+            world.add_agent(name, [(f"{name}::ict", "ict", "noisy", {}),
+                                   (f"{name}::healthcare", "healthcare", "die", {})])
         world.finalize()
         return world.start()
 
@@ -229,7 +232,7 @@ def assert_derived_structure_matches_definition(world: World) -> None:
         expected = [sid for sid in ordered if world.records[sid].role == role]
         assert world.role_members(role) == expected
         for system in SYSTEMS:
-            cctx = CoordinatorContext(world, system, {}, 0, {})
+            cctx = CoordinatorContext(world, system, {}, 0, {}, set())
             assert cctx.members(role) == [
                 sid for sid in expected if world.records[sid].system == system]
     member_of = {(rec.agent_id, rec.system): sid for sid, rec in world.records.items()}
@@ -284,7 +287,7 @@ def test_edge_lookups_match_definition_on_casestudy(casestudy):
     layer = world.layers["ict"]
     labels = sorted({label for _, _, label in layer.edges})
     assert labels == ["attacks", "depends_on"]
-    cctx = CoordinatorContext(world, "ict", dict(world.states), 1, {})
+    cctx = CoordinatorContext(world, "ict", dict(world.states), 1, {}, set())
     for sid in world.role_members("cyber-infrastructure"):
         for label in labels + ["no-such-label"]:
             targets = sorted(to for frm, to, lab in layer.edges if frm == sid and lab == label)

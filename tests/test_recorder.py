@@ -2,6 +2,8 @@
 export writes exactly the lines a per-row formatter writes over
 ``RunResult.samples``."""
 
+from collections import Counter
+
 import pytest
 
 from citysim.build import build_world
@@ -10,6 +12,8 @@ from citysim.hazards import HazardSchedule, apply_due
 from citysim.kernel import RuleSet, World
 from citysim.metrics import Recorder, sl_ict
 from citysim.runner import ComparisonReport, RunResult, run, run_paired
+from citysim.systems.health import INFECTIONS
+from citysim.systems.social import PARTITION, count_partition
 
 from conftest import blank_state_init, build_ict_world, config_from, toy_registry
 from test_wake import ict_hierarchy, short_casestudy, staggered_attacks
@@ -139,3 +143,61 @@ def test_rows_compare_equal_by_content():
     assert len(cached.rows.blocks) < len(fresh.rows.blocks)
     fresh.observe()
     assert cached.rows != fresh.rows
+
+
+# -- rollups from the change log -------------------------------------------------
+
+def brute_force_rollups(world) -> dict:
+    """The counted rollups as full walks over every member."""
+    states, members = world.states, world.role_members
+    *parts, limbo = count_partition(states, members("citizen"))
+    assert not limbo
+    infections = Counter(states[p]["infection"] for p in members("patient"))
+    nodes = members("cyber-infrastructure")
+    return {
+        **{("social", part): n for part, n in zip(PARTITION, parts)},
+        **{("healthcare", "total_" + name): infections[name] for name in INFECTIONS},
+        ("ict", "service_level"): sl_ict([states[s]["effective_available"] for s in nodes]),
+        ("ict", "compromised_count"): sum(not states[s]["available"] for s in nodes),
+        ("urban_landscape", "total_place_occupancy"):
+            sum(states[p]["occupancy"] for p in members("place")),
+    }
+
+
+@pytest.mark.parametrize("variant", ["baseline", "risk", "beds", "cybersecurity"])
+def test_rollups_equal_full_counts_with_two_recorders(variant):
+    config = config_from(short_casestudy())
+    world = build_world(config, variant)
+    recorders = Recorder(world), Recorder(world)
+    seen = set()
+
+    def check(w):
+        expected = brute_force_rollups(w)
+        for recorder in recorders:
+            recorder.observe()
+            got = {**recorder.rollups, ("ict", "service_level"): recorder.sl["ict"][-1]}
+            assert {key: got[key] for key in expected} == expected, w.tick
+        seen.add(tuple(sorted(expected.items())))
+
+    schedule = HazardSchedule([]) if variant == "baseline" else config.schedule()
+    run(world, config.horizon_ticks, schedule, (check,))
+    assert len(seen) > 10  # the counts move
+
+
+def test_rollups_count_anew_after_a_change_between_observation_and_step():
+    # one recorder observes every tick, one every third; a citizen is sent
+    # into transit after the observation and before the next step
+    config = config_from(short_casestudy())
+    world = build_world(config, "risk")
+    every, sparse = Recorder(world), Recorder(world)
+    citizen = world.role_members("citizen")[0]
+    for tick in range(30):
+        if tick:
+            world.step()
+        apply_due(world, tick, config.schedule())
+        for recorder in (every, sparse) if tick % 3 == 0 else (every,):
+            recorder.observe()
+            assert recorder.rollups["social", "in_transit"] == \
+                brute_force_rollups(world)["social", "in_transit"], tick
+        if tick == 10:
+            world.change(citizen, dict(world.states[citizen], location="transit"))

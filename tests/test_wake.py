@@ -1,6 +1,7 @@
-"""Wake-driven coupling: a coupling rule runs only when a subagent it reads
-has changed, and a run starts with every subagent that has a rule changed;
-the recorder reuses the rows of an observed subagent that has not changed.
+"""Wake-driven coupling: a coupling rule runs only after a change of a
+sibling or a change of its own subagent made outside its settlement, and a
+run starts with every subagent that has a rule changed; the recorder
+reuses the rows of an observed subagent that has not changed.
 
 The equivalence tests step each world twice: as shipped, and as a
 reference ``World`` whose ``_calls`` returns the whole coupling plan on
@@ -28,8 +29,8 @@ from test_social import tiny_city
 class ShippedWorld(World):
     """The shipped world, recording its coupling rule calls per tick."""
 
-    def _calls(self):
-        calls = super()._calls()
+    def _calls(self, settled, outside):
+        calls = super()._calls(settled, outside)
         self.call_counts.append(len(calls))
         return calls
 
@@ -37,8 +38,7 @@ class ShippedWorld(World):
 class EveryTickWorld(World):
     """The reference: every coupling rule is called on every tick."""
 
-    def _calls(self):
-        self._changed.clear()
+    def _calls(self, settled, outside):
         self.call_counts.append(len(self._plan))
         return self._plan
 
@@ -203,6 +203,57 @@ def test_a_change_outside_the_stages_wakes_the_rule():
     for _ in range(4):
         world.step()
     assert calls == {"params": [1, 3], "quiet": [1], "state": [1, 3]}
+
+
+def test_a_settlement_write_wakes_the_siblings_rules_not_its_own():
+    # the ict settlement rewrites its member at ticks 2 and 4: that wakes
+    # the rule of the agent's healthcare member, not the ict member's own
+    calls = {}
+
+    def coupling(ctx):
+        calls.setdefault(ctx.sid, []).append(ctx.tick)
+
+    def rewrite(cctx):
+        if cctx.tick in (2, 4):
+            cctx.set("a::ict", {"at": cctx.tick})
+
+    registry = toy_registry(clock=RuleSet(init_state=blank_state_init({}), coupling=coupling))
+    registry.register_coordinator("ict", rewrite)
+    world = World(1, registry)
+    world.add_agent("a", [("a::ict", "ict", "clock", {}),
+                          ("a::healthcare", "healthcare", "clock", {})])
+    world.finalize()
+    world = world.start()
+    for _ in range(5):
+        world.step()
+    assert calls == {"a::healthcare": [1, 2, 4], "a::ict": [1]}
+
+
+def test_changed_outside_and_the_change_log():
+    # a settlement sees its own layer's members changed by a coupling rule
+    # or World.change since the last step began; the log keeps old states
+    seen = []
+
+    def coupling(ctx):
+        return {"n": 1} if ctx.tick == 1 and ctx.sid == "a" else None
+
+    registry = toy_registry(count=RuleSet(init_state=blank_state_init({"n": 0}),
+                                          coupling=coupling))
+    registry.register_coordinator("ict", lambda cctx: seen.append(
+        (cctx.tick, sorted(cctx.changed_outside("count")))))
+    world = World(1, registry)
+    for sid, system in (("a", "ict"), ("b", "ict"), ("c", "ict"), ("d", "healthcare")):
+        world.add_agent(sid, [(sid, system, "count", {})])
+    world.finalize()
+    world = world.start()
+    world.step()
+    assert world.changes == {"a": {"n": 0}}
+    world.change("b", {"n": 5})
+    assert world.changes == {"a": {"n": 0}, "b": {"n": 0}}
+    world.step()
+    assert world.changes == {}
+    world.step()
+    assert seen == [(1, ["a", "b", "c"]), (2, ["a", "b"]), (3, [])]
 
 
 # -- recorder rows -------------------------------------------------------------
