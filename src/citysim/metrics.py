@@ -13,9 +13,10 @@ from tick-aligned station series, never inside a single run.
 
 A run's rows are kept as blocks: one ``(scope, ((metric, value), ...))``
 tuple per observed subagent observation and per system rollup.  A tick
-holds references to its blocks in row order, so a subagent that has not
-changed since the last tick adds the block it already has, and the export
-formats each distinct block once.
+holds references to its blocks in row order.  The recorder reads what
+changed from the world's change log: only an observed subagent in the log
+gets a new block, the others add the block they already have, and the
+export formats each distinct block once.
 """
 
 from __future__ import annotations
@@ -146,19 +147,21 @@ class Recorder:
     export; population-scale roles are covered by the system aggregates so
     exports stay a few MB instead of hundreds.  Each tick records, in row
     order, the block of every observed subagent that has rows, then the
-    system rollups, the service levels and the cumulative deaths.  An
-    observed subagent whose state and params are the objects it had when
-    last observed adds the block it got then, without a call to its
-    observe function.  ``rollups`` keeps this tick's system aggregates by
-    (system, metric), the one count of population state.
+    system rollups, the service levels and the cumulative deaths.
+    ``rollups`` keeps this tick's system aggregates by (system, metric),
+    the one count of population state.
 
-    The rollups read, per role with a ``tally``, how many members' states
-    are in each class.  The recorder counts them in full at its first
-    observation, and after that from the world's change log: a changed
-    member moves from the class of its old state to that of its new one.
-    It counts in full again whenever the log does not start where it last
-    observed, as after a change made between an observation and the next
-    step.  Reading the log leaves it as it is for the other readers.
+    What changed since the last observation is read from the world's change
+    log, in one pass that serves the rows and the rollups.  An observed
+    subagent in the log gets its block anew from its observe function; the
+    others keep the block they have, so an unchanged subagent adds the
+    block it already has.  A member of a role with a ``tally`` moves from
+    the class of its old state to that of its new one.  Every params change
+    reaches the log through ``World.change``.  Whenever the log does not
+    start where the recorder last observed, as at its first observation or
+    after a change made between an observation and the next step, every
+    block is taken and every tally counted anew.  Reading the log leaves it
+    as it is for the other readers.
     """
 
     DEFAULT_ROLES = (
@@ -169,9 +172,6 @@ class Recorder:
     def __init__(self, world: World, observed_roles: Sequence[str] | None = None):
         self.world = world
         roles = self.DEFAULT_ROLES if observed_roles is None else tuple(observed_roles)
-        self._observed = sorted(
-            sid for role in set(roles) for sid in world.role_members(role)
-        )
         self.rows = Rows()
         self.sl: dict[str, list[float]] = {"ict": [], "healthcare": []}
         self.deaths: list[int] = []
@@ -181,32 +181,43 @@ class Recorder:
         }
         self._hospitals = world.role_members("hospital")
         self.rollups: dict[tuple[str, str], object] = {}
-        # observed subagent -> (state, params, block or None) when last observed
-        self._seen: dict[str, tuple[dict, dict, Block | None]] = {}
-        # role -> its tally function and members, for the roles with both
-        self._tallied: dict[str, tuple[Callable, list[str]]] = {}
-        for role, rules in world.registry.rules.items():
-            members = world.role_members(role) if rules.tally else None
-            if members:
-                self._tallied[role] = (rules.tally, members)
+        # observed subagent -> its block (None if it has no rows), in row order
+        self._blocks: dict[str, Block | None] = dict.fromkeys(sorted(
+            sid for role in set(roles) for sid in world.role_members(role)))
+        # role -> its tally function, for the roles with one and with members
+        self._tallied: dict[str, Callable] = {
+            role: rules.tally for role, rules in world.registry.rules.items()
+            if rules.tally and world.role_members(role)}
         self._tallies: dict[str, Counter] = {}
-        self._version: int | None = None  # the world's version when last tallied
+        self._version: int | None = None  # the world's version when last observed
 
     def observe(self) -> None:
         world = self.world
-        rows, seen, states, params_of = self.rows, self._seen, world.states, world.params
-        blocks: list[Block] = []
-        append, add = blocks.append, rows.blocks.append
-        for sid in self._observed:
-            state, params = states[sid], params_of[sid]
-            last = seen.get(sid)
-            if last is None or last[0] is not state or last[1] is not params:
-                last = seen[sid] = (state, params, observe_subagent(world, sid))
-                if last[2] is not None:
-                    add(last[2])
-            if last[2] is not None:
-                append(last[2])
-        self._tally()
+        rows, blocks, tallied, states = self.rows, self._blocks, self._tallied, world.states
+        if world.changes_since != self._version:
+            for sid in blocks:
+                blocks[sid] = observe_subagent(world, sid)
+            rows.blocks += filter(None, blocks.values())
+            self._tallies = {role: Counter(fn(states[sid]) for sid in world.role_members(role))
+                             for role, fn in tallied.items()}
+        else:
+            records, tallies = world.records, self._tallies
+            for sid, old in world.changes.items():
+                if sid in blocks:
+                    block = blocks[sid] = observe_subagent(world, sid)
+                    if block is not None:
+                        rows.blocks.append(block)
+                role = records[sid].role
+                new = states[sid]
+                if new is old or role not in tallied:
+                    continue
+                before, after = tallied[role](old), tallied[role](new)
+                if before != after:
+                    counts = tallies[role]
+                    counts[before] -= 1
+                    counts[after] += 1
+        self._version = world.version
+        tick_blocks = list(filter(None, blocks.values()))
         tail = [block for system in world.layers
                 if (block := aggregate_system(world, system, self._tallies)) is not None]
         self.rollups = {(system, name): value for system, pairs in tail for name, value in pairs}
@@ -226,29 +237,8 @@ class Recorder:
         deaths = self.rollups.get(("healthcare", "total_dead"), 0)
         self.deaths.append(deaths)
         tail.append(("city", (("cumulative_deaths", deaths),)))
-        blocks += tail
+        tick_blocks += tail
         rows.blocks += tail
-        rows.ticks.append((world.tick, blocks))
+        rows.ticks.append((world.tick, tick_blocks))
         for sid in self.station_speeds:
             self.station_speeds[sid].append(states[sid]["mean_speed"])
-
-    def _tally(self) -> None:
-        world, tallied = self.world, self._tallied
-        states = world.states
-        if world.changes_since != self._version:
-            self._tallies = {role: Counter(fn(states[sid]) for sid in members)
-                            for role, (fn, members) in tallied.items()}
-        else:
-            records, tallies = world.records, self._tallies
-            for sid, old in world.changes.items():
-                new = states[sid]
-                role = records[sid].role
-                if new is old or role not in tallied:
-                    continue
-                fn = tallied[role][0]
-                before, after = fn(old), fn(new)
-                if before != after:
-                    counts = tallies[role]
-                    counts[before] -= 1
-                    counts[after] += 1
-        self._version = world.version

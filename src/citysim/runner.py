@@ -100,14 +100,15 @@ class InvariantMonitor:
                 ("icu_occupancy", "icu_capacity", "nominal_icu_capacity"),
             ):
                 occ = state[occ_key]
-                if occ < 0 or occ > round(params[nominal_key]):
+                # a capacity cut never evicts, so a count over the current
+                # nominal or capacity may persist but only drain
+                previous = self._previous_occ.get((hid, occ_key), 0)
+                if occ < 0 or occ > max(previous, round(params[nominal_key])):
                     raise InvariantViolation(
                         f"tick {tick}: {hid} {occ_key}={occ} outside [0, nominal]"
                     )
                 # admissions this tick ran against the capacity of the
-                # previous tick's end; a capacity cut never evicts, so an
-                # over-capacity count may persist but only drain
-                previous = self._previous_occ.get((hid, occ_key), 0)
+                # previous tick's end
                 admissible = self._previous_cap.get((hid, occ_key))
                 if admissible is None:
                     admissible = state[cap_key]
@@ -195,16 +196,13 @@ def run_paired(config: ScenarioConfig, variants: list[str], *,
     mobility: dict[str, list[float]] = {}
     baseline = runs.get(BASELINE)
     if baseline is not None and baseline.station_speeds:
-        stations = sorted(baseline.station_speeds)
-        ticks = config.horizon_ticks + 1
+        # each run's own stations against the baseline's; sl_mobility keeps
+        # the stations both have
         for name, result in runs.items():
-            series = []
-            for t in range(ticks):
-                series.append(sl_mobility(
-                    {s: result.station_speeds[s][t] for s in stations},
-                    {s: baseline.station_speeds[s][t] for s in stations},
-                ))
-            mobility[name] = series
+            mobility[name] = [
+                sl_mobility({s: speeds[t] for s, speeds in result.station_speeds.items()},
+                            {s: speeds[t] for s, speeds in baseline.station_speeds.items()})
+                for t in range(config.horizon_ticks + 1)]
     return ComparisonReport(
         scenario=config.name,
         seed=config.seed,

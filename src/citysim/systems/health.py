@@ -141,7 +141,8 @@ def _init_hospital(params: dict, stream) -> dict:
 
 
 def hospital_coupling(ctx: RuleContext) -> dict | None:
-    """Capacity and care-quality reaction to the agent's own ICT node.
+    """Capacity and care quality from the hospital's params and its own ICT
+    node, taken anew on every call, so a change of either reaches them.
 
     While the node is effectively unavailable both bed classes shrink by
     the degradation factor and care quality is scaled down.  Shrinking
@@ -152,26 +153,17 @@ def hospital_coupling(ctx: RuleContext) -> dict | None:
     if node is None:
         return None
     up = node["effective_available"]
-    state = ctx.state
-    if up == (not state["degraded"]):
-        return None
-    p = ctx.params
-    new = dict(state)
-    if up:
-        new.update(
-            general_capacity=int(round(p["nominal_general_capacity"])),
-            icu_capacity=int(round(p["nominal_icu_capacity"])),
-            care_quality=p["base_care_quality"],
-            degraded=False,
-        )
-    else:
-        new.update(
-            general_capacity=int(round(p["nominal_general_capacity"] * p["capacity_degradation_factor"])),
-            icu_capacity=int(round(p["nominal_icu_capacity"] * p["capacity_degradation_factor"])),
-            care_quality=p["base_care_quality"] * p["quality_degradation_factor"],
-            degraded=True,
-        )
-    return new
+    p, state = ctx.params, ctx.state
+    factor = 1 if up else p["capacity_degradation_factor"]
+    new = dict(
+        state,
+        general_capacity=int(round(p["nominal_general_capacity"] * factor)),
+        icu_capacity=int(round(p["nominal_icu_capacity"] * factor)),
+        care_quality=p["base_care_quality"] if up
+        else p["base_care_quality"] * p["quality_degradation_factor"],
+        degraded=not up,
+    )
+    return None if new == state else new
 
 
 def _bed_field(bed_class: str) -> tuple[str, str]:

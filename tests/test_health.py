@@ -11,9 +11,9 @@ from citysim.hazards import HazardSchedule, apply_due
 from citysim.kernel import SimulationAbort
 from citysim.metrics import Recorder
 from citysim.rng import Stream
-from citysim.runner import run
+from citysim.runner import run, run_variant
 
-from conftest import build_patient_world, build_sir_world, eager_contacts
+from conftest import build_patient_world, build_sir_world, config_from, eager_contacts
 
 
 def tick_n(world, n, schedule=None):
@@ -342,3 +342,24 @@ def test_unchanged_hospital_keeps_its_state_and_rows(casestudy, monkeypatch):
     assert hospitals
     assert sorted(sid for tick, sid in observed if sid in first) == sorted(hospitals)
     assert all(tick == 0 for tick, sid in observed if sid in first)
+
+
+@pytest.mark.parametrize("day", [12, 18])
+def test_midrun_bed_override_reaches_capacity_and_the_run_ends(casestudy, day):
+    # the override cuts the ward to 2 beds: on day 12 it holds 1 patient, on
+    # day 18 it holds 7; capacity follows at the next tick, no one is
+    # evicted, and the monitor lets an over-nominal ward drain
+    hospital = "hospital_center::healthcare"
+    raw = dict(casestudy.raw, horizon_days=25, hazards=casestudy.raw["hazards"] + [
+        {"day": day, "kind": "generic_override", "selector": {"id": hospital},
+         "overrides": {"nominal_general_capacity": 2}}])
+    config = config_from(raw)
+    result = run_variant(config, "risk")
+    assert len(result.deaths) == config.horizon_ticks + 1
+    rows = {(s.tick, s.name): s.value for s in result.samples if s.scope == hospital}
+    at = day * config.ticks_per_day
+    assert (rows[at, "general_capacity"], rows[at + 1, "general_capacity"]) == (14, 2)
+    over = [tick for tick in range(at, config.horizon_ticks)
+            if rows[tick, "general_occupancy"] > 2]
+    assert bool(over) == (day == 18)
+    assert all(rows[t + 1, "general_occupancy"] <= rows[t, "general_occupancy"] for t in over)

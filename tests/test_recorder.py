@@ -137,7 +137,7 @@ def test_rows_compare_equal_by_content():
             world.step()
         apply_due(world, tick, HazardSchedule([]))
         cached.observe()
-        fresh._seen.clear()
+        fresh._version = None  # takes every block anew
         fresh.observe()
     assert cached.rows == fresh.rows
     assert len(cached.rows.blocks) < len(fresh.rows.blocks)
@@ -186,10 +186,11 @@ def test_rollups_equal_full_counts_with_two_recorders(variant):
 
 def test_rollups_count_anew_after_a_change_between_observation_and_step():
     # one recorder observes every tick, one every third; a citizen is sent
-    # into transit after the observation and before the next step
+    # into transit after the observation and before the next step; the
+    # sparse recorder's rows equal those of one that takes every block anew
     config = config_from(short_casestudy())
     world = build_world(config, "risk")
-    every, sparse = Recorder(world), Recorder(world)
+    every, sparse, fresh = Recorder(world), Recorder(world), Recorder(world)
     citizen = world.role_members("citizen")[0]
     for tick in range(30):
         if tick:
@@ -199,5 +200,9 @@ def test_rollups_count_anew_after_a_change_between_observation_and_step():
             recorder.observe()
             assert recorder.rollups["social", "in_transit"] == \
                 brute_force_rollups(world)["social", "in_transit"], tick
+        if tick % 3 == 0:
+            fresh._version = None
+            fresh.observe()
+            assert sparse.rows == fresh.rows, tick
         if tick == 10:
             world.change(citizen, dict(world.states[citizen], location="transit"))

@@ -224,6 +224,24 @@ def test_cli_compare_all(tmp_path):
     assert manifest["variants"] == ["baseline", "risk", "harden"]
 
 
+def test_compare_with_a_station_turned_off_by_a_mitigation(tmp_path, capsys):
+    raw = json.loads(SCENARIO_PATH.read_text())
+    raw["horizon_days"] = 1
+    raw["mitigations"]["no_c01"] = [{"selector": {"id": "r_c01::mobility"},
+                                     "param": "station", "op": "set", "value": False}]
+    path = write_scenario(tmp_path, raw)
+    assert main(["validate", str(path)]) == 0
+    assert main(["compare", str(path), "--all", "--out", str(tmp_path / "out")]) == 0
+    config, errors = load_scenario(path)
+    assert not errors
+    report = run_paired(config, ["baseline", "no_c01"])
+    baseline, variant = (report.runs[name].station_speeds for name in ("baseline", "no_c01"))
+    assert sorted(variant) == sorted(set(baseline) - {"r_c01::mobility"})
+    assert len(variant) == 3
+    # no attack, so each remaining station runs at its baseline speed
+    assert report.sl_mobility["no_c01"] == [1.0] * (config.horizon_ticks + 1)
+
+
 def test_cli_unknown_variant_is_validation_error(tmp_path, capsys):
     path = small_config(tmp_path)
     assert main(["run", str(path), "--variant", "nope"]) == 2
