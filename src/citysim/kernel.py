@@ -204,10 +204,10 @@ class CoordinatorContext:
         self._products = products
         self._outside = outside
 
-    def members(self, role: str) -> list[str]:
-        """Sorted members of this layer with one role.  The list is shared by
-        every tick: read it, never mutate it."""
-        return self._world.layer_role_order.get((self.system, role), [])
+    def members(self, role: str, system: str | None = None) -> list[str]:
+        """Sorted members of this layer (or of ``system``'s) with one role.
+        The list is shared by every tick: read it, never mutate it."""
+        return self._world.layer_role_order.get((system or self.system, role), [])
 
     def get(self, sid: str) -> dict:
         if self._records[sid].system != self.system:
@@ -230,6 +230,11 @@ class CoordinatorContext:
 
     def params(self, sid: str) -> dict:
         return self._world.params[sid]
+
+    def built(self, sid: str) -> dict:
+        """The params the subagent was built with, which the run's own
+        (``params``) replace where a mitigation or hazard changed them."""
+        return self._records[sid].params
 
     def rng(self, sid: str, label: str) -> TickRng:
         return self._records[sid].stream.at(self.tick, label)

@@ -154,7 +154,8 @@ DISEASE = Record({
 
 SCHEMA = Record({
     "name": text(), "seed": integer(), "horizon_days": integer(lo=1),
-    "ticks_per_day": integer(24, lo=1),
+    # a tick is one simulated hour, and schedules cover the 24 hours of a day
+    "ticks_per_day": integer(24, choices={24}),
     "landscape": Record({
         "nodes": ListOf(Record({
             "id": text(), "district": DISTRICT, "x": number(OPTIONAL), "y": number(OPTIONAL)})),

@@ -3,17 +3,30 @@
 Citizens follow a precomputed 24-hour schedule (timetable template plus a
 per-citizen seeded boundary jitter, fixed at build).  Crossing a window
 boundary to a different place puts the citizen in transit for one tick and
-starts a trip.  The social settlement advances the layer in one walk over
-the citizens in id order: each takes its timetable step, then its trip is
-recorded, its arrival collected or its place noted.  The arrivals are then
-placed in id order against place capacity.  The settlement publishes the
-tick's trips, which the mobility layer turns into road demand (a citizen's
+starts a trip.  The social settlement advances the layer in one walk, in
+id order, over the citizens whose placement may change this tick: each
+takes its timetable step, then its trip is recorded, its arrival
+collected or its move between places noted.  The arrivals are then placed
+in id order against place capacity.  The settlement publishes the tick's
+trips, which the mobility layer turns into road demand (a citizen's
 passenger subagent is only its vehicle id and has no state), and its
 ``Placement``: each place's occupants, whom the urban landscape layer
-counts into its places, and contacts, drawn per place only where transmission
-asks: every occupant draws a fixed fan-out of distinct co-occupants,
-household members at home contact each other, and all contacts are
-symmetrized.
+counts into its places, and contacts, drawn per place only where
+transmission asks: every occupant draws a fixed fan-out of distinct
+co-occupants, household members at home contact each other, and all
+contacts are symmetrized.
+
+The walked citizens are, after the first tick (every citizen), those at
+one of their schedule's boundaries at this hour (an index built once per
+structure from the schedules as built), last tick's travellers, the
+citizens changed outside the settlements (moved by coupling, or their
+params changed) and the citizens whose schedule is not the one built,
+walked every tick.  Any other citizen is mid-window, or off its routine
+until its next boundary, so its step would leave it where it is.  The
+placement carries the rest of last tick's forward: its occupant lists
+are copied only for the places a walked citizen leaves or enters, so a
+published list is never written, and the urban landscape settlement
+writes only those places.
 
 The citizen's location string is authoritative ("place:X", "transit",
 "hospital:X" or "dead").  The moving-entity subagent is the citizen in the
@@ -22,7 +35,7 @@ urban landscape layer; it is structure only and has no state.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 
 from ..hazards import param_kind
 from ..kernel import STATELESS, CoordinatorContext, Registry, RuleContext, RuleSet, Stream
@@ -112,14 +125,20 @@ def citizen_coupling(ctx: RuleContext) -> dict | None:
 
 class Placement:
     """Where the social settlement placed citizens at ``tick``: each place's
-    ``occupants`` in citizen id order.  A place's contact graph is drawn the
-    first time it is asked for, from the params and streams its occupants had
-    when placed, so no question order shows."""
+    ``occupants`` in citizen id order, and the places whose occupant list
+    this placement replaced, ``moved`` (None: every place, as at the first
+    placement).  The next tick's settlement carries the placement forward
+    and copies a list before it changes it, so no published list is ever
+    written.  A place's contact graph is drawn the first time it is asked
+    for, from the params and streams its occupants had when placed, so no
+    question order shows."""
 
     def __init__(self, tick: int, occupants: dict[str, list[str]],
-                 placed: dict[str, tuple[str, dict, Stream]]):
-        self.tick, self.occupants = tick, occupants
+                 placed: dict[str, tuple[str, dict, Stream]],
+                 moved: set[str] | None = None, rescheduled: frozenset[str] = frozenset()):
+        self.tick, self.occupants, self.moved = tick, occupants, moved
         self._placed = placed  # citizen -> (place, params, stream)
+        self._rescheduled = rescheduled  # citizens off the built schedules' boundary index
         self._contacts: dict[str, tuple[str, ...]] = {}  # of the places drawn so far
 
     def contacts(self, cid: str | None) -> tuple[str, ...]:
@@ -146,27 +165,65 @@ class Placement:
         self._contacts.update((cid, tuple(sorted(c))) for cid, c in graph.items())
 
 
+def _boundaries(cctx: CoordinatorContext) -> list[list[str]]:
+    """Per hour of the day, the citizens whose schedule as built changes
+    place at that hour, the only hours ``_timetable_step`` acts at."""
+    hours: list[list[str]] = [[] for _ in range(24)]
+    for cid in cctx.members(ROLE_CITIZEN):
+        schedule = cctx.built(cid)["schedule"]
+        previous = schedule[-1][0]
+        for hour, (place, _) in enumerate(schedule):
+            if place != previous:
+                hours[hour].append(cid)
+            previous = place
+    return hours
+
+
 def social_settlement(cctx: CoordinatorContext) -> None:
     """Timetable steps, trips, arrivals and place capacity, in citizen id
-    order.
+    order, over the citizens whose placement may change this tick.
 
-    One walk applies each citizen's timetable step, records the trips that
-    start this tick, collects the arrivals and lists the citizens already
-    at a place.  The arrivals are then placed in id order, each against the
-    occupancy so far, and inserted into their place's occupants in id order.
-    Publishes the trips as ``trips``: (citizen id, origin place, dest place)
-    in citizen id order; and where the citizens are after this tick's
-    arrivals as ``placement``, a ``Placement``.
+    The first tick walks every citizen.  Each later tick walks the
+    citizens at a timetable boundary at this hour, last tick's travellers
+    (who arrive now), the citizens changed outside the settlements and the
+    rescheduled ones (a schedule other than the one built, walked every
+    tick); any other citizen would come out of the walk as it went in.
+    The walk applies each one's timetable step, records the trips that
+    start this tick, collects the arrivals and moves the rest between the
+    occupant lists carried over from last tick's placement.  The arrivals
+    are then placed in id order, each against the occupancy so far, and
+    inserted into their place's occupants in id order.  Publishes the trips
+    as ``trips``: (citizen id, origin place, dest place) in citizen id
+    order; and where the citizens are after this tick's arrivals as
+    ``placement``, a ``Placement``.
     """
     citizens = cctx.members(ROLE_CITIZEN)
     if not citizens:
         return
     tick = cctx.tick
+    last = cctx.published("placement")
+    if last is None:  # every citizen counts as changed
+        changed, rescheduled, occupants, placed = citizens, frozenset(), {}, {}
+    else:
+        changed, rescheduled = cctx.changed_outside(ROLE_CITIZEN), last._rescheduled
+        occupants, placed = dict(last.occupants), dict(last._placed)
+    rescheduled = rescheduled.union(
+        cid for cid in changed if cctx.params(cid)["schedule"] is not cctx.built(cid)["schedule"])
+    walk = citizens if last is None else sorted(rescheduled.union(
+        changed, cctx.derived("social_boundaries", lambda: _boundaries(cctx))[tick % 24],
+        (cid for cid, _, _ in cctx.published("trips"))))
+    moved: set[str] = set()
+
+    def occupants_of(place: str) -> list[str]:
+        # the place's occupant list, copied before its first change
+        if place not in moved:
+            moved.add(place)
+            occupants[place] = list(occupants.get(place, ()))
+        return occupants[place]
+
     trips: list[tuple[str, str, str]] = []
     arrivals: list[tuple[str, dict, dict]] = []  # in transit with a trip: (id, state, params)
-    by_place: dict[str, list[str]] = {}  # place -> its occupants after settlement
-    placed: dict[str, tuple[str, dict, Stream]] = {}
-    for cid in citizens:
+    for cid in walk:
         before = cctx.get(cid)
         params = cctx.params(cid)
         st = _timetable_step(before, params["schedule"], tick)
@@ -177,30 +234,41 @@ def social_settlement(cctx: CoordinatorContext) -> None:
             trips.append((cid, trip["origin"], trip["dest"]))
         elif location == "transit" and trip is not None:
             arrivals.append((cid, st, params))
-            continue
-        if location.startswith("place:"):
-            by_place.setdefault(location[6:], []).append(cid)
-            placed[cid] = (location[6:], params, cctx.stream(cid))
+        old = placed.pop(cid, (None,))[0]
+        place = location[6:] if location.startswith("place:") else None
+        if old != place:
+            if old is not None:
+                left = occupants_of(old)
+                del left[bisect_left(left, cid)]
+            if place is not None:
+                insort(occupants_of(place), cid)
+        if place is not None:
+            placed[cid] = (place, params, cctx.stream(cid))
+    subagents = _place_subagents(cctx)
     for cid, st, params in arrivals:
         dest = st["trip_pending"]["dest"]
-        capacity = _place_capacity(cctx, dest)
+        sid = subagents.get(dest)
+        capacity = None if sid is None else cctx.params(sid)["capacity"]
         if dest != params["home_place"] and capacity is not None \
-                and len(by_place.get(dest, ())) >= capacity:
+                and len(occupants.get(dest, ())) >= capacity:
             cctx.log(f"{cid} redirected home: {dest} at capacity")
             dest = params["home_place"]
-        insort(by_place.setdefault(dest, []), cid)
+        insort(occupants_of(dest), cid)
         placed[cid] = (dest, params, cctx.stream(cid))
         cctx.set(cid, dict(st, location="place:" + dest, trip_pending=None))
+    for place in moved:
+        if not occupants[place]:
+            del occupants[place]
     cctx.publish("trips", tuple(trips))
-    cctx.publish("placement", Placement(tick, by_place, placed))
+    cctx.publish("placement", Placement(tick, occupants, placed,
+                                        None if last is None else moved, rescheduled))
 
 
-def _place_capacity(cctx: CoordinatorContext, place_id: str) -> int | None:
-    sid = place_id + "::urban_landscape"
-    try:
-        return cctx.params(sid)["capacity"]
-    except KeyError:
-        return None
+def _place_subagents(cctx: CoordinatorContext) -> dict[str, str]:
+    """Place id -> its place subagent, in subagent id order."""
+    return cctx.derived("place_subagents", lambda: {
+        cctx.built(sid)["place_id"]: sid
+        for sid in cctx.members(ROLE_PLACE, "urban_landscape")})
 
 
 # -- urban landscape -----------------------------------------------------
@@ -217,10 +285,15 @@ def _init_place(params: dict, stream) -> dict:
 def urban_settlement(cctx: CoordinatorContext) -> None:
     """Write each place's occupancy from the social settlement's last
     ``placement`` (one tick behind).  Before the first, every citizen is at
-    its home, so the moving entities' homes are counted."""
+    its home, so the moving entities' homes are counted.  Every place is
+    written from the first placement and before it; after it, only the
+    places whose occupant list the placement replaced (``moved``) and the
+    places changed outside the settlements, for the others' lists are
+    those of the placement before."""
     places = cctx.members(ROLE_PLACE)
     if not places:
         return
+    subagents = _place_subagents(cctx)
     placement = cctx.published("placement")
     if placement is None:
         occupants: dict[str, list[str]] = {}
@@ -228,8 +301,16 @@ def urban_settlement(cctx: CoordinatorContext) -> None:
             occupants.setdefault(cctx.params(mid)["home_place"], []).append(mid)
     else:
         occupants = placement.occupants
-    for sid in places:
-        occupancy = len(occupants.get(cctx.params(sid)["place_id"], ()))
+    if placement is None or placement.moved is None:
+        write = subagents
+    else:
+        write = sorted(placement.moved.union(
+            cctx.built(sid)["place_id"] for sid in cctx.changed_outside(ROLE_PLACE)))
+    for place in write:
+        sid = subagents.get(place)
+        if sid is None:
+            continue  # a place no place subagent stands for
+        occupancy = len(occupants.get(place, ()))
         if cctx.get(sid)["occupancy"] != occupancy:
             cctx.set(sid, {"occupancy": occupancy})
 

@@ -484,6 +484,8 @@ BAD_INPUTS = {
     "hazards-object": _set("hazards", {"a": 1}),
     "timetable-entry-too-short": _set("population", "timetables", "worker", 1, [0]),
     "seed-bool": _set("seed", True),
+    # a tick is one simulated hour, which the 24-hour schedules step by
+    "ticks-per-day-12": _set("ticks_per_day", 12),
     "hazards-empty-object": _set("hazards", {}),
     "set-without-value": _set("mitigations", "harden", [
         {"selector": {"role": "cyber-infrastructure"}, "param": "vulnerability",

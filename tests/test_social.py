@@ -235,6 +235,8 @@ def test_contacts_use_the_params_of_the_placement_tick():
         changed.step()
         twin.step()
     hazards.change_params(changed, changed.params, citizens, [("contact_k", "set", 0)])
+    for cid in citizens:  # as hazards.apply_due reports a params change
+        changed.change(cid)
     expected = [twin.published["placement"].contacts(c) for c in citizens]
     assert [changed.published["placement"].contacts(c) for c in citizens] == expected
     assert any(len(contacts) > 2 for contacts in expected)  # more than the household
