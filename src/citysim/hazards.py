@@ -24,6 +24,9 @@ from .kernel import World
 KINDS = ("cyberattack", "disease_seed", "generic_override")
 # the role every target of a dispatching kind must have
 TARGET_ROLES = {"cyberattack": "cyber-attacker", "disease_seed": "patient"}
+# the parameters that name places: a home, and the place of each schedule window
+PLACE_PARAMS = {"home_place": lambda value: [value],
+                "schedule": lambda value: [place for place, _ in value]}
 
 
 class HazardError(Exception):
@@ -116,11 +119,13 @@ def change_params(world: World, params: dict[str, dict], targets: list[str],
     target's entry in ``params``, a run's map or a scratch one.  Each target
     gets a changed copy of its dict, so a dict the map shares, such as a
     record's, is never written.  The one rule for every hazard override and
-    mitigation op: the parameter exists, the change fits its kind, and the
-    changed params pass the target role's own checks (its init_state).
-    Raises HazardError at the first change that breaks it."""
+    mitigation op: the parameter exists, the change fits its kind, the
+    changed params pass the target role's own checks (its init_state), and
+    each place a parameter names is a place of the structure.  Raises
+    HazardError at the first change that breaks it."""
     if not changes:
         return
+    places = None  # the structure's place ids, once a change names places
     for sid in targets:
         record = world.records[sid]
         own = params[sid] = dict(params[sid])
@@ -131,7 +136,12 @@ def change_params(world: World, params: dict[str, dict], targets: list[str],
                 own[name] = value if op == "set" else own[name] * value
                 try:
                     init_state(own, record.stream)
-                except (TypeError, ValueError) as exc:
+                    if name in PLACE_PARAMS:
+                        places = places or {world.records[place].params["place_id"]
+                                            for place in world.role_members("place")}
+                        problem = next((f"no place {place!r}" for place in PLACE_PARAMS[name](
+                            own[name]) if place not in places), None)
+                except (TypeError, ValueError, LookupError) as exc:
                     problem = str(exc)
             if problem:
                 raise HazardError(f"override {name!r} on {sid!r}: {problem}")

@@ -274,7 +274,7 @@ class CoordinatorContext:
 
     def derived(self, name: str, compute: Callable[[], object]):
         """A value computed once per structure from its members and edges,
-        such as a settlement's evaluation order; every run shares it."""
+        such as the social settlement's boundary index; every run shares it."""
         if name not in self._world.derived:
             self._world.derived[name] = compute()
         return self._world.derived[name]

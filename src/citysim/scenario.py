@@ -21,13 +21,14 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import partial
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 from .federation import ADAPTERS
 from .hazards import KINDS, HazardSchedule, validate
 from .kernel import BuildError, World
 from .systems.health import WINDOW, is_window
-from .systems.ict import ATTACK_TYPES, dependency_order
+from .systems.ict import ATTACK_TYPES
 
 # every scenario's variants: hazards stripped, and as configured (a mitigation adds ops to risk)
 BASELINE, RISK = "baseline", "risk"
@@ -325,9 +326,10 @@ def reference_errors(raw: dict) -> list[str]:
             for ref in item[key] if isinstance(item[key], list) else [item[key]]:
                 if ref is not None and ref not in known[target]:
                     errors.append(f"{where} {item['id']!r}: {key} {ref!r} is not in {target}")
-    deps = {node["id"]: node["depends_on"] for node in ict["nodes"]}
-    if dependency_order(list(deps), deps.__getitem__) is None:
-        errors.append("ict.nodes: dependency graph has a cycle")
+    try:
+        TopologicalSorter({node["id"]: node["depends_on"] for node in ict["nodes"]}).prepare()
+    except CycleError as exc:
+        errors.append(f"ict.nodes: dependency graph has a cycle: {' -> '.join(exc.args[1])}")
 
     templates, jitter = pop["timetables"], pop["boundary_jitter_h"]
     for name, entries in templates.items():

@@ -10,10 +10,11 @@ instantly: a node whose upstream provider is down reports itself
 effectively unavailable in the same tick, even though it is not itself
 compromised and keeps no recovery clock.
 
-The ICT settlement advances the whole layer in one pass: first each armed
-attacker emits, then the walk over the nodes in dependency order recovers
-a node whose clock has run out, takes its attack arrivals and derives its
-effective availability.
+The ICT settlement advances the whole layer in one pass: each armed
+attacker emits; last tick's unavailable nodes and those changed outside
+recover when their clock runs out and send last tick's wave; the nodes an
+attack can reach take their arrivals; and the nodes reachable from the
+down ones over the dependency edges are effectively unavailable.
 """
 
 from __future__ import annotations
@@ -85,36 +86,6 @@ def _recover(state: dict, tick: int) -> dict:
                 attack_prop=None, attack_recovery_scale=None)
 
 
-def dependency_order(nodes: list[str], providers) -> list[str] | None:
-    """``nodes`` ordered so that each comes after all its providers, or None
-    if the dependencies have a cycle.  Iterative (Kahn's algorithm), so the
-    depth of a chain is not limited; providers outside ``nodes`` are
-    ignored."""
-    waiting = {sid: 0 for sid in nodes}
-    dependents: dict[str, list[str]] = {sid: [] for sid in nodes}
-    for sid in nodes:
-        for up in providers(sid):
-            if up in waiting:
-                waiting[sid] += 1
-                dependents[up].append(sid)
-    order = [sid for sid in nodes if not waiting[sid]]
-    for sid in order:  # grows while it is walked
-        for dep in dependents[sid]:
-            waiting[dep] -= 1
-            if not waiting[dep]:
-                order.append(dep)
-    return order if len(order) == len(waiting) else None
-
-
-def _settlement_plan(cctx: CoordinatorContext) -> list[tuple[str, list[str], list[str]]]:
-    order = dependency_order(cctx.members(ROLE_NODE),
-                             lambda sid: cctx.providers(sid, EDGE_DEPENDS))
-    if order is None:
-        raise ValueError("ICT dependency graph has a cycle")
-    return [(sid, cctx.providers(sid, EDGE_DEPENDS), cctx.dependents(sid, EDGE_DEPENDS))
-            for sid in order]
-
-
 def _arrival(cctx: CoordinatorContext, sid: str, providers: list[str],
              wave: dict[str, tuple[float, float]]) -> tuple[float, float] | None:
     """The (propagation, recovery scale) of the first attack that gets
@@ -145,24 +116,23 @@ def _arrival(cctx: CoordinatorContext, sid: str, providers: list[str],
 
 
 def ict_settlement(cctx: CoordinatorContext) -> None:
-    """Attack emission, then recovery, attack arrivals and effective
-    availability in one walk over the acyclic dependency graph.
+    """Attack emission, recovery, arrivals and effective availability;
+    publishes the effectively unavailable nodes as ``ict_unavailable``.
 
-    Each armed attacker emits first.  Nodes are then visited in dependency
-    order, computed once per structure with each node's providers and
-    dependents.  A node whose recovery clock has run out recovers before
-    anything reads it, so it sends no wave.  A node an attack can reach
-    this tick then takes its arrivals: a successful one compromises it, and
-    on an already-down node rewinds its clock.  A node compromised last
-    tick sends its wave with the attack it had before any hit of this tick.
-    Then a node is effectively available iff it is up and all its providers
-    are, so a whole hierarchy outage shows up in the same tick's metrics.
-    A node gets one new state, and only if it changed.
+    After the attackers emit, the nodes that may be down are walked in id
+    order: last tick's unavailable nodes and those changed outside the
+    settlements (any other node is up, as every node starts up).  A
+    walked node whose clock has run out recovers and sends no wave; one
+    compromised last tick sends its wave, with the attack it had before any
+    hit of this tick.  Each node an attack can reach takes its arrivals: a
+    successful one compromises it, or on a down node rewinds its clock.
+    The down nodes and every node reachable from them over the dependency
+    edges are effectively unavailable, so a whole hierarchy outage shows up
+    in the same tick's metrics.
     """
     tick = cctx.tick
-    last = tick - 1
     # the nodes an attack can reach this tick: the targets of the attackers
-    # that emitted, and, added during the walk, the dependents of the wave
+    # that emitted, and the dependents of the wave
     reached: set[str] = set()
     for attacker in cctx.members(ROLE_ATTACKER):
         state = cctx.get(attacker)
@@ -170,29 +140,40 @@ def ict_settlement(cctx: CoordinatorContext) -> None:
         if emitted is not state:
             cctx.set(attacker, emitted)
             reached.update(cctx.providers(attacker, EDGE_ATTACKS))
+    last_unavailable = cctx.published("ict_unavailable") or frozenset()
+    walked = sorted(last_unavailable.union(cctx.changed_outside(ROLE_NODE)))
+    down: list[str] = []
     wave: dict[str, tuple[float, float]] = {}  # compromised last tick -> its attack
-    effective: dict[str, bool] = {}
-    for sid, providers, dependents in cctx.derived("ict_dependency_order",
-                                                   lambda: _settlement_plan(cctx)):
+    for sid in walked:
         before = cctx.get(sid)
         state = _recover(before, tick)
-        if state["compromised_at"] == last:
+        if state is not before:
+            cctx.set(sid, state)
+        if state["compromised_at"] == tick - 1:
             wave[sid] = (state["attack_prop"], state["attack_recovery_scale"])
-            reached.update(dependents)
-        hit = _arrival(cctx, sid, providers, wave) if sid in reached else None
+            reached.update(cctx.dependents(sid, EDGE_DEPENDS))
+        if not state["available"]:
+            down.append(sid)
+    for sid in sorted(reached):
+        hit = _arrival(cctx, sid, cctx.providers(sid, EDGE_DEPENDS), wave)
         if hit is not None:
             prop, scale = hit
             recovery = max(1, round(cctx.params(sid)["recovery_ticks"] * scale))
-            state = dict(state, available=False, effective_available=False,
-                         compromised_at=tick, recovery_due=tick + recovery,
-                         attack_prop=prop, attack_recovery_scale=scale)
-        else:
-            value = state["available"] and all(effective[p] for p in providers)
-            if state["effective_available"] != value:
-                state = dict(state, effective_available=value)
-        effective[sid] = state["effective_available"]
-        if state is not before:
-            cctx.set(sid, state)
+            cctx.set(sid, dict(cctx.get(sid), available=False, effective_available=False,
+                               compromised_at=tick, recovery_due=tick + recovery,
+                               attack_prop=prop, attack_recovery_scale=scale))
+            down.append(sid)
+    unavailable: set[str] = set()
+    while down:
+        sid = down.pop()
+        if sid not in unavailable:
+            unavailable.add(sid)
+            down.extend(cctx.dependents(sid, EDGE_DEPENDS))
+    for sid in sorted(unavailable.union(walked)):
+        state = cctx.get(sid)
+        if state["effective_available"] == (sid in unavailable):
+            cctx.set(sid, dict(state, effective_available=sid not in unavailable))
+    cctx.publish("ict_unavailable", frozenset(unavailable))
 
 
 def _observe_node(state, params) -> list[tuple[str, object]]:

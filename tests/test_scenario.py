@@ -58,7 +58,14 @@ def test_dependency_cycle_rejected(tmp_path):
         {"id": "b", "depends_on": ["a"], "vulnerability": 0.5, "recovery_ticks": 4},
     ]
     _, errors = load_scenario(write_scenario(tmp_path, raw))
-    assert any("cycle" in e for e in errors)
+    assert "ict.nodes: dependency graph has a cycle: a -> b -> a" in errors
+
+
+def test_self_dependency_rejected(tmp_path):
+    raw = minimal_raw()
+    raw["ict"]["nodes"][0]["depends_on"] = ["a"]
+    _, errors = load_scenario(write_scenario(tmp_path, raw))
+    assert errors == ["ict.nodes: dependency graph has a cycle: a -> a"]
 
 
 def test_bad_hazard_selector_named(tmp_path):
@@ -467,6 +474,12 @@ def _override_unset_attack_probability(raw):
                                           {"propagation_probability": "x"}))
 
 
+def _unknown_place_schedule(raw):
+    """A schedule whose last hour is at no place of the case study."""
+    first = raw["landscape"]["places"][0]["id"]
+    return [[first, "work"]] * 23 + [["nowhere", "work"]]
+
+
 def _mitigation(*ops):
     return _set("mitigations", "harden", [
         {"selector": {"role": role}, "param": param, "op": op, "value": value}
@@ -523,6 +536,17 @@ BAD_INPUTS = {
     "mitigation-scale-by-string": _mitigation(
         ("cyber-infrastructure", "vulnerability", "scale", "x")),
     "mitigation-window-reversed": _mitigation(("patient", "mild_hours", "set", [48, 24])),
+    # a place a parameter names is one of the structure's; unchecked, these
+    # validated and a citizen sent home stood in no place's occupancy
+    "override-home-place-unknown": _add_hazard(_override_event(
+        {"role": "citizen"}, {"home_place": "nowhere"})),
+    "override-schedule-place-unknown": lambda raw: _add_hazard(_override_event(
+        {"role": "citizen"}, {"schedule": _unknown_place_schedule(raw)}))(raw),
+    "mitigation-home-place-unknown": _mitigation(("citizen", "home_place", "set", "nowhere")),
+    "mitigation-schedule-place-unknown": lambda raw: _mitigation(
+        ("citizen", "schedule", "set", _unknown_place_schedule(raw)))(raw),
+    "override-schedule-entry-empty": _add_hazard(_override_event(
+        {"role": "citizen"}, {"schedule": [[]] * 24})),
 }
 
 
