@@ -26,7 +26,6 @@ def build_commons_world() -> World:
     world = World(master_seed=2028, registry=default_registry())
     world.add_agent("commons", [(
         "commons::urban_landscape", "urban_landscape", "place", {
-            "place_id": "commons", "kind": "commons", "node": None,
             "district": None, "capacity": None,
         })])
     schedule = [("commons", "commons")] * 24

@@ -1,10 +1,15 @@
 """A scenario's structure, built once, and the runs of its variants on it.
 
 Every functional entity becomes an agent made of one subagent per system
-it participates in; subagent ids are "<agent>::<system>".  Citizens get a
-social, healthcare (patient), mobility (passenger) and urban-landscape
-(moving entity) subagent; the passenger is the citizen's vehicle id, the
-moving entity carries its home for the landscape, and neither has state.
+it participates in; subagent ids are "<agent>::<system>".  A subagent's
+params hold only what a run reads, so a hazard or mitigation can change
+nothing else: a relation is a layer edge (an attacker's ``attacks``
+target, a light's ``controls`` roadways), a place's id is its agent's id,
+and the street graph and each place's node come from the scenario
+document.  Citizens get a social, healthcare (patient), mobility
+(passenger) and urban-landscape (moving entity) subagent; the passenger is
+the citizen's vehicle id, the moving entity carries its home for the
+landscape, and neither has state.
 Hospitals and traffic lights embed their own ICT node as a leaf depending
 on their district node.  Homes are generated per household and cycle over
 the district's street nodes.
@@ -54,7 +59,6 @@ def build_structure(config: ScenarioConfig) -> World:
     for atk in ict["attackers"]:
         world.add_agent(atk["id"], [(
             subagent_id(atk["id"], "ict"), "ict", "cyber-attacker", {
-                "target": subagent_id(atk["target"], "ict"),
                 "attack_type": atk["attack_type"],
                 "propagation_probability": atk["propagation_probability"],
                 "district": atk["district"],
@@ -78,11 +82,7 @@ def build_structure(config: ScenarioConfig) -> World:
             members.append(_ict_node(hid, hosp["ict"], hosp["district"]))
         members.append((
             subagent_id(hid, "urban_landscape"), "urban_landscape", "place", {
-                "place_id": hid,
-                "kind": "hospital",
-                "node": hosp["node"],
-                "district": hosp["district"],
-                "capacity": None,
+                "district": hosp["district"], "capacity": None,
             }))
         world.add_agent(hid, members)
         place_nodes[hid] = hosp["node"]
@@ -91,14 +91,12 @@ def build_structure(config: ScenarioConfig) -> World:
         lid = light["id"]
         members = [(
             subagent_id(lid, "mobility"), "mobility", "traffic-light", {
-                "roadways": [subagent_id(r, "mobility") for r in light["roadways"]],
                 "district": light["district"],
             })]
         if "ict" in light:
             members.append(_ict_node(lid, light["ict"], light["district"]))
         members.append((
             subagent_id(lid, "urban_landscape"), "urban_landscape", "fixed-entity", {
-                "node": light["node"],
                 "district": light["district"],
             }))
         world.add_agent(lid, members)
@@ -107,26 +105,20 @@ def build_structure(config: ScenarioConfig) -> World:
         rid = rw["id"]
         world.add_agent(rid, [
             (subagent_id(rid, "mobility"), "mobility", "roadway", {
-                "a": rw["a"], "b": rw["b"],
-                "length_m": rw["length_m"],
                 "free_flow_mps": rw["free_flow_mps"],
                 "capacity": rw["capacity"],
                 "station": rw["station"],
                 "district": rw["district"],
             }),
             (subagent_id(rid, "urban_landscape"), "urban_landscape", "street", {
-                "a": rw["a"], "b": rw["b"], "district": rw["district"],
+                "district": rw["district"],
             }),
         ])
 
     for pl in land["places"]:
         world.add_agent(pl["id"], [(
             subagent_id(pl["id"], "urban_landscape"), "urban_landscape", "place", {
-                "place_id": pl["id"],
-                "kind": pl["kind"],
-                "node": pl["node"],
-                "district": pl["district"],
-                "capacity": pl["capacity"],
+                "district": pl["district"], "capacity": pl["capacity"],
             })])
         place_nodes[pl["id"]] = pl["node"]
 
@@ -217,15 +209,13 @@ def _build_population(world: World, config: ScenarioConfig,
         patient = dict(disease, home_hospital=hospital_of_district.get(district),
                        district=district, vaccinated=False, initially_infected=False)
         passenger = {"district": district}
+        home = {"district": district, "capacity": None}
         index = 0
         for hh_index, size in enumerate(sizes):
             home_id = f"home_{district}_{hh_index}"
             home_node = district_nodes[hh_index % len(district_nodes)]
             world.add_agent(home_id, [(
-                subagent_id(home_id, "urban_landscape"), "urban_landscape", "place", {
-                    "place_id": home_id, "kind": "home", "node": home_node,
-                    "district": district, "capacity": None,
-                })])
+                subagent_id(home_id, "urban_landscape"), "urban_landscape", "place", home)])
             place_nodes[home_id] = home_node
             members = [f"cit_{district}_{index + j}" for j in range(size)]
             social = [subagent_id(m, "social") for m in members]
@@ -326,7 +316,7 @@ def _attach_services(world: World, land: dict, mobility: dict,
 def _traffic_federate(run: World, seed: int, mobility: dict):
     """A freshly initialised federate over the run's roadways, with their
     params after any mitigation, and their lights; the mobility settlement
-    hands it each roadway's current params every tick."""
+    sends it only the lights and roadways that change."""
     controllers = run.layers["mobility"].sources
     adapter = ADAPTERS[mobility["adapter"]](
         v_min_frac=mobility["v_min_frac"], light_off_factor=mobility["light_off_factor"])

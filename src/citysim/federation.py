@@ -32,7 +32,11 @@ class FederationAdapter(ABC):
         ``route`` (``vehicle_id``, ``edges``: roadway ids), ``light``
         (``light_id``, ``status``: "on" or "off") or ``roadway``
         (``roadway_id``, ``capacity``, ``free_flow_mps``: the roadway's
-        current values).  An unknown kind or id raises LockstepError."""
+        new values).  Light and roadway commands are deltas: the federate
+        keeps what ``initialize`` or the last command gave each light and
+        roadway until a command changes it.  A route's edge list is
+        read-only: the caller shares it between vehicles and ticks.  An
+        unknown kind or id raises LockstepError."""
 
     @abstractmethod
     def advance(self, tick: int) -> None: ...
@@ -97,7 +101,7 @@ class ReferenceTrafficSimulator(FederationAdapter):
     def inject(self, commands: list[dict]) -> None:
         for cmd in commands:
             if cmd["kind"] == "route":
-                self._pending_routes.append(list(cmd["edges"]))
+                self._pending_routes.append(cmd["edges"])
             elif cmd["kind"] == "light":
                 if cmd["light_id"] not in self._light_state:
                     raise LockstepError(f"unknown traffic light {cmd['light_id']!r}")

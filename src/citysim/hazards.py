@@ -137,7 +137,7 @@ def change_params(world: World, params: dict[str, dict], targets: list[str],
                 try:
                     init_state(own, record.stream)
                     if name in PLACE_PARAMS:
-                        places = places or {world.records[place].params["place_id"]
+                        places = places or {world.records[place].agent_id
                                             for place in world.role_members("place")}
                         problem = next((f"no place {place!r}" for place in PLACE_PARAMS[name](
                             own[name]) if place not in places), None)

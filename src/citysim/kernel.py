@@ -231,6 +231,10 @@ class CoordinatorContext:
     def params(self, sid: str) -> dict:
         return self._world.params[sid]
 
+    def agent_id(self, sid: str) -> str:
+        """The id of the agent the subagent belongs to, such as a place's id."""
+        return self._records[sid].agent_id
+
     def built(self, sid: str) -> dict:
         """The params the subagent was built with, which the run's own
         (``params``) replace where a mitigation or hazard changed them."""

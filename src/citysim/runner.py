@@ -20,7 +20,7 @@ from .hazards import HazardSchedule, apply_due
 from .kernel import KernelError, World
 from .metrics import Recorder, Rows, sl_mobility
 from .scenario import BASELINE, RISK, ScenarioConfig
-from .systems.social import PARTITION, count_partition
+from .systems.social import PARTITION, partition_class
 
 
 class InvariantViolation(KernelError):
@@ -83,9 +83,10 @@ class InvariantMonitor:
         population = counts.get(("social", "population"), 0)
         if population and sum(counts["social", part] for part in PARTITION) != population:
             # only a citizen in none of the parts breaks the sum; name the first
-            *_, limbo = count_partition(world.states, world.role_members("citizen"))
-            location = world.states[limbo[0]]["location"]
-            raise InvariantViolation(f"tick {tick}: {limbo[0]} in limbo {location!r}")
+            limbo = next(sid for sid in world.role_members("citizen")
+                         if partition_class(world.states[sid]) is None)
+            location = world.states[limbo]["location"]
+            raise InvariantViolation(f"tick {tick}: {limbo} in limbo {location!r}")
         if len(deaths) > 1 and deaths[-1] < deaths[-2]:
             raise InvariantViolation(f"tick {tick}: deaths decreased")
         if population and deaths[-1] != counts["social", "dead"]:

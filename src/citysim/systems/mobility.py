@@ -8,9 +8,11 @@ kernel tick, and mirrors the queried observables (per-roadway mean speed
 and intensity, light status) back into the roadway meta-subagents.  A
 passenger is structure only: its id is the citizen's vehicle id, and it has
 no state.  Vehicles themselves live inside the federate; only their
-aggregate effect is mirrored.  Every tick the federate gets each roadway's
-capacity and free-flow speed from the run's params, after any mitigation
-or hazard, while route costs stay as built.
+aggregate effect is mirrored.  The federate starts from the run's params,
+after any mitigation, and keeps each light's status and each roadway's
+capacity and free-flow speed between ticks; a tick sends it only the
+lights and roadways changed outside the settlements (a light's coupling, a
+hazard's override).  Route costs stay as built.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ def memo_route(graph: StreetGraph, origin: str, dest: str) -> list[str] | None:
 
 
 def mobility_settlement(cctx: CoordinatorContext) -> None:
-    """Route insertion for last tick's trips, lockstep advance, and
-    observable mirroring; a trip of a citizen without a passenger is
-    skipped."""
+    """Route insertion for last tick's trips, the lights and roadways
+    changed since the last tick, lockstep advance, and observable
+    mirroring; a trip of a citizen without a passenger is skipped."""
     try:
         adapter = cctx.service("traffic")
     except KeyError:
@@ -67,12 +69,12 @@ def mobility_settlement(cctx: CoordinatorContext) -> None:
     graph = cctx.service("street_graph")
     place_nodes = cctx.service("place_nodes")
     commands: list[dict] = []
-    for lid in cctx.members(ROLE_LIGHT):
+    for lid in sorted(cctx.changed_outside(ROLE_LIGHT)):
         commands.append({
             "kind": "light", "light_id": lid,
             "status": cctx.get(lid)["operation_status"],
         })
-    for rid in cctx.members(ROLE_ROADWAY):
+    for rid in sorted(cctx.changed_outside(ROLE_ROADWAY)):
         params = cctx.params(rid)
         commands.append({
             "kind": "roadway", "roadway_id": rid,

@@ -267,8 +267,7 @@ def social_settlement(cctx: CoordinatorContext) -> None:
 def _place_subagents(cctx: CoordinatorContext) -> dict[str, str]:
     """Place id -> its place subagent, in subagent id order."""
     return cctx.derived("place_subagents", lambda: {
-        cctx.built(sid)["place_id"]: sid
-        for sid in cctx.members(ROLE_PLACE, "urban_landscape")})
+        cctx.agent_id(sid): sid for sid in cctx.members(ROLE_PLACE, "urban_landscape")})
 
 
 # -- urban landscape -----------------------------------------------------
@@ -305,7 +304,7 @@ def urban_settlement(cctx: CoordinatorContext) -> None:
         write = subagents
     else:
         write = sorted(placement.moved.union(
-            cctx.built(sid)["place_id"] for sid in cctx.changed_outside(ROLE_PLACE)))
+            cctx.agent_id(sid) for sid in cctx.changed_outside(ROLE_PLACE)))
     for place in write:
         sid = subagents.get(place)
         if sid is None:
@@ -323,7 +322,7 @@ def _observe_place(state, params) -> list[tuple[str, object]]:
     return [("occupancy", state["occupancy"])]
 
 
-PARTITION = ("in_place", "in_transit", "hospitalized", "dead")  # count_partition's counts
+PARTITION = ("in_place", "in_transit", "hospitalized", "dead")  # partition_class's parts
 
 
 def partition_class(state: dict) -> str | None:
@@ -337,20 +336,6 @@ def partition_class(state: dict) -> str | None:
     if location.startswith("hospital:"):
         return "hospitalized"
     return "dead" if location == "dead" else None
-
-
-def count_partition(states: dict, citizens: list[str]) -> tuple[int, int, int, int, list[str]]:
-    """The population partition: how many citizens are in a place, in
-    transit, in hospital and dead, and the citizens in limbo."""
-    counts = dict.fromkeys(PARTITION, 0)
-    limbo = []
-    for sid in citizens:
-        part = partition_class(states[sid])
-        if part is None:
-            limbo.append(sid)
-        else:
-            counts[part] += 1
-    return *counts.values(), limbo
 
 
 def _aggregate_social(world, tallies) -> list[tuple[str, object]]:

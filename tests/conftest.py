@@ -74,7 +74,6 @@ def build_sir_world(n: int, seeds: int, beta: float, contact_k: int,
     world = World(master_seed, default_registry())
     world.add_agent("commons", [(
         "commons::urban_landscape", "urban_landscape", "place", {
-            "place_id": "commons", "kind": "commons", "node": None,
             "district": None, "capacity": None,
         })])
     schedule = [("commons", "commons")] * 24

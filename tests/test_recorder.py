@@ -13,7 +13,7 @@ from citysim.kernel import RuleSet, World
 from citysim.metrics import Recorder, sl_ict
 from citysim.runner import ComparisonReport, RunResult, run, run_paired
 from citysim.systems.health import INFECTIONS
-from citysim.systems.social import PARTITION, count_partition
+from citysim.systems.social import PARTITION, partition_class
 
 from conftest import blank_state_init, build_ict_world, config_from, toy_registry
 from test_wake import ict_hierarchy, short_casestudy, staggered_attacks
@@ -150,12 +150,12 @@ def test_rows_compare_equal_by_content():
 def brute_force_rollups(world) -> dict:
     """The counted rollups as full walks over every member."""
     states, members = world.states, world.role_members
-    *parts, limbo = count_partition(states, members("citizen"))
-    assert not limbo
+    parts = Counter(partition_class(states[c]) for c in members("citizen"))
+    assert None not in parts
     infections = Counter(states[p]["infection"] for p in members("patient"))
     nodes = members("cyber-infrastructure")
     return {
-        **{("social", part): n for part, n in zip(PARTITION, parts)},
+        **{("social", part): parts[part] for part in PARTITION},
         **{("healthcare", "total_" + name): infections[name] for name in INFECTIONS},
         ("ict", "service_level"): sl_ict([states[s]["effective_available"] for s in nodes]),
         ("ict", "compromised_count"): sum(not states[s]["available"] for s in nodes),

@@ -547,6 +547,12 @@ BAD_INPUTS = {
         ("citizen", "schedule", "set", _unknown_place_schedule(raw)))(raw),
     "override-schedule-entry-empty": _add_hazard(_override_event(
         {"role": "citizen"}, {"schedule": [[]] * 24})),
+    # a key no run reads is not a param; unchecked, these validated and
+    # changed nothing in a run
+    "override-place-id": _add_hazard(_override_event({"role": "place"}, {"place_id": "x"})),
+    "override-attacker-target": _add_hazard(_override_event(
+        {"id": "attacker_main::ict"}, {"target": "ict_city::ict"})),
+    "mitigation-roadway-length": _mitigation(("roadway", "length_m", "scale", 2)),
 }
 
 
@@ -620,6 +626,39 @@ def test_overrides_and_mitigations_that_fit_validate_and_build(tmp_path):
     world = build_world(config, "harden")
     assert {world.params[s]["vulnerability"]
             for s in world.role_members("cyber-infrastructure")} == {1.0}
+
+
+# each role's params as built: what a run reads, and the district that
+# selectors read
+BUILT_PARAMS = {
+    "citizen": {"contact_k", "district", "home_place", "household", "schedule"},
+    "cyber-attacker": {"attack_type", "district", "propagation_probability"},
+    "cyber-infrastructure": {"district", "recovery_ticks", "vulnerability"},
+    "fixed-entity": {"district"},
+    "hospital": {"base_care_quality", "capacity_degradation_factor", "district",
+                 "nominal_general_capacity", "nominal_icu_capacity",
+                 "quality_degradation_factor", "referral_peers"},
+    "moving-entity": {"district", "home_place"},
+    "passenger": {"district"},
+    "patient": {"beta", "convalescence_hours", "critical_hours", "district", "home_hospital",
+                "initially_infected", "mild_hours", "p_die_treated", "p_die_untreated",
+                "p_severe", "p_worsen", "severe_hours", "vaccinated", "vaccination_factor"},
+    "place": {"capacity", "district"},
+    "roadway": {"capacity", "district", "free_flow_mps", "station"},
+    "street": {"district"},
+    "traffic-light": {"district"},
+}
+
+
+def test_built_params_hold_only_what_a_run_reads(casestudy):
+    # relations are layer edges, a place's id is its agent's id, and the
+    # street graph and place nodes come from the document
+    records = casestudy.structure.records.values()
+    assert {rec.role for rec in records} == set(BUILT_PARAMS)
+    for rec in records:
+        assert set(rec.params) == BUILT_PARAMS[rec.role], rec.id
+    assert {"target", "roadways", "a", "b", "length_m", "node", "kind",
+            "place_id"}.isdisjoint(set().union(*BUILT_PARAMS.values()))
 
 
 def ict_chain(length: int, leaf_first: bool) -> dict:

@@ -160,14 +160,14 @@ def test_place_occupancy_follows_last_ticks_placements():
         residents[home] = residents.get(home, 0) + 1
     world.step()
     for sid in places:
-        place = world.params[sid]
-        if place["kind"] == "home":
-            assert world.states[sid]["occupancy"] == residents[place["place_id"]]
+        place = world.records[sid].agent_id
+        if place.startswith("home_"):
+            assert world.states[sid]["occupancy"] == residents[place]
     for _ in range(2 * 24):
         placed = world.published["placement"].occupants
         world.step()
         for sid in places:
-            occupants = placed.get(world.params[sid]["place_id"], ())
+            occupants = placed.get(world.records[sid].agent_id, ())
             assert world.states[sid]["occupancy"] == len(occupants)
     assert all(world.states[mid] == {} for mid in world.role_members("moving-entity"))
     rules = world.registry.rules["moving-entity"]

@@ -84,7 +84,7 @@ def reference_urban_settlement(cctx) -> None:
     else:
         occupants = placement.occupants
     for sid in places:
-        occupancy = len(occupants.get(cctx.params(sid)["place_id"], ()))
+        occupancy = len(occupants.get(cctx.agent_id(sid), ()))
         if cctx.get(sid)["occupancy"] != occupancy:
             cctx.set(sid, {"occupancy": occupancy})
 

@@ -34,7 +34,9 @@ def test_trace_hooks_attach_and_detach():
         runner.run_variant(dataclasses.replace(config, horizon_days=1), "cybersecurity")
         for name in ("runner.build", "hazards.apply_due", "runner.invariants", "kernel.step",
                      "metrics.observe", "metrics.aggregate", "metrics.observe_subagent",
-                     "settle.ict", "settle.healthcare", "settle.social"):
+                     "settle.ict", "settle.healthcare", "settle.social", "settle.mobility",
+                     "settle.urban_landscape", "federation.inject",
+                     "routing.shortest_route"):
             assert tracer.calls[name] > 0, name
     finally:
         tracer.uninstall()
