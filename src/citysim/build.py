@@ -22,6 +22,8 @@ citizens exist or in what order they were created.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .federation import ADAPTERS
 from .hazards import HazardError, change_params, resolve_selector
 from .kernel import BuildError, World
@@ -177,7 +179,9 @@ def _build_population(world: World, config: ScenarioConfig,
     raw = config.raw
     pop, land, disease = raw["population"], raw["landscape"], raw["health"]["disease"]
     templates = pop["timetables"]
-    mix = pop["timetable_mix"] or {name: 1.0 for name in sorted(templates)}
+    mix = pop["timetable_mix"] or {name: 1.0 for name in templates}
+    bounds = list(zip(accumulate(mix[name] for name in sorted(mix)), sorted(mix)))
+    total = sum(mix[name] for name in sorted(mix))
     contact_k, jitter, lockdown = pop["contact_k"], pop["boundary_jitter_h"], pop["lockdown"]
     hospital_of_district = {
         h["district"]: subagent_id(h["id"], "healthcare") for h in raw["health"]["hospitals"]
@@ -222,7 +226,7 @@ def _build_population(world: World, config: ScenarioConfig,
             mover = {"home_place": home_id, "district": district}
             for j, agent_id in enumerate(members):
                 schedule = _build_schedule(
-                    config.seed, agent_id, templates, mix, jitter, lockdown,
+                    config.seed, agent_id, templates, bounds, total, jitter, lockdown,
                     home_id, places_by_kind.get(district, {}), entries,
                 )
                 world.add_agent(agent_id, [
@@ -239,25 +243,18 @@ def _build_population(world: World, config: ScenarioConfig,
             index += size
 
 
-def _build_schedule(seed: int, agent_id: str, templates: dict, mix: dict,
+def _build_schedule(seed: int, agent_id: str, templates: dict,
+                    bounds: list[tuple[float, str]], total: float,
                     jitter: int, lockdown: bool, home_id: str,
                     kinds: dict[str, list[str]],
                     entries: dict[tuple[str, str], tuple[str, str]]) -> list[tuple[str, str]]:
-    """24-entry (place, activity) array from a template plus seeded jitter."""
+    """24-entry (place, activity) array from a template plus seeded jitter;
+    ``bounds`` pairs each template with its running total of shares."""
     if lockdown or not templates:
         return [(home_id, "home")] * 24
     rng = Stream(seed, subagent_id(agent_id, "social")).at(0, "timetable")
-    names = sorted(mix)
-    total = sum(mix[n] for n in names)
     u = rng.random() * total
-    acc = 0.0
-    template_name = names[-1]
-    for name in names:
-        acc += mix[name]
-        if u < acc:
-            template_name = name
-            break
-    windows = templates[template_name]
+    windows = templates[next((name for bound, name in bounds if u < bound), bounds[-1][1])]
     boundaries: list[tuple[int, str]] = []
     previous = -1
     for hour, kind in windows:
@@ -298,9 +295,10 @@ def mitigate(structure: World, params: dict[str, dict], variant: str,
 
 def _attach_services(world: World, land: dict, mobility: dict,
                      place_nodes: dict[str, str]) -> None:
-    """The street graph, with its route memo, and the place nodes; each run
-    adds its own traffic federate.  Route costs (``length_m /
-    free_flow_mps``) stay as built, because every run shares the memo."""
+    """The street graph, with its per-origin shortest-path trees, and the
+    place nodes; each run adds its own traffic federate.  Route costs
+    (``length_m / free_flow_mps``) stay as built, because every run shares
+    the trees."""
     roadways = land["roadways"]
     if not roadways and not mobility["traffic_lights"]:
         return
@@ -308,7 +306,6 @@ def _attach_services(world: World, land: dict, mobility: dict,
     for rw in roadways:
         graph.add_roadway(subagent_id(rw["id"], "mobility"), rw["a"], rw["b"],
                           rw["length_m"] / rw["free_flow_mps"])
-    graph.finalize()
     world.services["street_graph"] = graph
     world.services["place_nodes"] = dict(place_nodes)
 

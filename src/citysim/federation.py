@@ -34,8 +34,8 @@ class FederationAdapter(ABC):
         (``roadway_id``, ``capacity``, ``free_flow_mps``: the roadway's
         new values).  Light and roadway commands are deltas: the federate
         keeps what ``initialize`` or the last command gave each light and
-        roadway until a command changes it.  A route's edge list is
-        read-only: the caller shares it between vehicles and ticks.  An
+        roadway until a command changes it.  A route's edge list is the
+        caller's: the federate reads it and never mutates it.  An
         unknown kind or id raises LockstepError."""
 
     @abstractmethod

@@ -119,7 +119,7 @@ def change_params(world: World, params: dict[str, dict], targets: list[str],
     target's entry in ``params``, a run's map or a scratch one.  Each target
     gets a changed copy of its dict, so a dict the map shares, such as a
     record's, is never written.  The one rule for every hazard override and
-    mitigation op: the parameter exists, the change fits its kind, the
+    mitigation op: a run reads the parameter, the change fits its kind, the
     changed params pass the target role's own checks (its init_state), and
     each place a parameter names is a place of the structure.  Raises
     HazardError at the first change that breaks it."""
@@ -131,7 +131,9 @@ def change_params(world: World, params: dict[str, dict], targets: list[str],
         own = params[sid] = dict(params[sid])
         init_state = world.registry.rules[record.role].init_state
         for name, op, value in changes:
-            problem = "unknown parameter" if name not in own else _kind_error(own[name], op, value)
+            problem = ("unknown parameter" if name not in own
+                       else "read only as built" if name == "district"  # by selectors
+                       else _kind_error(own[name], op, value))
             if problem is None:
                 own[name] = value if op == "set" else own[name] * value
                 try:

@@ -1,8 +1,9 @@
 """Mobility layer: passengers, roadways, traffic lights, and the federate glue.
 
 The trips the social settlement published in the previous tick become
-vehicle routes: the settlement pass computes the shortest path over the
-street graph, injects routes, traffic-light set-state and roadway commands
+vehicle routes: the settlement pass takes each trip's shortest path over
+the street graph (one search per origin, kept on the graph for every later
+trip from it), injects routes, traffic-light set-state and roadway commands
 into the federated traffic simulator, advances it in lockstep with the
 kernel tick, and mirrors the queried observables (per-roadway mean speed
 and intensity, light status) back into the roadway meta-subagents.  A
@@ -18,7 +19,7 @@ hazard's override).  Route costs stay as built.
 from __future__ import annotations
 
 from ..kernel import STATELESS, CoordinatorContext, Registry, RuleContext, RuleSet
-from ..routing import StreetGraph, shortest_route
+from ..routing import shortest_route
 
 ROLE_PASSENGER = "passenger"
 ROLE_ROADWAY = "roadway"
@@ -47,15 +48,6 @@ def light_coupling(ctx: RuleContext) -> dict | None:
     if status == ctx.state["operation_status"]:
         return None
     return {"operation_status": status}
-
-
-def memo_route(graph: StreetGraph, origin: str, dest: str) -> list[str] | None:
-    """``shortest_route`` memoized on the graph, no-route results included.
-    The returned list is shared: never mutate it."""
-    key = (origin, dest)
-    if key not in graph.routes:
-        graph.routes[key] = shortest_route(graph, origin, dest)
-    return graph.routes[key]
 
 
 def mobility_settlement(cctx: CoordinatorContext) -> None:
@@ -89,7 +81,7 @@ def mobility_settlement(cctx: CoordinatorContext) -> None:
         if origin is None or dest is None:
             cctx.log(f"trip dropped for {vid}: unknown place node")
         elif origin != dest:
-            route = memo_route(graph, origin, dest)
+            route = shortest_route(graph, origin, dest)
             if route is None:
                 cctx.log(f"trip dropped for {vid}: no route {origin} -> {dest}")
             elif route:

@@ -1,7 +1,11 @@
 """Routing, the reference traffic federate, light coupling, lockstep."""
 
+import heapq
+import random
+
 import pytest
 
+from citysim import routing
 from citysim.build import build_world
 from citysim.federation import (
     LockstepError, ReferenceTrafficSimulator, roadway_mean_speed,
@@ -9,8 +13,6 @@ from citysim.federation import (
 from citysim.hazards import apply_due
 from citysim.routing import StreetGraph, shortest_route
 from citysim.runner import run_variant
-from citysim.systems import mobility
-from citysim.systems.mobility import memo_route
 
 from conftest import config_from
 
@@ -54,7 +56,6 @@ def diamond() -> StreetGraph:
     graph.add_roadway("top2", "a", "t", 5.0)
     graph.add_roadway("bot1", "s", "b", 2.0)
     graph.add_roadway("bot2", "b", "t", 1.5)
-    graph.finalize()
     return graph
 
 
@@ -66,7 +67,6 @@ def test_line_graph_unique_route():
     graph = StreetGraph()
     graph.add_roadway("e1", "x", "y", 1.0)
     graph.add_roadway("e2", "y", "z", 1.0)
-    graph.finalize()
     assert shortest_route(graph, "x", "z") == ["e1", "e2"]
 
 
@@ -83,7 +83,6 @@ def test_tie_breaks_match_enumeration_oracle():
     graph.add_roadway("p2", "a", "t", 1.0)
     graph.add_roadway("q1", "s", "b", 1.0)
     graph.add_roadway("q2", "b", "t", 1.0)
-    graph.finalize()
     assert shortest_route(graph, "s", "t") == enumerate_cheapest_route(graph, "s", "t")
 
 
@@ -249,28 +248,106 @@ def test_station_count_in_export_rows():
     assert len(per_tick) == 25
 
 
-def test_memoized_routes_equal_uncached_routes(casestudy):
-    graph = build_world(casestudy, "risk").services["street_graph"]
+def early_exit_route(graph: StreetGraph, origin: str, dest: str) -> list[str] | None:
+    """Reference: one Dijkstra per (origin, dest) pair that stops when dest
+    is settled, with the same (cost, node path) tie-break."""
+    if origin not in graph.adjacency or dest not in graph.adjacency:
+        return None
+    if origin == dest:
+        return []
+    best = {origin: (0.0, (origin,))}
+    heap = [(0.0, (origin,), origin)]
+    done = set()
+    while heap:
+        cost, path, node = heapq.heappop(heap)
+        if node in done or (cost, path) != best.get(node, (None, None)):
+            continue
+        done.add(node)
+        if node == dest:
+            break
+        for nbr, _, weight in graph.adjacency[node]:
+            if nbr in done:
+                continue
+            cand = (cost + weight, path + (nbr,))
+            if nbr not in best or cand < best[nbr]:
+                best[nbr] = cand
+                heapq.heappush(heap, (cand[0], cand[1], nbr))
+    if dest not in done:
+        return None
+    path = best[dest][1]
+    return [min((w, rid) for nbr, rid, w in graph.adjacency[path[i - 1]] if nbr == path[i])[1]
+            for i in range(1, len(path))]
+
+
+def grid(size: int, seed: int) -> StreetGraph:
+    """A size x size street grid with integer costs, so equal-cost routes
+    abound, and a parallel roadway on every fifth block."""
+    rng = random.Random(seed)
+    graph = StreetGraph()
+    for r in range(size):
+        for c in range(size):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr < size and c + dc < size:
+                    a, b = f"n{r}_{c}", f"n{r + dr}_{c + dc}"
+                    graph.add_roadway(f"r{a}{b}", a, b, float(rng.randint(1, 3)))
+                    if rng.random() < 0.2:
+                        graph.add_roadway(f"p{a}{b}", a, b, float(rng.randint(1, 3)))
+    return graph
+
+
+@pytest.mark.parametrize("which", ["casestudy", "grid"])
+def test_tree_routes_equal_early_exit_routes_with_one_search_per_origin(
+        which, casestudy, monkeypatch):
+    if which == "casestudy":
+        # the structure's graph may hold trees from other tests: route on a
+        # copy without them
+        shared = build_world(casestudy, "risk").services["street_graph"]
+        graph = StreetGraph(shared.adjacency, cheapest=shared.cheapest)
+    else:
+        graph = grid(12, seed=3)
+    tree, searches = routing._tree, []
+
+    def counting_tree(graph, origin):
+        searches.append(origin)
+        return tree(graph, origin)
+
+    monkeypatch.setattr(routing, "_tree", counting_tree)
     nodes = sorted(graph.adjacency)
     for origin in nodes:
         for dest in nodes:
-            route = memo_route(graph, origin, dest)
-            assert route == shortest_route(graph, origin, dest)
-            assert memo_route(graph, origin, dest) is route
-    assert len(graph.routes) == len(nodes) ** 2
+            assert shortest_route(graph, origin, dest) == early_exit_route(graph, origin, dest)
+    assert searches == nodes
 
 
-def test_memoized_disconnected_pair_stays_none(monkeypatch):
+@pytest.mark.parametrize("seed", range(40))
+def test_tree_routes_match_enumeration_on_random_graphs(seed):
+    rng = random.Random(seed)
+    nodes = [f"v{i}" for i in range(rng.randint(3, 9))]
+    graph = StreetGraph()
+    island = nodes.pop()
+    graph.add_node(island)
+    for i in range(rng.randint(len(nodes), 2 * len(nodes) + 2)):
+        a, b = rng.sample(nodes, 2)
+        graph.add_roadway(f"e{i}", a, b, float(rng.randint(1, 3)))
+        if rng.random() < 0.3:  # a parallel roadway, as cheap or dearer
+            graph.add_roadway(f"f{i}", a, b, float(rng.randint(1, 3)))
+    for origin in sorted(graph.adjacency):
+        for dest in sorted(graph.adjacency):
+            assert shortest_route(graph, origin, dest) == enumerate_cheapest_route(
+                graph, origin, dest)
+    assert shortest_route(graph, nodes[0], island) is None
+
+
+def test_changing_the_graph_drops_the_trees():
     graph = diamond()
+    assert shortest_route(graph, "s", "t") == ["bot1", "bot2"]
+    graph.add_roadway("short", "s", "t", 0.5)
+    assert shortest_route(graph, "s", "t") == ["short"]
+    graph.add_roadway("shorter", "t", "s", 0.25)
+    assert shortest_route(graph, "s", "t") == ["shorter"]
+    assert shortest_route(graph, "s", "island") is None
     graph.add_node("island")
-    calls = []
-
-    def counting_route(*args):
-        calls.append(args)
-        return shortest_route(*args)
-
-    monkeypatch.setattr(mobility, "shortest_route", counting_route)
-    assert memo_route(graph, "s", "island") is None
-    assert memo_route(graph, "s", "island") is None
-    assert graph.routes[("s", "island")] is None
-    assert len(calls) == 1
+    assert graph.routes == {}
+    assert shortest_route(graph, "s", "island") is None
+    graph.add_roadway("bridge", "t", "island", 1.0)
+    assert shortest_route(graph, "s", "island") == ["shorter", "bridge"]

@@ -16,7 +16,8 @@ import pytest
 
 from citysim.build import build_world
 from citysim.hazards import apply_due
-from citysim.systems.mobility import ROLE_LIGHT, ROLE_ROADWAY, memo_route
+from citysim.routing import shortest_route
+from citysim.systems.mobility import ROLE_LIGHT, ROLE_ROADWAY
 
 from conftest import config_from
 from test_wake import short_casestudy
@@ -45,7 +46,7 @@ def reference_mobility_settlement(cctx) -> None:
         commands.append({"kind": "roadway", "roadway_id": rid, "capacity": params["capacity"],
                          "free_flow_mps": params["free_flow_mps"]})
     for cid, origin, dest in cctx.published("trips") or ():
-        route = memo_route(graph, place_nodes[origin], place_nodes[dest])
+        route = shortest_route(graph, place_nodes[origin], place_nodes[dest])
         if route:
             commands.append({"kind": "route", "vehicle_id": cctx.counterpart(cid, "mobility"),
                              "edges": route})

@@ -532,7 +532,7 @@ BAD_INPUTS = {
         ("cyber-infrastructure", "recovery_ticks", "scale", 0.25)),
     "mitigation-set-wrong-type": _mitigation(
         ("cyber-infrastructure", "vulnerability", "set", "x")),
-    "mitigation-scale-non-number": _mitigation(("hospital", "district", "scale", 2)),
+    "mitigation-scale-non-number": _mitigation(("cyber-attacker", "attack_type", "scale", 2)),
     "mitigation-scale-by-string": _mitigation(
         ("cyber-infrastructure", "vulnerability", "scale", "x")),
     "mitigation-window-reversed": _mitigation(("patient", "mild_hours", "set", [48, 24])),
@@ -553,6 +553,10 @@ BAD_INPUTS = {
     "override-attacker-target": _add_hazard(_override_event(
         {"id": "attacker_main::ict"}, {"target": "ict_city::ict"})),
     "mitigation-roadway-length": _mitigation(("roadway", "length_m", "scale", 2)),
+    # selectors read a district as built; unchecked, these validated and
+    # changed nothing in a run
+    "override-district": _add_hazard(_override_event({"role": "citizen"}, {"district": "north"})),
+    "mitigation-district": _mitigation(("hospital", "district", "set", "north")),
 }
 
 
