@@ -8,8 +8,8 @@ target, a light's ``controls`` roadways), a place's id is its agent's id,
 and the street graph and each place's node come from the scenario
 document.  Citizens get a social, healthcare (patient), mobility
 (passenger) and urban-landscape (moving entity) subagent; the passenger is
-the citizen's vehicle id, the moving entity carries its home for the
-landscape, and neither has state.
+the citizen's vehicle id, the moving entity the citizen in the landscape,
+and neither has state or params but its district.
 Hospitals and traffic lights embed their own ICT node as a leaf depending
 on their district node.  Homes are generated per household and cycle over
 the district's street nodes.
@@ -29,7 +29,8 @@ from .hazards import HazardError, change_params, resolve_selector
 from .kernel import BuildError, World
 from .rng import Stream
 from .routing import StreetGraph
-from .scenario import BASE_VARIANTS, RISK, ScenarioConfig
+from .scenario import (ATTACKER, BASE_VARIANTS, BUILT_NAME, HOSPITAL, ICT_NODE, PLACE, RISK,
+                       ROADWAY, ScenarioConfig)
 from .systems import default_registry
 
 
@@ -37,13 +38,16 @@ def subagent_id(agent_id: str, system: str) -> str:
     return f"{agent_id}::{system}"
 
 
+def _params(fields: dict, entry: dict, **extra) -> dict:
+    """The params built from a scenario entry: its ``fields``, each under
+    its built name, and ``extra``."""
+    return {BUILT_NAME.get(name, name): entry[name] for name in fields} | extra
+
+
 def _ict_node(agent_id: str, spec: dict, district: str | None) -> tuple:
     """The ICT subagent of an ict.nodes entry or of a hospital's or light's ict block."""
-    return (subagent_id(agent_id, "ict"), "ict", "cyber-infrastructure", {
-        "vulnerability": spec["vulnerability"],
-        "recovery_ticks": spec["recovery_ticks"],
-        "district": district,
-    })
+    return (subagent_id(agent_id, "ict"), "ict", "cyber-infrastructure",
+            _params(ICT_NODE, spec, district=district))
 
 
 def build_structure(config: ScenarioConfig) -> World:
@@ -59,27 +63,14 @@ def build_structure(config: ScenarioConfig) -> World:
     for node in ict["nodes"]:
         world.add_agent(node["id"], [_ict_node(node["id"], node, node["district"])])
     for atk in ict["attackers"]:
-        world.add_agent(atk["id"], [(
-            subagent_id(atk["id"], "ict"), "ict", "cyber-attacker", {
-                "attack_type": atk["attack_type"],
-                "propagation_probability": atk["propagation_probability"],
-                "district": atk["district"],
-            })])
+        world.add_agent(atk["id"], [(subagent_id(atk["id"], "ict"), "ict", "cyber-attacker",
+                                     _params(ATTACKER, atk, district=atk["district"]))])
 
     for hosp in hospitals:
         hid = hosp["id"]
-        members = [(
-            subagent_id(hid, "healthcare"), "healthcare", "hospital", {
-                "nominal_general_capacity": hosp["general_beds"],
-                "nominal_icu_capacity": hosp["icu_beds"],
-                "base_care_quality": hosp["care_quality"],
-                "referral_peers": [
-                    subagent_id(p, "healthcare") for p in hosp["referral_peers"]
-                ],
-                "district": hosp["district"],
-                "capacity_degradation_factor": hosp["capacity_degradation_factor"],
-                "quality_degradation_factor": hosp["quality_degradation_factor"],
-            })]
+        members = [(subagent_id(hid, "healthcare"), "healthcare", "hospital", _params(
+            HOSPITAL, hosp, district=hosp["district"],
+            referral_peers=[subagent_id(p, "healthcare") for p in hosp["referral_peers"]]))]
         if "ict" in hosp:
             members.append(_ict_node(hid, hosp["ict"], hosp["district"]))
         members.append((
@@ -106,22 +97,16 @@ def build_structure(config: ScenarioConfig) -> World:
     for rw in land["roadways"]:
         rid = rw["id"]
         world.add_agent(rid, [
-            (subagent_id(rid, "mobility"), "mobility", "roadway", {
-                "free_flow_mps": rw["free_flow_mps"],
-                "capacity": rw["capacity"],
-                "station": rw["station"],
-                "district": rw["district"],
-            }),
+            (subagent_id(rid, "mobility"), "mobility", "roadway",
+             _params(ROADWAY, rw, district=rw["district"])),
             (subagent_id(rid, "urban_landscape"), "urban_landscape", "street", {
                 "district": rw["district"],
             }),
         ])
 
     for pl in land["places"]:
-        world.add_agent(pl["id"], [(
-            subagent_id(pl["id"], "urban_landscape"), "urban_landscape", "place", {
-                "district": pl["district"], "capacity": pl["capacity"],
-            })])
+        world.add_agent(pl["id"], [(subagent_id(pl["id"], "urban_landscape"), "urban_landscape",
+                                    "place", _params(PLACE, pl, district=pl["district"]))])
         place_nodes[pl["id"]] = pl["node"]
 
     _build_population(world, config, place_nodes)
@@ -212,7 +197,7 @@ def _build_population(world: World, config: ScenarioConfig,
         # the structure's params are never written, so equal ones are shared
         patient = dict(disease, home_hospital=hospital_of_district.get(district),
                        district=district, vaccinated=False, initially_infected=False)
-        passenger = {"district": district}
+        district_only = {"district": district}  # a passenger's and a moving entity's
         home = {"district": district, "capacity": None}
         index = 0
         for hh_index, size in enumerate(sizes):
@@ -223,7 +208,6 @@ def _build_population(world: World, config: ScenarioConfig,
             place_nodes[home_id] = home_node
             members = [f"cit_{district}_{index + j}" for j in range(size)]
             social = [subagent_id(m, "social") for m in members]
-            mover = {"home_place": home_id, "district": district}
             for j, agent_id in enumerate(members):
                 schedule = _build_schedule(
                     config.seed, agent_id, templates, bounds, total, jitter, lockdown,
@@ -236,9 +220,9 @@ def _build_population(world: World, config: ScenarioConfig,
                         "schedule": schedule,
                     }),
                     (subagent_id(agent_id, "healthcare"), "healthcare", "patient", patient),
-                    (subagent_id(agent_id, "mobility"), "mobility", "passenger", passenger),
+                    (subagent_id(agent_id, "mobility"), "mobility", "passenger", district_only),
                     (subagent_id(agent_id, "urban_landscape"), "urban_landscape",
-                     "moving-entity", mover),
+                     "moving-entity", district_only),
                 ])
             index += size
 

@@ -24,9 +24,17 @@ from .kernel import World
 KINDS = ("cyberattack", "disease_seed", "generic_override")
 # the role every target of a dispatching kind must have
 TARGET_ROLES = {"cyberattack": "cyber-attacker", "disease_seed": "patient"}
-# the parameters that name places: a home, and the place of each schedule window
-PLACE_PARAMS = {"home_place": lambda value: [value],
-                "schedule": lambda value: [place for place, _ in value]}
+# the parameters that name ids: the role of what they name, the suffix that
+# makes a named id a subagent's (a place is named by its agent's id) and the
+# ids a value names
+ID_PARAMS = {"home_place": ("place", "::urban_landscape", lambda value: [value]),
+             "schedule": ("place", "::urban_landscape", lambda value: [p for p, _ in value]),
+             "home_hospital": ("hospital", "", lambda value: [] if value is None else [value]),
+             "referral_peers": ("hospital", "", list),
+             "household": ("citizen", "", list)}
+# read only as the structure was built: a district by selectors, an initial
+# infection at a run's start (seeding an epidemic is disease_seed's job)
+AS_BUILT = ("district", "initially_infected")
 
 
 class HazardError(Exception):
@@ -113,38 +121,44 @@ def _kind_error(current, op: str, value) -> str | None:
     return None if current is None or have == got else f"expected {have}, got {got}"
 
 
+def _unknown_id(world: World, name: str, value) -> str | None:
+    """The first id a parameter's value names that the structure lacks."""
+    named, suffix, ids = ID_PARAMS[name]
+    for ident in ids(value):
+        record = world.records.get(ident + suffix) if type(ident) is str else None
+        if record is None or record.role != named:
+            return f"no {named} {ident!r}"
+    return None
+
+
 def change_params(world: World, params: dict[str, dict], targets: list[str],
                   changes: list[tuple[str, str, object]]) -> None:
     """Apply ``(param, "set" | "scale", value)`` changes in order to every
     target's entry in ``params``, a run's map or a scratch one.  Each target
     gets a changed copy of its dict, so a dict the map shares, such as a
     record's, is never written.  The one rule for every hazard override and
-    mitigation op: a run reads the parameter, the change fits its kind, the
-    changed params pass the target role's own checks (its init_state), and
-    each place a parameter names is a place of the structure.  Raises
+    mitigation op: a run reads the parameter, and not only as built; the
+    change fits its kind; the changed value fits the spec of the document
+    field the parameter is built from (``PARAM_SPECS``; any number fits a
+    numeric one); and each id it names is one of the structure's.  Raises
     HazardError at the first change that breaks it."""
     if not changes:
         return
-    places = None  # the structure's place ids, once a change names places
+    from .scenario import PARAM_SPECS  # the scenario module imports this one
+
     for sid in targets:
-        record = world.records[sid]
         own = params[sid] = dict(params[sid])
-        init_state = world.registry.rules[record.role].init_state
+        specs = PARAM_SPECS.get(world.records[sid].role, {})
         for name, op, value in changes:
             problem = ("unknown parameter" if name not in own
-                       else "read only as built" if name == "district"  # by selectors
+                       else "read only as built" if name in AS_BUILT
                        else _kind_error(own[name], op, value))
             if problem is None:
                 own[name] = value if op == "set" else own[name] * value
-                try:
-                    init_state(own, record.stream)
-                    if name in PLACE_PARAMS:
-                        places = places or {world.records[place].agent_id
-                                            for place in world.role_members("place")}
-                        problem = next((f"no place {place!r}" for place in PLACE_PARAMS[name](
-                            own[name]) if place not in places), None)
-                except (TypeError, ValueError, LookupError) as exc:
-                    problem = str(exc)
+                if name in specs:
+                    problem = specs[name].problem(own[name], any_number=True)
+                if problem is None and name in ID_PARAMS:
+                    problem = _unknown_id(world, name, own[name])
             if problem:
                 raise HazardError(f"override {name!r} on {sid!r}: {problem}")
 

@@ -367,9 +367,9 @@ class World:
 
     def finalize(self) -> None:
         """Freeze the structure: records in id order, edge index, coupling
-        plan and sorted member lists per role and per (layer, role).  Each
-        record's params must pass its role's init_state; states are derived
-        per run."""
+        plan and sorted member lists per role and per (layer, role).  The
+        params come from a document the scenario schema accepted, so
+        nothing here checks them; ``start`` derives each run's states."""
         if self._finalized:
             raise BuildError("world already finalized")
         for layer in self.layers.values():
@@ -381,10 +381,8 @@ class World:
                 raise BuildError(f"duplicate agent id {rec.agent_id!r}")
             self._role_order.setdefault(rec.role, []).append(rec.id)
             self.layer_role_order.setdefault((rec.system, rec.role), []).append(rec.id)
-            ruleset = self.registry.rules[rec.role]
-            if ruleset.observe is None:
+            if self.registry.rules[rec.role].observe is None:
                 raise BuildError(f"role {rec.role!r} has no observability function")
-            ruleset.init_state(rec.params, rec.stream)
         self._rules = {role: ruleset.coupling
                        for role, ruleset in self.registry.rules.items() if ruleset.coupling}
         self._plan = [rec for rec in self.records.values() if rec.role in self._rules]

@@ -10,8 +10,11 @@ explicit and mandatory; there is no implicit randomness anywhere.
 ``SCHEMA`` is the one list of fields, each with its type, its default (or
 REQUIRED) and its range or allowed set.  One walk over it reports type,
 range, missing-field and unknown-key errors and fills defaults in place,
-so the program reads a parsed config with ``[]`` only.  Validation
-collects every problem instead of failing fast, and never raises.
+so the program reads a parsed config with ``[]`` only.  ``PARAM_SPECS``
+maps each role's built params to the specs of the fields they are built
+from, so every hazard override and mitigation op meets the same rule.
+Validation collects every problem instead of failing fast, and never
+raises.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from pathlib import Path
 from .federation import ADAPTERS
 from .hazards import KINDS, HazardSchedule, validate
 from .kernel import BuildError, World
-from .systems.health import WINDOW, is_window
 from .systems.ict import ATTACK_TYPES
 
 # every scenario's variants: hazards stripped, and as configured (a mitigation adds ops to risk)
@@ -51,6 +53,9 @@ def _say(errors: list[str], where: tuple, message: str) -> None:
     errors.append(f"{_spell(where) or 'scenario'}: {message}")
 
 
+NUMBERS = frozenset((int, float))
+
+
 class Value:
     """A JSON scalar of exactly the given types (so bool is no number; no
     types: any value), optionally limited to a range (``lo``/``hi``
@@ -63,19 +68,30 @@ class Value:
         self.what = what + (" or null" if default is None else "")
         self.lo, self.hi, self.above, self.choices, self.ok = lo, hi, above, choices, ok
 
+    def problem(self, value, any_number: bool = False) -> str | None:
+        """Why ``value`` does not fit, or None.  With ``any_number`` any
+        number fits a numeric field, as a ``scale`` makes floats of counts."""
+        kind = type(value)
+        if self.types and kind not in self.types:
+            if value is None and self.default is None:
+                return None
+            if not (any_number and kind in NUMBERS and self.types & NUMBERS):
+                return f"expected {self.what}, got {value!r}"
+        if self.choices is not None and value not in self.choices:
+            return f"{value!r} is not one of {sorted(self.choices)}"
+        if self.above is not None and not value > self.above:
+            return f"{value!r} must be > {self.above}"
+        if self.lo is not None and not (value >= self.lo and (self.hi is None or value <= self.hi)):
+            return f"{value!r} must be " + (f">= {self.lo}" if self.hi is None
+                                            else f"in [{self.lo}, {self.hi}]")
+        if self.ok is not None and not self.ok(value):
+            return f"expected {self.what}, got {value!r}"
+        return None
+
     def walk(self, value, where: tuple, errors: list[str]) -> None:
-        if self.types and type(value) not in self.types:
-            if value is not None or self.default is not None:
-                _say(errors, where, f"expected {self.what}, got {value!r}")
-        elif self.choices is not None and value not in self.choices:
-            _say(errors, where, f"{value!r} is not one of {sorted(self.choices)}")
-        elif self.above is not None and not value > self.above:
-            _say(errors, where, f"{value!r} must be > {self.above}")
-        elif self.lo is not None and not (value >= self.lo and (self.hi is None or value <= self.hi)):
-            bound = f">= {self.lo}" if self.hi is None else f"in [{self.lo}, {self.hi}]"
-            _say(errors, where, f"{value!r} must be {bound}")
-        elif self.ok is not None and not self.ok(value):
-            _say(errors, where, f"expected {self.what}, got {value!r}")
+        problem = self.problem(value)
+        if problem:
+            _say(errors, where, problem)
 
 
 text = partial(Value, (str,), "a string")
@@ -83,9 +99,17 @@ integer = partial(Value, (int,), "an integer")
 number = partial(Value, (int, float), "a number")
 flag = partial(Value, (bool,), "true or false")
 ANY = Value((), "any value")  # a parameter value a mitigation or hazard sets
-# [lo, hi] hours or household sizes, by the rule the patient role checks its
-# hours with; a timetable's [start hour, place kind]
+WINDOW = "[lo, hi] integers with 1 <= lo <= hi"
+
+
+def is_window(value) -> bool:
+    """A stage duration range in hours, or a district's household sizes."""
+    return (len(value) == 2 and type(value[0]) is int and type(value[1]) is int
+            and 1 <= value[0] <= value[1])
+
+
 window = partial(Value, (list, tuple), WINDOW, ok=is_window)
+# a timetable's [start hour, place kind]
 TIMETABLE_WINDOW = Value((list, tuple), "[hour 0-23, place kind]", ok=lambda w: (
     len(w) == 2 and type(w[0]) is int and 0 <= w[0] <= 23 and type(w[1]) is str))
 
@@ -142,9 +166,13 @@ def selector(default=REQUIRED) -> Record:
 PROBABILITY = number(0.0, lo=0, hi=1)
 FRACTION = partial(number, lo=0, hi=1)
 DISTRICT = text(None)
+# the fields that role params are built from
+ROADWAY = {"free_flow_mps": number(above=0), "capacity": number(above=0), "station": flag(False)}
+PLACE = {"capacity": integer(None, lo=0)}  # null: unlimited
+ATTACKER = {"attack_type": text(choices=ATTACK_TYPES),
+            # null: the attack type's own propagation probability
+            "propagation_probability": FRACTION(None)}
 ICT_NODE = {"vulnerability": FRACTION(0.5), "recovery_ticks": integer(24, lo=1)}
-# a hospital's or traffic light's own ICT node, a leaf under `upstream`
-EMBEDDED_ICT = Record({"upstream": text(None), **ICT_NODE}, default=OPTIONAL)
 DISEASE = Record({
     "beta": PROBABILITY, "p_severe": PROBABILITY, "p_worsen": PROBABILITY,
     "p_die_treated": PROBABILITY, "p_die_untreated": PROBABILITY,
@@ -152,6 +180,28 @@ DISEASE = Record({
     "critical_hours": window([24, 48]), "convalescence_hours": integer(168, lo=0),
     "vaccination_factor": number(1.0, lo=0),
 }, default={})
+CONTACT_K = integer(3, lo=0)
+HOSPITAL = {"general_beds": integer(lo=0), "icu_beds": integer(lo=0), "care_quality": FRACTION(1.0),
+            "capacity_degradation_factor": FRACTION(0.5),
+            "quality_degradation_factor": FRACTION(0.75)}
+# a field's name among the params built from it, where the two differ
+BUILT_NAME = {"general_beds": "nominal_general_capacity", "icu_beds": "nominal_icu_capacity",
+              "care_quality": "base_care_quality"}
+# a citizen's schedule, built from the timetables: each hour's place and activity
+SCHEDULE = Value((list, tuple), "24 [place, activity] entries", ok=lambda schedule: (
+    len(schedule) == 24 and all(type(entry) in (list, tuple) and len(entry) == 2
+                                and all(type(part) is str for part in entry)
+                                for entry in schedule)))
+# role -> the spec of each built param that has one: the rule every hazard
+# override and mitigation op meets, as the document does
+PARAM_SPECS = {
+    "roadway": ROADWAY, "place": PLACE, "cyber-attacker": ATTACKER,
+    "cyber-infrastructure": ICT_NODE, "patient": DISEASE.fields,
+    "citizen": {"contact_k": CONTACT_K, "schedule": SCHEDULE},
+    "hospital": {BUILT_NAME.get(name, name): spec for name, spec in HOSPITAL.items()},
+}
+# a hospital's or traffic light's own ICT node, a leaf under `upstream`
+EMBEDDED_ICT = Record({"upstream": text(None), **ICT_NODE}, default=OPTIONAL)
 
 SCHEMA = Record({
     "name": text(), "seed": integer(), "horizon_days": integer(lo=1),
@@ -161,36 +211,30 @@ SCHEMA = Record({
         "nodes": ListOf(Record({
             "id": text(), "district": DISTRICT, "x": number(OPTIONAL), "y": number(OPTIONAL)})),
         "roadways": ListOf(Record({
-            "id": text(), "a": text(), "b": text(), "length_m": number(above=0),
-            "free_flow_mps": number(above=0), "capacity": number(above=0),
-            "station": flag(False), "district": DISTRICT})),
+            "id": text(), "a": text(), "b": text(), "length_m": number(above=0), **ROADWAY,
+            "district": DISTRICT})),
         "places": ListOf(Record({
             "id": text(), "node": text(), "district": DISTRICT, "kind": text("generic"),
-            "capacity": integer(None, lo=0)})),  # null: unlimited
+            **PLACE})),
     }, default={}),
     "population": Record({
         "districts": MapOf(Record({
             "citizens": integer(0, lo=0), "household_size": window([2, 4])})),
         "timetables": MapOf(ListOf(TIMETABLE_WINDOW)),
         "timetable_mix": MapOf(number(lo=0)),  # template weights; {}: all the same
-        "contact_k": integer(3, lo=0), "boundary_jitter_h": integer(1, lo=0),
+        "contact_k": CONTACT_K, "boundary_jitter_h": integer(1, lo=0),
         "lockdown": flag(False),
     }, default={}),
     "ict": Record({
         "nodes": ListOf(Record({
             "id": text(), "depends_on": ListOf(text()), **ICT_NODE, "district": DISTRICT})),
         "attackers": ListOf(Record({
-            "id": text(), "target": text(), "attack_type": text(choices=ATTACK_TYPES),
-            # null: the attack type's own propagation probability
-            "propagation_probability": FRACTION(None), "district": DISTRICT})),
+            "id": text(), "target": text(), **ATTACKER, "district": DISTRICT})),
     }, default={}),
     "health": Record({
         "hospitals": ListOf(Record({
-            "id": text(), "node": text(), "district": DISTRICT,
-            "general_beds": integer(lo=0), "icu_beds": integer(lo=0),
-            "care_quality": FRACTION(1.0), "referral_peers": ListOf(text()),
-            "ict": EMBEDDED_ICT, "capacity_degradation_factor": FRACTION(0.5),
-            "quality_degradation_factor": FRACTION(0.75)})),
+            "id": text(), "node": text(), "district": DISTRICT, **HOSPITAL,
+            "referral_peers": ListOf(text()), "ict": EMBEDDED_ICT})),
         "disease": DISEASE,
     }, default={}),
     "mobility": Record({

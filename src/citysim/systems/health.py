@@ -47,22 +47,7 @@ INFECTIONS = ("susceptible", "infected", "recovered", "dead")
 SEVERITIES = ("none", "mild", "severe", "critical")
 
 
-WINDOW = "[lo, hi] integers with 1 <= lo <= hi"
-
-
-def is_window(value) -> bool:
-    """A stage duration range in hours, or the scenario's household sizes."""
-    return (len(value) == 2 and type(value[0]) is int and type(value[1]) is int
-            and 1 <= value[0] <= value[1])
-
-
 def _init_patient(params: dict, stream) -> dict:
-    for key in ("beta", "p_severe", "p_worsen", "p_die_treated", "p_die_untreated"):
-        if not 0.0 <= params[key] <= 1.0:
-            raise ValueError(f"{key}={params[key]} outside [0, 1]")
-    for key in ("mild_hours", "severe_hours", "critical_hours"):
-        if not is_window(params[key]):
-            raise ValueError(f"{key}={params[key]} is not {WINDOW}")
     state = {
         "infection": "susceptible",
         "severity": "none",
@@ -125,10 +110,6 @@ def _progress(cctx: CoordinatorContext, pid: str, state: dict) -> dict:
 
 
 def _init_hospital(params: dict, stream) -> dict:
-    if params["nominal_general_capacity"] < 0 or params["nominal_icu_capacity"] < 0:
-        raise ValueError("negative hospital capacity")
-    if not 0.0 <= params["base_care_quality"] <= 1.0:
-        raise ValueError("care quality outside [0, 1]")
     return {
         "general_capacity": int(round(params["nominal_general_capacity"])),
         "icu_capacity": int(round(params["nominal_icu_capacity"])),

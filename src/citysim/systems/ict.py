@@ -19,7 +19,6 @@ down ones over the dependency edges are effectively unavailable.
 
 from __future__ import annotations
 
-from ..hazards import param_kind
 from ..kernel import CoordinatorContext, Registry, RuleSet
 
 ROLE_NODE = "cyber-infrastructure"
@@ -37,11 +36,6 @@ EDGE_ATTACKS = "attacks"
 
 
 def _init_node(params: dict, stream) -> dict:
-    vulnerability = params["vulnerability"]
-    if not 0.0 <= vulnerability <= 1.0:
-        raise ValueError(f"vulnerability {vulnerability} outside [0, 1]")
-    if params["recovery_ticks"] < 1:
-        raise ValueError("recovery_ticks must be >= 1")
     return {
         "available": True,
         "effective_available": True,
@@ -53,13 +47,6 @@ def _init_node(params: dict, stream) -> dict:
 
 
 def _init_attacker(params: dict, stream) -> dict:
-    if params["attack_type"] not in ATTACK_TYPES:
-        raise ValueError(f"unknown attack type {params['attack_type']!r}")
-    prop = params["propagation_probability"]  # None: the attack type's own
-    if prop is not None and param_kind(prop) != "number":
-        raise ValueError(f"propagation_probability {prop!r} is not a number")
-    if prop is not None and not 0.0 <= prop <= 1.0:
-        raise ValueError(f"propagation_probability {prop} outside [0, 1]")
     return {"active": False, "emitted_at": None, "attacks_emitted": 0}
 
 

@@ -29,9 +29,6 @@ EDGE_CONTROLS = "controls"
 
 
 def _init_roadway(params: dict, stream) -> dict:
-    for key in ("capacity", "free_flow_mps"):
-        if not params[key] > 0:
-            raise ValueError(f"roadway {key} {params[key]!r} is not > 0")
     return {"mean_speed": params["free_flow_mps"], "intensity": 0}
 
 

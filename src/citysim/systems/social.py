@@ -30,14 +30,14 @@ writes only those places.
 
 The citizen's location string is authoritative ("place:X", "transit",
 "hospital:X" or "dead").  The moving-entity subagent is the citizen in the
-urban landscape layer; it is structure only and has no state.
+urban landscape layer; it is structure only, with no state and no params
+but its district.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 
-from ..hazards import param_kind
 from ..kernel import STATELESS, CoordinatorContext, Registry, RuleContext, RuleSet, Stream
 
 ROLE_CITIZEN = "citizen"
@@ -48,8 +48,6 @@ ROLE_FIXED = "fixed-entity"
 
 
 def _init_citizen(params: dict, stream) -> dict:
-    if len(params["schedule"]) != 24:
-        raise ValueError("citizen schedule must cover all 24 hours")
     return {
         "location": "place:" + params["home_place"],
         "current_activity": params["schedule"][0][1],
@@ -273,22 +271,17 @@ def _place_subagents(cctx: CoordinatorContext) -> dict[str, str]:
 # -- urban landscape -----------------------------------------------------
 
 def _init_place(params: dict, stream) -> dict:
-    capacity = params["capacity"]  # None: unlimited
-    if capacity is not None and param_kind(capacity) != "number":
-        raise ValueError(f"place capacity {capacity!r} is not a number")
-    if capacity is not None and capacity < 0:
-        raise ValueError(f"place capacity {capacity} is negative")
     return {"occupancy": 0}
 
 
 def urban_settlement(cctx: CoordinatorContext) -> None:
     """Write each place's occupancy from the social settlement's last
     ``placement`` (one tick behind).  Before the first, every citizen is at
-    its home, so the moving entities' homes are counted.  Every place is
-    written from the first placement and before it; after it, only the
-    places whose occupant list the placement replaced (``moved``) and the
-    places changed outside the settlements, for the others' lists are
-    those of the placement before."""
+    its home, so each moving entity is counted at the home its citizen's
+    run params name.  Every place is written from the first placement and
+    before it; after it, only the places whose occupant list the placement
+    replaced (``moved``) and the places changed outside the settlements,
+    for the others' lists are those of the placement before."""
     places = cctx.members(ROLE_PLACE)
     if not places:
         return
@@ -297,7 +290,8 @@ def urban_settlement(cctx: CoordinatorContext) -> None:
     if placement is None:
         occupants: dict[str, list[str]] = {}
         for mid in cctx.members(ROLE_MOVER):
-            occupants.setdefault(cctx.params(mid)["home_place"], []).append(mid)
+            home = cctx.params(cctx.counterpart(mid, "social"))["home_place"]
+            occupants.setdefault(home, []).append(mid)
     else:
         occupants = placement.occupants
     if placement is None or placement.moved is None:

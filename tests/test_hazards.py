@@ -85,8 +85,8 @@ def test_out_of_range_override_aborts():
                           "selector": {"id": "leaf::ict"},
                           "overrides": {"vulnerability": 2}}])
     assert validate(sched, world) == [
-        "hazards[0]: override 'vulnerability' on 'leaf::ict': vulnerability 2 outside [0, 1]"]
-    with pytest.raises(HazardError, match=r"hazard event 0 at tick 0: .*outside \[0, 1\]"):
+        "hazards[0]: override 'vulnerability' on 'leaf::ict': 2 must be in [0, 1]"]
+    with pytest.raises(HazardError, match=r"hazard event 0 at tick 0: .*2 must be in \[0, 1\]"):
         apply_due(world, 0, sched)
 
 

@@ -306,6 +306,23 @@ def test_returned_role_members_can_be_mutated_safely():
     assert world.role_members("person") == expected
 
 
+@pytest.mark.parametrize("access, message", [
+    (lambda cctx: cctx.get("amy::mobility"),
+     "social settlement read state of foreign subagent 'amy::mobility'"),
+    (lambda cctx: cctx.set("amy::mobility", {}),
+     "social settlement wrote to foreign subagent 'amy::mobility'"),
+], ids=["get", "set"])
+def test_settlement_reaching_into_another_layer_raises(access, message):
+    world = mixed_world()
+    world.registry.register_coordinator("social", access)
+    world.finalize()
+    run = world.start()
+    with pytest.raises(KernelError) as err:
+        run.step()
+    assert type(err.value) is KernelError and str(err.value) == message
+    assert run.states["amy::mobility"] == {} and "amy::mobility" not in run.changes
+
+
 def test_structure_frozen_after_finalize():
     world = mixed_world()
     world.finalize()

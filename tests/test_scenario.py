@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from citysim.build import build_world
 from citysim.cli import main
 from citysim.export import export_report
-from citysim.runner import run, run_paired, run_variant
-from citysim.scenario import load_scenario, parse_config
+from citysim.metrics import Recorder
+from citysim.runner import InvariantMonitor, run, run_paired, run_variant
+from citysim.scenario import PARAM_SPECS, load_scenario, parse_config
 
 from conftest import SCENARIO_PATH, write_scenario
 
@@ -557,6 +558,33 @@ BAD_INPUTS = {
     # changed nothing in a run
     "override-district": _add_hazard(_override_event({"role": "citizen"}, {"district": "north"})),
     "mitigation-district": _mitigation(("hospital", "district", "set", "north")),
+    # a run reads the initial infection only at its start; seeding an
+    # epidemic is the disease_seed hazard's job
+    "override-initially-infected": _add_hazard(_override_event(
+        {"role": "patient"}, {"initially_infected": True})),
+    "mitigation-initially-infected": _mitigation(("patient", "initially_infected", "set", True)),
+    # a change meets the spec of the field its parameter is built from;
+    # unchecked, these validated and ran (a degraded hospital with 5x its beds)
+    "mitigation-vaccination-factor-negative": _mitigation(
+        ("patient", "vaccination_factor", "set", -1.0)),
+    "mitigation-convalescence-negative": _mitigation(("patient", "convalescence_hours", "set", -5)),
+    "mitigation-capacity-degradation-above-one": _mitigation(
+        ("hospital", "capacity_degradation_factor", "set", 5.0)),
+    "mitigation-quality-degradation-above-one": _mitigation(
+        ("hospital", "quality_degradation_factor", "set", 3.0)),
+    "mitigation-contact-k-negative": _mitigation(("citizen", "contact_k", "set", -2)),
+    # every id a parameter names is one of the structure's; unchecked, these
+    # validated and the run never admitted, never referred, or met no household
+    "override-home-hospital-unknown": _add_hazard(_override_event(
+        {"role": "patient"}, {"home_hospital": "nowhere::healthcare"})),
+    "mitigation-home-hospital-unknown": _mitigation(("patient", "home_hospital", "set", "nowhere")),
+    "override-referral-peers-unknown": _add_hazard(_override_event(
+        {"role": "hospital"}, {"referral_peers": ["nowhere::healthcare"]})),
+    "mitigation-referral-peers-unknown": _mitigation(
+        ("hospital", "referral_peers", "set", ["hospital_center"])),
+    "override-household-unknown": _add_hazard(_override_event(
+        {"role": "citizen"}, {"household": ["nowhere::social"]})),
+    "mitigation-household-unknown": _mitigation(("citizen", "household", "set", ["cit_center_0"])),
 }
 
 
@@ -603,13 +631,13 @@ def test_override_and_mitigation_errors_name_their_source(tmp_path):
     _, errors = load_scenario(write_scenario(tmp_path, raw))
     assert any(e.startswith("hazards[2]: override 'vulnerability'")
                and e.endswith("expected number, got str") for e in errors), errors
-    # a null parameter takes any kind, so the role's own check names the value
+    # a null parameter takes any kind, so its field's spec names the value
     assert ("hazards[3]: override 'propagation_probability' on 'attacker_main::ict': "
-            "propagation_probability 'x' is not a number") in errors, errors
+            "expected a number or null, got 'x'") in errors, errors
     assert ("hazards[4]: override 'capacity' on 'hospital_center::urban_landscape': "
-            "place capacity 'x' is not a number") in errors, errors
+            "expected an integer or null, got 'x'") in errors, errors
     assert any(e.startswith("mitigations.harden[0]: ")
-               and e.endswith("vulnerability 2 outside [0, 1]") for e in errors), errors
+               and e.endswith(": 2 must be in [0, 1]") for e in errors), errors
 
 
 def test_overrides_and_mitigations_that_fit_validate_and_build(tmp_path):
@@ -642,7 +670,7 @@ BUILT_PARAMS = {
     "hospital": {"base_care_quality", "capacity_degradation_factor", "district",
                  "nominal_general_capacity", "nominal_icu_capacity",
                  "quality_degradation_factor", "referral_peers"},
-    "moving-entity": {"district", "home_place"},
+    "moving-entity": {"district"},
     "passenger": {"district"},
     "patient": {"beta", "convalescence_hours", "critical_hours", "district", "home_hospital",
                 "initially_infected", "mild_hours", "p_die_treated", "p_die_untreated",
@@ -724,6 +752,69 @@ def test_mutated_casestudy_is_rejected_or_runs(slot, value):
     run(world, 1, config.schedule())
     for variant in config.mitigation_names:
         build_world(config, variant)
+
+
+def small_casestudy() -> dict:
+    """The case study with 24 citizens a district: every role and parameter
+    of its structure, built in a few ms."""
+    raw = casestudy_copy()
+    for district in raw["population"]["districts"].values():
+        district["citizens"] = 24
+    return raw
+
+
+KNOWN_IDS = ["home_center_0", "hospital_outskirts::healthcare", "cit_center_1::social"]
+GOOD_SCHEDULE = [["home_center_0", "home"]] * 8 + [["hospital_center", "work"]] * 16
+# the kind table a change's value is drawn from: in- and out-of-range
+# numbers, windows, ids known and unknown, schedules good and bad
+KIND_VALUES = {
+    "number": [0, 1, 0.5, 3, 24.0, -1, -0.25, 1.5, 10**9],
+    "bool": [True, False],
+    "str": ["x", "ddos", *KNOWN_IDS, "nowhere"],
+    "list": [[], [6, 12], [12, 6], *([known] for known in KNOWN_IDS), ["nowhere"], GOOD_SCHEDULE,
+             GOOD_SCHEDULE[1:], [["nowhere", "home"]] * 24, [["home_center_0"]] * 24],
+    "NoneType": [None],
+}
+KIND = {bool: "bool", int: "number", float: "number", str: "str", list: "list", tuple: "list",
+        type(None): "NoneType"}
+# a change of every (role, parameter) of the structure: each value of the
+# parameter's own kind and the first of every other kind, as a tick-1
+# override and a mitigation op that sets it or, for a number, scales by it;
+# with as many examples as changes, the derandomized sweep draws each once
+CHANGES = sorted({
+    (rec.role, name, how, json.dumps(value))
+    for rec in parse_config(small_casestudy(), "changes")[0].structure.records.values()
+    for name, built in rec.params.items()
+    for kind, values in KIND_VALUES.items()
+    for value in (values if kind == KIND[type(built)] else values[:1])
+    for how in ("override", "set", "scale") if how != "scale" or KIND[type(value)] == "number"})
+
+
+@settings(max_examples=len(CHANGES), derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(CHANGES))
+def test_every_parameter_change_is_rejected_or_runs(change):
+    # validate rejects the change, or the run honours it for three ticks
+    # with checks on and every parameter still fits its field's spec
+    role, param, how, value = change
+    value = json.loads(value)
+    raw = small_casestudy()
+    if how == "override":
+        variant = "risk"
+        raw["hazards"].append({"tick": 1, "kind": "generic_override", "selector": {"role": role},
+                               "overrides": {param: value}})
+    else:
+        variant = "sweep"
+        raw["mitigations"][variant] = [
+            {"selector": {"role": role}, "param": param, "op": how, "value": value}]
+    config, errors = parse_config(raw, "sweep")
+    if errors:
+        return
+    world = build_world(config, variant)
+    recorder = Recorder(world)
+    run(world, 3, config.schedule(), (lambda w: recorder.observe(), InvariantMonitor(world, recorder)))
+    for sid, params in world.params.items():
+        for name, spec in PARAM_SPECS.get(world.records[sid].role, {}).items():
+            assert spec.problem(params[name], any_number=True) is None, (sid, name, params[name])
 
 
 # -- one structure per scenario: validation and every variant share it ---------

@@ -12,6 +12,7 @@ come out of its timetable step unchanged and not be arriving.
 
 import copy
 from bisect import insort
+from collections import Counter
 
 import pytest
 
@@ -80,7 +81,8 @@ def reference_urban_settlement(cctx) -> None:
     if placement is None:
         occupants = {}
         for mid in cctx.members(ROLE_MOVER):
-            occupants.setdefault(cctx.params(mid)["home_place"], []).append(mid)
+            home = cctx.params(cctx.counterpart(mid, "social"))["home_place"]
+            occupants.setdefault(home, []).append(mid)
     else:
         occupants = placement.occupants
     for sid in places:
@@ -219,6 +221,25 @@ def test_rescheduled_before_start_walk_matches_full_walk(monkeypatch):
     sizes = assert_walk_matches_reference(
         monkeypatch, lambda: build_world(config_from(copy.deepcopy(raw)), "shift"), 3 * 24)
     assert min(sizes) >= 3
+
+
+def test_first_count_puts_each_citizen_in_its_run_home(monkeypatch):
+    # a mitigation moves a citizen to another household's home before the
+    # run; counted at its home as built, the old home read 4 at tick 1 and
+    # the new one 2, where the citizens' locations hold 3 each
+    raw = short_casestudy()
+    raw["mitigations"] = {"move": [{"selector": {"id": "cit_center_0::social"},
+                                    "param": "home_place", "op": "set",
+                                    "value": "home_center_5"}]}
+    config = config_from(raw)
+    world = build_world(config, "move")
+    assert world.states["cit_center_0::social"]["location"] == "place:home_center_5"
+    at_start = Counter(world.states[cid]["location"] for cid in world.role_members(ROLE_CITIZEN))
+    world.step()
+    for sid in world.role_members(ROLE_PLACE):
+        assert world.states[sid]["occupancy"] == at_start["place:" + world.records[sid].agent_id]
+    assert [world.states[f"home_center_{i}::urban_landscape"]["occupancy"] for i in (0, 5)] == [3, 3]
+    assert_walk_matches_reference(monkeypatch, lambda: build_world(config, "move"), 24)
 
 
 def test_place_changed_outside_is_written_again(monkeypatch):
