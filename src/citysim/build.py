@@ -32,6 +32,8 @@ from .routing import StreetGraph
 from .scenario import (ATTACKER, BASE_VARIANTS, BUILT_NAME, HOSPITAL, ICT_NODE, PLACE, RISK,
                        ROADWAY, ScenarioConfig)
 from .systems import default_registry
+from .systems.ict import EDGE_ATTACKS, EDGE_DEPENDS
+from .systems.mobility import EDGE_CONTROLS
 
 
 def subagent_id(agent_id: str, system: str) -> str:
@@ -115,22 +117,18 @@ def build_structure(config: ScenarioConfig) -> World:
     for node in ict["nodes"]:
         for up in node["depends_on"]:
             world.add_edge("ict", subagent_id(node["id"], "ict"),
-                           subagent_id(up, "ict"), "depends_on")
+                           subagent_id(up, "ict"), EDGE_DEPENDS)
     for owner in hospitals + mobility["traffic_lights"]:
         if "ict" in owner and owner["ict"]["upstream"] is not None:
             world.add_edge("ict", subagent_id(owner["id"], "ict"),
-                           subagent_id(owner["ict"]["upstream"], "ict"), "depends_on")
-    for hosp in hospitals:
-        for peer in hosp["referral_peers"]:
-            world.add_edge("healthcare", subagent_id(hosp["id"], "healthcare"),
-                           subagent_id(peer, "healthcare"), "refers")
+                           subagent_id(owner["ict"]["upstream"], "ict"), EDGE_DEPENDS)
     for light in mobility["traffic_lights"]:
         for rid in light["roadways"]:
             world.add_edge("mobility", subagent_id(light["id"], "mobility"),
-                           subagent_id(rid, "mobility"), "controls")
+                           subagent_id(rid, "mobility"), EDGE_CONTROLS)
     for atk in ict["attackers"]:
         world.add_edge("ict", subagent_id(atk["id"], "ict"),
-                       subagent_id(atk["target"], "ict"), "attacks")
+                       subagent_id(atk["target"], "ict"), EDGE_ATTACKS)
 
     world.finalize()
     _attach_services(world, land, mobility, place_nodes)
@@ -305,7 +303,7 @@ def _traffic_federate(run: World, seed: int, mobility: dict):
         "lights": run.role_members("traffic-light"),
         "roadways": {rid: {"free_flow_mps": run.params[rid]["free_flow_mps"],
                            "capacity": run.params[rid]["capacity"],
-                           "lights": controllers.get((rid, "controls"), [])}
+                           "lights": controllers.get((rid, EDGE_CONTROLS), [])}
                      for rid in run.role_members("roadway")},
     }, seed)
     return adapter

@@ -10,9 +10,12 @@ step.  Two event kinds carry extra dispatch behavior:
 seeded selection of patients.
 
 ``change_params`` is the one rule for every parameter change, a hazard
-override here or a mitigation op at build.  It writes into a params map, a
-run's own or a scratch one that ``validate`` uses, and never into the params
-a record was built with.
+override here or a mitigation op at build: the changed value fits the
+parameter's spec in ``scenario.PARAM_SPECS``.  It writes into a params map,
+a run's own or a scratch one that ``validate`` uses, and never into the
+params a record was built with.  The schema holds every rule of an event
+itself (its kind, trigger tick and seed count), so ``validate`` checks only
+what needs the structure.
 """
 
 from __future__ import annotations
@@ -102,25 +105,6 @@ def resolve_selector(world: World, selector: dict) -> list[str]:
     return matched
 
 
-def param_kind(value) -> str:
-    """Type class of a parameter value; a bool never counts as a number."""
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, (int, float)):
-        return "number"
-    return type(value).__name__
-
-
-def _kind_error(current, op: str, value) -> str | None:
-    """Why ``op`` may not change a parameter holding ``current`` by ``value``:
-    a set keeps the parameter's kind unless it is unset (None), a scale
-    multiplies a number by a number."""
-    have, got = param_kind(current), param_kind(value)
-    if op == "scale":
-        return None if have == got == "number" else f"cannot scale {have} by {got}"
-    return None if current is None or have == got else f"expected {have}, got {got}"
-
-
 def _unknown_id(world: World, name: str, value) -> str | None:
     """The first id a parameter's value names that the structure lacks."""
     named, suffix, ids = ID_PARAMS[name]
@@ -137,14 +121,15 @@ def change_params(world: World, params: dict[str, dict], targets: list[str],
     target's entry in ``params``, a run's map or a scratch one.  Each target
     gets a changed copy of its dict, so a dict the map shares, such as a
     record's, is never written.  The one rule for every hazard override and
-    mitigation op: a run reads the parameter, and not only as built; the
-    change fits its kind; the changed value fits the spec of the document
-    field the parameter is built from (``PARAM_SPECS``; any number fits a
-    numeric one); and each id it names is one of the structure's.  Raises
-    HazardError at the first change that breaks it."""
+    mitigation op: a run reads the parameter, and not only as built; a
+    scale multiplies a number by a number; the changed value fits the
+    parameter's spec (``PARAM_SPECS``; any number fits a numeric one, and
+    null fits a nullable one); and each id it names is one of the
+    structure's.  A role without specs takes any value.  Raises HazardError
+    at the first change that breaks it."""
     if not changes:
         return
-    from .scenario import PARAM_SPECS  # the scenario module imports this one
+    from .scenario import NUMBERS, PARAM_SPECS  # the scenario module imports this one
 
     for sid in targets:
         own = params[sid] = dict(params[sid])
@@ -152,7 +137,9 @@ def change_params(world: World, params: dict[str, dict], targets: list[str],
         for name, op, value in changes:
             problem = ("unknown parameter" if name not in own
                        else "read only as built" if name in AS_BUILT
-                       else _kind_error(own[name], op, value))
+                       else f"cannot scale {own[name]!r} by {value!r}"
+                       if op == "scale" and not {type(own[name]), type(value)} <= NUMBERS
+                       else None)
             if problem is None:
                 own[name] = value if op == "set" else own[name] * value
                 if name in specs:
@@ -164,28 +151,22 @@ def change_params(world: World, params: dict[str, dict], targets: list[str],
 
 
 def validate(schedule: HazardSchedule, world: World) -> list[str]:
-    """Static checks; returns an error list and never raises.  Overrides
-    apply, in schedule order, to a scratch map of the params as built."""
+    """Checks against the structure that the document's schema cannot make:
+    each selector matches, a dispatching kind's targets have its role, and
+    the overrides apply, in schedule order, to a scratch map of the params
+    as built.  Returns an error list and never raises."""
     errors = []
     trial = world.built_params()
     for ev in schedule.events:
-        where = f"hazards[{ev.index}]"
-        if ev.kind not in KINDS:
-            errors.append(f"{where}: unknown kind {ev.kind!r}")
-            continue
-        if ev.trigger_tick < 0:
-            errors.append(f"{where}: negative trigger tick {ev.trigger_tick}")
-        if int(ev.payload.get("count", 1)) < 0:
-            errors.append(f"{where}: negative seed count")
         try:
             targets = resolve_selector(world, ev.selector)
             role = TARGET_ROLES.get(ev.kind)
             wrong = [s for s in targets if role is not None and world.records[s].role != role]
             if wrong:
-                errors.append(f"{where}: {ev.kind} target {wrong[0]!r} is not a {role}")
+                errors.append(f"hazards[{ev.index}]: {ev.kind} target {wrong[0]!r} is not a {role}")
             change_params(world, trial, targets, ev.changes)
         except HazardError as exc:
-            errors.append(f"{where}: {exc}")
+            errors.append(f"hazards[{ev.index}]: {exc}")
     return errors
 
 

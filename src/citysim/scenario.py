@@ -11,8 +11,8 @@ explicit and mandatory; there is no implicit randomness anywhere.
 REQUIRED) and its range or allowed set.  One walk over it reports type,
 range, missing-field and unknown-key errors and fills defaults in place,
 so the program reads a parsed config with ``[]`` only.  ``PARAM_SPECS``
-maps each role's built params to the specs of the fields they are built
-from, so every hazard override and mitigation op meets the same rule.
+maps each role's built params to their specs, so every hazard override
+and mitigation op meets the rule the document does.
 Validation collects every problem instead of failing fast, and never
 raises.
 """
@@ -192,13 +192,17 @@ SCHEDULE = Value((list, tuple), "24 [place, activity] entries", ok=lambda schedu
     len(schedule) == 24 and all(type(entry) in (list, tuple) and len(entry) == 2
                                 and all(type(part) is str for part in entry)
                                 for entry in schedule)))
-# role -> the spec of each built param that has one: the rule every hazard
-# override and mitigation op meets, as the document does
+# role -> the spec of every built param but those hazards.AS_BUILT names:
+# the one rule every hazard override and mitigation op meets, as the
+# document does (hazards.ID_PARAMS then checks the ids a value names)
 PARAM_SPECS = {
     "roadway": ROADWAY, "place": PLACE, "cyber-attacker": ATTACKER,
-    "cyber-infrastructure": ICT_NODE, "patient": DISEASE.fields,
-    "citizen": {"contact_k": CONTACT_K, "schedule": SCHEDULE},
-    "hospital": {BUILT_NAME.get(name, name): spec for name, spec in HOSPITAL.items()},
+    "cyber-infrastructure": ICT_NODE,
+    "patient": {**DISEASE.fields, "home_hospital": text(None), "vaccinated": flag()},
+    "citizen": {"contact_k": CONTACT_K, "schedule": SCHEDULE, "home_place": text(),
+                "household": Value((list, tuple), "a list of citizen ids")},
+    "hospital": {**{BUILT_NAME.get(name, name): spec for name, spec in HOSPITAL.items()},
+                 "referral_peers": Value((list, tuple), "a list of hospital ids")},
 }
 # a hospital's or traffic light's own ICT node, a leaf under `upstream`
 EMBEDDED_ICT = Record({"upstream": text(None), **ICT_NODE}, default=OPTIONAL)

@@ -41,10 +41,7 @@ from ..kernel import CoordinatorContext, Registry, RuleContext, RuleSet
 ROLE_PATIENT = "patient"
 ROLE_HOSPITAL = "hospital"
 
-EDGE_REFERS = "refers"
-
 INFECTIONS = ("susceptible", "infected", "recovered", "dead")
-SEVERITIES = ("none", "mild", "severe", "critical")
 
 
 def _init_patient(params: dict, stream) -> dict:

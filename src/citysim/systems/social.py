@@ -152,7 +152,7 @@ class Placement:
         graph: dict[str, set[str]] = {cid: set() for cid in occupants}
         for idx, cid in enumerate(occupants):
             _, params, stream = self._placed[cid]
-            k = min(params["contact_k"], n - 1)
+            k = min(round(params["contact_k"]), n - 1)  # half to even: a scale may make it a float
             if k > 0:
                 for j in stream.at(self.tick, "contacts").sample_distinct(n - 1, k):
                     other = occupants[j if j < idx else j + 1]

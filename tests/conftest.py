@@ -110,7 +110,7 @@ def eager_contacts(world: World) -> dict[str, tuple[str, ...]]:
         n = len(occupants)
         for idx, cid in enumerate(occupants):
             params = world.params[cid]
-            k = min(params["contact_k"], n - 1)
+            k = min(round(params["contact_k"]), n - 1)
             if k > 0:
                 rng = Stream(world.master_seed, cid).at(placement.tick, "contacts")
                 for j in rng.sample_distinct(n - 1, k):

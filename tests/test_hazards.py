@@ -3,7 +3,7 @@
 import pytest
 
 from citysim.hazards import (
-    HazardError, HazardSchedule, apply_due, resolve_selector, validate,
+    HazardError, HazardSchedule, apply_due, change_params, resolve_selector, validate,
 )
 from citysim.runner import run, run_variant
 
@@ -91,19 +91,56 @@ def test_out_of_range_override_aborts():
 
 
 def test_validate_collects_errors_without_raising():
+    # validate checks only what needs the structure; the document's schema
+    # rejects an unknown kind, a negative tick and a negative seed count
+    # (test_scenario.py BAD_INPUTS)
     world, _ = build_ict_world(CHAIN_NODES, ATTACKER)
     sched = schedule_of([
-        {"tick": -4, "kind": "generic_override", "selector": {"id": "leaf::ict"}},
-        {"tick": 0, "kind": "volcano", "selector": {"id": "leaf::ict"}},
         {"tick": 0, "kind": "generic_override", "selector": {"role": "power-plant"}},
         {"tick": 0, "kind": "cyberattack", "selector": {"id": "leaf::ict"}},
+        {"tick": 1, "kind": "generic_override", "selector": {"id": "leaf::ict"},
+         "overrides": {"vulnerability": 2}},
     ])
-    errors = validate(sched, world)
-    assert len(errors) == 4
-    assert any("negative" in e for e in errors)
-    assert any("unknown kind" in e for e in errors)
-    assert any("matches no subagent" in e for e in errors)
-    assert any("not a cyber-attacker" in e for e in errors)
+    assert validate(sched, world) == [
+        "hazards[0]: selector {'role': 'power-plant'} matches no subagent",
+        "hazards[1]: cyberattack target 'leaf::ict' is not a cyber-attacker",
+        "hazards[2]: override 'vulnerability' on 'leaf::ict': 2 must be in [0, 1]",
+    ]
+
+
+def test_an_attacker_set_to_null_spreads_with_its_attack_types_probability():
+    # null fits propagation_probability whatever its value before; the attack
+    # then spreads with the botnet's own 0.6, the same as that value set
+    nodes = [{"id": "hub", "depends_on": [], "vulnerability": 1.0, "recovery_ticks": 99}]
+    nodes += [{"id": f"leaf{i}", "depends_on": ["hub"], "vulnerability": 1.0,
+               "recovery_ticks": 99} for i in range(8)]
+    attackers = [dict(ATTACKER[0], target="hub")]
+
+    def down(probability, seed):
+        world, _ = build_ict_world(nodes, attackers, seed=seed)
+        sched = schedule_of([
+            {"tick": 0, "kind": "generic_override", "selector": {"id": "atk::ict"},
+             "overrides": {"propagation_probability": probability}},
+            {"tick": 0, "kind": "cyberattack", "selector": {"id": "atk::ict"}}])
+        assert validate(sched, world) == []
+        run(world, 3, sched)
+        return {s for s in world.role_members("cyber-infrastructure")
+                if not world.states[s]["available"]}
+
+    assert all(down(None, seed) == down(0.6, seed) for seed in range(10))
+    assert any(down(None, seed) != down(1.0, seed) for seed in range(10))
+
+
+def test_a_scale_multiplies_a_number_by_a_number():
+    # a bool is no number, and neither is null
+    world, _ = build_ict_world(CHAIN_NODES, [dict(ATTACKER[0], propagation_probability=None)])
+    for sid, name, value, problem in [
+            ("atk::ict", "propagation_probability", 2, "cannot scale None by 2"),
+            ("atk::ict", "attack_type", 2, "cannot scale 'botnet' by 2"),
+            ("core::ict", "vulnerability", True, "cannot scale 1.0 by True")]:
+        with pytest.raises(HazardError) as exc:
+            change_params(world, world.built_params(), [sid], [(name, "scale", value)])
+        assert str(exc.value) == f"override {name!r} on {sid!r}: {problem}"
 
 
 def test_validate_accepts_casestudy(casestudy):

@@ -28,5 +28,5 @@ def test_world_profile_of_every_casestudy_variant(casestudy, monkeypatch):
     assert all(profile == expected for profile in profiles)
     assert expected["subagents_per_role"]["citizen"] == 500
     assert expected["edges_per_layer"] == {
-        "ict": 9, "healthcare": 2, "mobility": 8, "social": 0, "urban_landscape": 0}
+        "ict": 9, "healthcare": 0, "mobility": 8, "social": 0, "urban_landscape": 0}
     assert expected["scheduled_route_pairs"] == 24

@@ -13,6 +13,7 @@ from citysim.cli import main
 from citysim.export import export_report
 from citysim.metrics import Recorder
 from citysim.runner import InvariantMonitor, run, run_paired, run_variant
+from citysim.hazards import AS_BUILT
 from citysim.scenario import PARAM_SPECS, load_scenario, parse_config
 
 from conftest import SCENARIO_PATH, write_scenario
@@ -468,8 +469,8 @@ def _string_vulnerability_before_attack(raw):
 
 
 def _override_unset_attack_probability(raw):
-    # a null parameter takes a value of any kind; unchecked, the run aborts
-    # when the attack spreads
+    # a null parameter takes what its field allows; unchecked, the run
+    # aborts when the attack spreads
     raw["ict"]["attackers"][0]["propagation_probability"] = None
     raw["hazards"].append(_override_event({"role": "cyber-attacker"},
                                           {"propagation_probability": "x"}))
@@ -585,6 +586,12 @@ BAD_INPUTS = {
     "override-household-unknown": _add_hazard(_override_event(
         {"role": "citizen"}, {"household": ["nowhere::social"]})),
     "mitigation-household-unknown": _mitigation(("citizen", "household", "set", ["cit_center_0"])),
+    # the schema's rules for an event itself, which validate does not repeat
+    "hazard-unknown-kind": _add_hazard({"tick": 2, "kind": "volcano", "selector": {}}),
+    "hazard-negative-tick": _add_hazard(dict(_override_event({"role": "roadway"}, {}), tick=-4)),
+    "hazard-negative-count": _add_hazard({"tick": 2, "kind": "disease_seed",
+                                          "selector": {"role": "patient"},
+                                          "payload": {"count": -1}}),
 }
 
 
@@ -629,15 +636,17 @@ def test_override_and_mitigation_errors_name_their_source(tmp_path):
     _add_hazard(_override_event({"id": "hospital_center::urban_landscape"}, {"capacity": "x"}))(raw)
     _mitigation(("cyber-infrastructure", "vulnerability", "set", 2))(raw)
     _, errors = load_scenario(write_scenario(tmp_path, raw))
-    assert any(e.startswith("hazards[2]: override 'vulnerability'")
-               and e.endswith("expected number, got str") for e in errors), errors
-    # a null parameter takes any kind, so its field's spec names the value
-    assert ("hazards[3]: override 'propagation_probability' on 'attacker_main::ict': "
-            "expected a number or null, got 'x'") in errors, errors
-    assert ("hazards[4]: override 'capacity' on 'hospital_center::urban_landscape': "
-            "expected an integer or null, got 'x'") in errors, errors
-    assert any(e.startswith("mitigations.harden[0]: ")
-               and e.endswith(": 2 must be in [0, 1]") for e in errors), errors
+    # every message is the spec's of the field the parameter is built from
+    assert errors == [
+        "hazards[2]: override 'vulnerability' on 'hospital_center::ict': "
+        "expected a number, got 'x'",
+        "hazards[3]: override 'propagation_probability' on 'attacker_main::ict': "
+        "expected a number or null, got 'x'",
+        "hazards[4]: override 'capacity' on 'hospital_center::urban_landscape': "
+        "expected an integer or null, got 'x'",
+        "mitigations.harden[0]: override 'vulnerability' on 'hospital_center::ict': "
+        "2 must be in [0, 1]",
+    ]
 
 
 def test_overrides_and_mitigations_that_fit_validate_and_build(tmp_path):
@@ -647,7 +656,7 @@ def test_overrides_and_mitigations_that_fit_validate_and_build(tmp_path):
         _override_event({"role": "cyber-infrastructure"},
                         {"vulnerability": 1, "recovery_ticks": 48.0}),
         _override_event({"role": "roadway"}, {"station": False}),
-        # an unset parameter takes any value
+        # an unset parameter takes a value its field allows
         _override_event({"id": "hospital_center::urban_landscape"}, {"capacity": 30}),
     ]
     # 1.0 * 2 would be out of range; the ops apply in order, so 0.5 * 2 is not
@@ -691,6 +700,36 @@ def test_built_params_hold_only_what_a_run_reads(casestudy):
         assert set(rec.params) == BUILT_PARAMS[rec.role], rec.id
     assert {"target", "roadways", "a", "b", "length_m", "node", "kind",
             "place_id"}.isdisjoint(set().union(*BUILT_PARAMS.values()))
+
+
+def test_every_built_param_has_one_spec_or_is_read_only_as_built(casestudy):
+    # a change meets only its parameter's spec, so every parameter a change
+    # may reach has one
+    for rec in casestudy.structure.records.values():
+        assert set(PARAM_SPECS.get(rec.role, {})) == set(rec.params) - set(AS_BUILT), rec.id
+    assert set(PARAM_SPECS) <= set(BUILT_PARAMS)
+
+
+def test_a_nullable_param_set_to_null_validates_and_the_run_falls_back():
+    # null fits a field that allows it, whatever the value before it: a
+    # place's capacity set to null is unlimited again
+    raw = small_casestudy()
+    places = {place["id"] for place in raw["landscape"]["places"]}
+    for place in raw["landscape"]["places"]:
+        place["capacity"] = 1
+    _mitigation(("place", "capacity", "set", None))(raw)
+    config, errors = parse_config(raw, "null")
+    assert errors == []
+    crowd = {}
+    for variant in ("risk", "harden"):
+        world = build_world(config, variant)
+        crowd[variant] = 0
+        for _ in range(24):
+            world.step()
+            occupants = world.published["placement"].occupants
+            crowd[variant] = max(crowd[variant], *(len(occupants.get(p, ())) for p in places))
+    assert {world.params[p + "::urban_landscape"]["capacity"] for p in places} == {None}
+    assert crowd["risk"] == 1 and crowd["harden"] > 1
 
 
 def ict_chain(length: int, leaf_first: bool) -> dict:

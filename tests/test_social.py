@@ -1,10 +1,12 @@
 """Citizen timetables, trips, placement and its contacts, occupancy bookkeeping."""
 
+import copy
 import gc
 import weakref
 
 from citysim import hazards
 from citysim.build import build_world
+from citysim.rng import Stream
 from citysim.runner import run_variant
 
 from conftest import build_sir_world, config_from, eager_contacts
@@ -244,6 +246,30 @@ def test_contacts_use_the_params_of_the_placement_tick():
     for cid in citizens:
         assert set(changed.published["placement"].contacts(cid)) <= set(
             changed.params[cid]["household"])
+
+
+def test_a_scaled_contact_k_is_rounded_where_it_is_read():
+    # 3 x 1.5 is 4.5, which draws 4 contacts, half to even as the bed counts
+    # are rounded; unrounded, every occupant drew 5
+    raw = copy.deepcopy(tiny_city().raw)
+    raw["population"]["contact_k"] = 3
+    raw["mitigations"]["mix"] = [{"selector": {"role": "citizen"}, "param": "contact_k",
+                                  "op": "scale", "value": 1.5}]
+    world = build_world(config_from(raw), "mix")
+    citizens = world.role_members("citizen")
+    assert {world.params[cid]["contact_k"] for cid in citizens} == {4.5}
+    for _ in range(12):  # everyone is at work from 8
+        world.step()
+    placement = world.published["placement"]
+    oracle = eager_contacts(world)
+    assert [placement.contacts(cid) for cid in citizens] == [oracle.get(cid) for cid in citizens]
+    occupants = placement.occupants["work"]
+    assert occupants == citizens
+    n = len(occupants)
+    for idx, cid in enumerate(occupants):
+        drawn = Stream(world.master_seed, cid).at(placement.tick, "contacts").sample_distinct(n - 1, 4)
+        met = {occupants[j if j < idx else j + 1] for j in drawn}
+        assert len(met) == 4 and met <= set(placement.contacts(cid))
 
 
 def test_finished_run_is_freed_without_cyclic_gc():
