@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from citysim.build import build_world
 from citysim.cli import main
 from citysim.export import export_report
+from citysim.hazards import AS_BUILT
 from citysim.metrics import Recorder
 from citysim.runner import InvariantMonitor, run, run_paired, run_variant
-from citysim.hazards import AS_BUILT
 from citysim.scenario import PARAM_SPECS, load_scenario, parse_config
 
 from conftest import SCENARIO_PATH, write_scenario
