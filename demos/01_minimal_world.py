@@ -25,26 +25,22 @@ def main():
             "nominal_icu_capacity": 2,
             "base_care_quality": 1.0,
             "referral_peers": [],
-            "district": "demo",
             "capacity_degradation_factor": 0.5,
             "quality_degradation_factor": 0.75,
         }),
         ("clinic::ict", "ict", "cyber-infrastructure", {
             "vulnerability": 1.0,
             "recovery_ticks": 3,
-            "district": "demo",
         }),
-    ])
+    ], district="demo")
 
     # an attacker agent living in the ICT layer
     world.add_agent("intruder", [
         ("intruder::ict", "ict", "cyber-attacker", {
-            "target": "clinic::ict",
             "attack_type": "ddos",
             "propagation_probability": None,  # None: the attack type's own
-            "district": "demo",
         }),
-    ])
+    ], district="demo")
     world.add_edge("ict", "intruder::ict", "clinic::ict", "attacks")
     world.finalize()
     world = world.start()  # a run on the frozen structure, at tick 0

@@ -12,6 +12,7 @@ Run:  python demos/02_epidemic_curve.py       (about 15 s)
 
 import numpy as np
 
+from citysim.hazards import HazardSchedule, apply_due
 from citysim.kernel import World
 from citysim.oracles import sir_prevalence, single_peaked
 from citysim.scenario import DISEASE_DEFAULTS
@@ -22,30 +23,33 @@ HORIZON = 40 * 24
 
 
 def build_commons_world() -> World:
-    """Everyone lives at one shared place: the fully mixed limit."""
+    """Everyone lives at one shared place: the fully mixed limit.  A
+    ``disease_seed`` event at tick 0 infects SEEDS of them."""
     world = World(master_seed=2028, registry=default_registry())
     world.add_agent("commons", [(
-        "commons::urban_landscape", "urban_landscape", "place", {
-            "district": None, "capacity": None,
-        })])
+        "commons::urban_landscape", "urban_landscape", "place", {"capacity": None})])
     schedule = [("commons", "commons")] * 24
     for i in range(N):
         cid = f"c{i:04d}"
         patient_params = dict(DISEASE_DEFAULTS)
         patient_params.update(
             beta=BETA, mild_hours=[DURATION, DURATION],
-            home_hospital=None, district=None, vaccinated=False,
-            initially_infected=i < SEEDS,
+            home_hospital=None, vaccinated=False,
         )
         world.add_agent(cid, [
             (f"{cid}::social", "social", "citizen", {
-                "home_place": "commons", "district": None, "household": [],
+                "home_place": "commons", "household": [],
                 "contact_k": K, "schedule": schedule,
             }),
             (f"{cid}::healthcare", "healthcare", "patient", patient_params),
         ])
     world.finalize()
-    return world.start()
+    run = world.start()
+    seed = HazardSchedule.from_config([{"tick": 0, "kind": "disease_seed",
+                                        "selector": {"role": "patient"},
+                                        "payload": {"count": SEEDS}}], 24)
+    apply_due(run, 0, seed)
+    return run
 
 
 def main():

@@ -5,11 +5,13 @@ it participates in; subagent ids are "<agent>::<system>".  A subagent's
 params hold only what a run reads, so a hazard or mitigation can change
 nothing else: a relation is a layer edge (an attacker's ``attacks``
 target, a light's ``controls`` roadways), a place's id is its agent's id,
-and the street graph and each place's node come from the scenario
-document.  Citizens get a social, healthcare (patient), mobility
-(passenger) and urban-landscape (moving entity) subagent; the passenger is
-the citizen's vehicle id, the moving entity the citizen in the landscape,
-and neither has state or params but its district.
+an agent's district is on its records for selectors to match, and the
+street graph and each place's node come from the scenario document.
+Citizens get a social, healthcare (patient), mobility (passenger) and
+urban-landscape (moving entity) subagent; the passenger is the citizen's
+vehicle id, the moving entity the citizen in the landscape, and neither
+has state or params.  A patient starts susceptible: an epidemic is seeded
+by a ``disease_seed`` hazard.
 Hospitals and traffic lights embed their own ICT node as a leaf depending
 on their district node.  Homes are generated per household and cycle over
 the district's street nodes.
@@ -36,6 +38,12 @@ from .systems.ict import EDGE_ATTACKS, EDGE_DEPENDS
 from .systems.mobility import EDGE_CONTROLS
 
 
+# params shared by many subagents, never written, as no record's are: those
+# of every subagent without params, and of a hospital's or a home's place
+NO_PARAMS: dict = {}
+UNLIMITED_PLACE = {"capacity": None}
+
+
 def subagent_id(agent_id: str, system: str) -> str:
     return f"{agent_id}::{system}"
 
@@ -46,10 +54,9 @@ def _params(fields: dict, entry: dict, **extra) -> dict:
     return {BUILT_NAME.get(name, name): entry[name] for name in fields} | extra
 
 
-def _ict_node(agent_id: str, spec: dict, district: str | None) -> tuple:
+def _ict_node(agent_id: str, spec: dict) -> tuple:
     """The ICT subagent of an ict.nodes entry or of a hospital's or light's ict block."""
-    return (subagent_id(agent_id, "ict"), "ict", "cyber-infrastructure",
-            _params(ICT_NODE, spec, district=district))
+    return (subagent_id(agent_id, "ict"), "ict", "cyber-infrastructure", _params(ICT_NODE, spec))
 
 
 def build_structure(config: ScenarioConfig) -> World:
@@ -63,52 +70,42 @@ def build_structure(config: ScenarioConfig) -> World:
     place_nodes: dict[str, str] = {}
 
     for node in ict["nodes"]:
-        world.add_agent(node["id"], [_ict_node(node["id"], node, node["district"])])
+        world.add_agent(node["id"], [_ict_node(node["id"], node)], node["district"])
     for atk in ict["attackers"]:
         world.add_agent(atk["id"], [(subagent_id(atk["id"], "ict"), "ict", "cyber-attacker",
-                                     _params(ATTACKER, atk, district=atk["district"]))])
+                                     _params(ATTACKER, atk))], atk["district"])
 
     for hosp in hospitals:
         hid = hosp["id"]
         members = [(subagent_id(hid, "healthcare"), "healthcare", "hospital", _params(
-            HOSPITAL, hosp, district=hosp["district"],
-            referral_peers=[subagent_id(p, "healthcare") for p in hosp["referral_peers"]]))]
+            HOSPITAL, hosp, referral_peers=[subagent_id(p, "healthcare")
+                                            for p in hosp["referral_peers"]]))]
         if "ict" in hosp:
-            members.append(_ict_node(hid, hosp["ict"], hosp["district"]))
-        members.append((
-            subagent_id(hid, "urban_landscape"), "urban_landscape", "place", {
-                "district": hosp["district"], "capacity": None,
-            }))
-        world.add_agent(hid, members)
+            members.append(_ict_node(hid, hosp["ict"]))
+        members.append((subagent_id(hid, "urban_landscape"), "urban_landscape", "place",
+                        UNLIMITED_PLACE))
+        world.add_agent(hid, members, hosp["district"])
         place_nodes[hid] = hosp["node"]
 
     for light in mobility["traffic_lights"]:
         lid = light["id"]
-        members = [(
-            subagent_id(lid, "mobility"), "mobility", "traffic-light", {
-                "district": light["district"],
-            })]
+        members = [(subagent_id(lid, "mobility"), "mobility", "traffic-light", NO_PARAMS)]
         if "ict" in light:
-            members.append(_ict_node(lid, light["ict"], light["district"]))
-        members.append((
-            subagent_id(lid, "urban_landscape"), "urban_landscape", "fixed-entity", {
-                "district": light["district"],
-            }))
-        world.add_agent(lid, members)
+            members.append(_ict_node(lid, light["ict"]))
+        members.append((subagent_id(lid, "urban_landscape"), "urban_landscape", "fixed-entity",
+                        NO_PARAMS))
+        world.add_agent(lid, members, light["district"])
 
     for rw in land["roadways"]:
         rid = rw["id"]
         world.add_agent(rid, [
-            (subagent_id(rid, "mobility"), "mobility", "roadway",
-             _params(ROADWAY, rw, district=rw["district"])),
-            (subagent_id(rid, "urban_landscape"), "urban_landscape", "street", {
-                "district": rw["district"],
-            }),
-        ])
+            (subagent_id(rid, "mobility"), "mobility", "roadway", _params(ROADWAY, rw)),
+            (subagent_id(rid, "urban_landscape"), "urban_landscape", "street", NO_PARAMS),
+        ], rw["district"])
 
     for pl in land["places"]:
         world.add_agent(pl["id"], [(subagent_id(pl["id"], "urban_landscape"), "urban_landscape",
-                                    "place", _params(PLACE, pl, district=pl["district"]))])
+                                    "place", _params(PLACE, pl))], pl["district"])
         place_nodes[pl["id"]] = pl["node"]
 
     _build_population(world, config, place_nodes)
@@ -194,15 +191,13 @@ def _build_population(world: World, config: ScenarioConfig,
             remaining -= size
         # the structure's params are never written, so equal ones are shared
         patient = dict(disease, home_hospital=hospital_of_district.get(district),
-                       district=district, vaccinated=False, initially_infected=False)
-        district_only = {"district": district}  # a passenger's and a moving entity's
-        home = {"district": district, "capacity": None}
+                       vaccinated=False)
         index = 0
         for hh_index, size in enumerate(sizes):
             home_id = f"home_{district}_{hh_index}"
             home_node = district_nodes[hh_index % len(district_nodes)]
-            world.add_agent(home_id, [(
-                subagent_id(home_id, "urban_landscape"), "urban_landscape", "place", home)])
+            world.add_agent(home_id, [(subagent_id(home_id, "urban_landscape"),
+                                       "urban_landscape", "place", UNLIMITED_PLACE)], district)
             place_nodes[home_id] = home_node
             members = [f"cit_{district}_{index + j}" for j in range(size)]
             social = [subagent_id(m, "social") for m in members]
@@ -213,15 +208,14 @@ def _build_population(world: World, config: ScenarioConfig,
                 )
                 world.add_agent(agent_id, [
                     (social[j], "social", "citizen", {
-                        "home_place": home_id, "district": district,
-                        "household": social[:j] + social[j + 1:], "contact_k": contact_k,
-                        "schedule": schedule,
+                        "home_place": home_id, "household": social[:j] + social[j + 1:],
+                        "contact_k": contact_k, "schedule": schedule,
                     }),
                     (subagent_id(agent_id, "healthcare"), "healthcare", "patient", patient),
-                    (subagent_id(agent_id, "mobility"), "mobility", "passenger", district_only),
+                    (subagent_id(agent_id, "mobility"), "mobility", "passenger", NO_PARAMS),
                     (subagent_id(agent_id, "urban_landscape"), "urban_landscape",
-                     "moving-entity", district_only),
-                ])
+                     "moving-entity", NO_PARAMS),
+                ], district)
             index += size
 
 

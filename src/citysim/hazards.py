@@ -35,9 +35,6 @@ ID_PARAMS = {"home_place": ("place", "::urban_landscape", lambda value: [value])
              "home_hospital": ("hospital", "", lambda value: [] if value is None else [value]),
              "referral_peers": ("hospital", "", list),
              "household": ("citizen", "", list)}
-# read only as the structure was built: a district by selectors, an initial
-# infection at a run's start (seeding an epidemic is disease_seed's job)
-AS_BUILT = ("district", "initially_infected")
 
 
 class HazardError(Exception):
@@ -90,16 +87,16 @@ class HazardSchedule:
 
 def resolve_selector(world: World, selector: dict) -> list[str]:
     """Matched subagent ids, sorted.  Supports id / role / district keys, on
-    the structure as built, so validation and every run match the same
-    subagents; a selector that matches nothing raises HazardError."""
+    the structure (a district is its records'), so validation and every run
+    match the same subagents; a selector that matches nothing raises
+    HazardError."""
     if "id" in selector:
         matched = [selector["id"]] if selector["id"] in world.records else []
     else:
         want_role, want_district = selector.get("role"), selector.get("district")
         matched = sorted(world.records) if want_role is None else world.role_members(want_role)
         if want_district is not None:
-            matched = [sid for sid in matched
-                       if world.records[sid].params.get("district") == want_district]
+            matched = [sid for sid in matched if world.records[sid].district == want_district]
     if not matched:
         raise HazardError(f"selector {selector!r} matches no subagent")
     return matched
@@ -121,7 +118,7 @@ def change_params(world: World, params: dict[str, dict], targets: list[str],
     target's entry in ``params``, a run's map or a scratch one.  Each target
     gets a changed copy of its dict, so a dict the map shares, such as a
     record's, is never written.  The one rule for every hazard override and
-    mitigation op: a run reads the parameter, and not only as built; a
+    mitigation op: the target has the parameter, which a run reads; a
     scale multiplies a number by a number; the changed value fits the
     parameter's spec (``PARAM_SPECS``; any number fits a numeric one, and
     null fits a nullable one); and each id it names is one of the
@@ -136,7 +133,6 @@ def change_params(world: World, params: dict[str, dict], targets: list[str],
         specs = PARAM_SPECS.get(world.records[sid].role, {})
         for name, op, value in changes:
             problem = ("unknown parameter" if name not in own
-                       else "read only as built" if name in AS_BUILT
                        else f"cannot scale {own[name]!r} by {value!r}"
                        if op == "scale" and not {type(own[name]), type(value)} <= NUMBERS
                        else None)

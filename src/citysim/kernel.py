@@ -87,7 +87,7 @@ class RuleSet:
     change log.
     """
 
-    init_state: Callable[[dict, Stream], dict]
+    init_state: Callable[[dict], dict]  # params -> the state at tick 0
     coupling: Callable | None = None
     observe: Callable | None = None  # (state, params) -> list[(metric name, value)]
     tally: Callable | None = None  # state -> a hashable class
@@ -97,7 +97,7 @@ class RuleSet:
 
 # the rules of a role that is structure only: no state, no coupling rule,
 # nothing observed
-STATELESS = RuleSet(init_state=lambda params, stream: {}, observe=lambda state, params: [])
+STATELESS = RuleSet(init_state=lambda params: {}, observe=lambda state, params: [])
 
 
 class Registry:
@@ -123,7 +123,8 @@ class Registry:
 @dataclass(slots=True)
 class SubAgentRecord:
     """One subagent's place in the structure: identity, the params it was
-    built with, rng stream binding."""
+    built with, rng stream binding and its agent's district, which
+    selectors match."""
 
     id: str
     system: str
@@ -131,6 +132,7 @@ class SubAgentRecord:
     role: str
     params: dict
     stream: Stream
+    district: str | None = None
     # system -> subagent id for every member of this agent; one dict shared
     # by all of the agent's records
     siblings: dict[str, str] = field(default_factory=dict, repr=False)
@@ -330,8 +332,10 @@ class World:
 
     # -- assembly -----------------------------------------------------------
 
-    def add_agent(self, agent_id: str, subagents: list[tuple[str, str, str, dict]]) -> None:
-        """Register an agent and its (subagent id, system, role, params) members."""
+    def add_agent(self, agent_id: str, subagents: list[tuple[str, str, str, dict]],
+                  district: str | None = None) -> None:
+        """Register an agent in a district and its (subagent id, system,
+        role, params) members."""
         if self._finalized:
             raise BuildError("world already finalized")
         siblings: dict[str, str] = {}
@@ -349,7 +353,8 @@ class World:
             siblings[system] = sid
             self.records[sid] = SubAgentRecord(
                 id=sid, system=system, agent_id=agent_id, role=role,
-                params=params, stream=Stream(self.master_seed, sid), siblings=siblings,
+                params=params, stream=Stream(self.master_seed, sid), district=district,
+                siblings=siblings,
             )
 
     def add_edge(self, system: str, frm: str, to: str, label: str) -> None:
@@ -402,7 +407,7 @@ class World:
         run = copy.copy(self)
         run.params = self.built_params() if params is None else params
         run.states = {
-            sid: self.registry.rules[rec.role].init_state(run.params[sid], rec.stream)
+            sid: self.registry.rules[rec.role].init_state(run.params[sid])
             for sid, rec in self.records.items()
         }
         run.tick, run.run_log, run.published, run.services = 0, [], {}, dict(self.services)

@@ -192,9 +192,9 @@ SCHEDULE = Value((list, tuple), "24 [place, activity] entries", ok=lambda schedu
     len(schedule) == 24 and all(type(entry) in (list, tuple) and len(entry) == 2
                                 and all(type(part) is str for part in entry)
                                 for entry in schedule)))
-# role -> the spec of every built param but those hazards.AS_BUILT names:
-# the one rule every hazard override and mitigation op meets, as the
-# document does (hazards.ID_PARAMS then checks the ids a value names)
+# role -> the spec of every built param: the one rule every hazard override
+# and mitigation op meets, as the document does (hazards.ID_PARAMS then
+# checks the ids a value names); a role without params has none
 PARAM_SPECS = {
     "roadway": ROADWAY, "place": PLACE, "cyber-attacker": ATTACKER,
     "cyber-infrastructure": ICT_NODE,

@@ -27,11 +27,13 @@ of the two does not show.
 
 The active patients are the infected, the inpatients and the
 convalescent up to their ``rest_until``.  The settlement publishes them
-for its next tick, and that tick walks them and the patients changed
-outside the settlements.  Every other patient is neither infected nor in
-a bed nor at the end of a convalescence, so the walk would leave it as it
-is: it does not progress, take a bed, transmit or add to the recount.  The
-first tick of a run walks every patient.
+for its next tick, and every tick walks them and the patients changed
+outside the settlements.  A run starts with every patient susceptible and
+none active, so its first tick walks only the patients a hazard (such as
+``disease_seed``) changed at tick 0.  Every other patient is neither
+infected nor in a bed nor at the end of a convalescence, so the walk would
+leave it as it is: it does not progress, take a bed, transmit or add to
+the recount.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ ROLE_HOSPITAL = "hospital"
 INFECTIONS = ("susceptible", "infected", "recovered", "dead")
 
 
-def _init_patient(params: dict, stream) -> dict:
-    state = {
+def _init_patient(params: dict) -> dict:
+    return {
         "infection": "susceptible",
         "severity": "none",
         "stage_end": None,
@@ -54,12 +56,6 @@ def _init_patient(params: dict, stream) -> dict:
         "care_quality": 1.0,
         "rest_until": 0,
     }
-    if params["initially_infected"]:
-        rng = stream.at(0, "init_course")
-        lo, hi = params["mild_hours"]
-        state.update(infection="infected", severity="mild",
-                     stage_end=rng.randint(int(lo), int(hi)))
-    return state
 
 
 def _enter_stage(state: dict, severity: str, end: int) -> None:
@@ -93,7 +89,7 @@ def _progress(cctx: CoordinatorContext, pid: str, state: dict) -> dict:
             lo, hi = p["critical_hours"]
             _enter_stage(new, "critical", tick + rng.randint(int(lo), int(hi)))
         else:
-            _resolve(new, "recovered", tick, int(p["convalescence_hours"]))
+            _resolve(new, "recovered", tick, round(p["convalescence_hours"]))
     else:  # critical
         if state["bed_class"] == "icu":
             p_die = min(1.0, max(0.0, p["p_die_treated"] * (2.0 - state["care_quality"])))
@@ -102,11 +98,11 @@ def _progress(cctx: CoordinatorContext, pid: str, state: dict) -> dict:
         if u < p_die:
             _resolve(new, "dead", tick, 0)
         else:
-            _resolve(new, "recovered", tick, int(p["convalescence_hours"]))
+            _resolve(new, "recovered", tick, round(p["convalescence_hours"]))
     return new
 
 
-def _init_hospital(params: dict, stream) -> dict:
+def _init_hospital(params: dict) -> dict:
     return {
         "general_capacity": int(round(params["nominal_general_capacity"])),
         "icu_capacity": int(round(params["nominal_icu_capacity"])),
@@ -191,13 +187,11 @@ def healthcare_settlement(cctx: CoordinatorContext) -> None:
     patients as ``active_patients``.  A patient gets one new state in the
     walk, and only if it changed or its convalescence ends, so that its
     citizen's coupling rule runs then."""
-    patients = cctx.members(ROLE_PATIENT)
-    if not patients:
+    if not cctx.members(ROLE_PATIENT):
         return
     tick = cctx.tick
-    last_active = cctx.published("active_patients")
-    if last_active is not None:
-        patients = sorted(last_active.union(cctx.changed_outside(ROLE_PATIENT)))
+    patients = sorted((cctx.published("active_patients") or frozenset()).union(
+        cctx.changed_outside(ROLE_PATIENT)))
     hospitals = cctx.members(ROLE_HOSPITAL)
     work = {h: dict(cctx.get(h), unattended_this_tick=0) for h in hospitals}
     # bookkeeping self-check: counters must match patient placements exactly

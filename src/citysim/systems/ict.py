@@ -35,7 +35,7 @@ EDGE_DEPENDS = "depends_on"
 EDGE_ATTACKS = "attacks"
 
 
-def _init_node(params: dict, stream) -> dict:
+def _init_node(params: dict) -> dict:
     return {
         "available": True,
         "effective_available": True,
@@ -46,7 +46,7 @@ def _init_node(params: dict, stream) -> dict:
     }
 
 
-def _init_attacker(params: dict, stream) -> dict:
+def _init_attacker(params: dict) -> dict:
     return {"active": False, "emitted_at": None, "attacks_emitted": 0}
 
 

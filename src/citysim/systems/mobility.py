@@ -8,12 +8,12 @@ into the federated traffic simulator, advances it in lockstep with the
 kernel tick, and mirrors the queried observables (per-roadway mean speed
 and intensity, light status) back into the roadway meta-subagents.  A
 passenger is structure only: its id is the citizen's vehicle id, and it has
-no state.  Vehicles themselves live inside the federate; only their
-aggregate effect is mirrored.  The federate starts from the run's params,
-after any mitigation, and keeps each light's status and each roadway's
-capacity and free-flow speed between ticks; a tick sends it only the
-lights and roadways changed outside the settlements (a light's coupling, a
-hazard's override).  Route costs stay as built.
+no state and no params.  Vehicles themselves live inside the federate;
+only their aggregate effect is mirrored.  The federate starts from the
+run's params, after any mitigation, and keeps each light's status and each
+roadway's capacity and free-flow speed between ticks; a tick sends it only
+the lights and roadways changed outside the settlements (a light's
+coupling, a hazard's override).  Route costs stay as built.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ ROLE_LIGHT = "traffic-light"
 EDGE_CONTROLS = "controls"
 
 
-def _init_roadway(params: dict, stream) -> dict:
+def _init_roadway(params: dict) -> dict:
     return {"mean_speed": params["free_flow_mps"], "intensity": 0}
 
 
-def _init_light(params: dict, stream) -> dict:
+def _init_light(params: dict) -> dict:
     return {"operation_status": "on"}
 
 

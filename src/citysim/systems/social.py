@@ -30,8 +30,7 @@ writes only those places.
 
 The citizen's location string is authoritative ("place:X", "transit",
 "hospital:X" or "dead").  The moving-entity subagent is the citizen in the
-urban landscape layer; it is structure only, with no state and no params
-but its district.
+urban landscape layer; it is structure only, with no state and no params.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ ROLE_STREET = "street"
 ROLE_FIXED = "fixed-entity"
 
 
-def _init_citizen(params: dict, stream) -> dict:
+def _init_citizen(params: dict) -> dict:
     return {
         "location": "place:" + params["home_place"],
         "current_activity": params["schedule"][0][1],
@@ -270,7 +269,7 @@ def _place_subagents(cctx: CoordinatorContext) -> dict[str, str]:
 
 # -- urban landscape -----------------------------------------------------
 
-def _init_place(params: dict, stream) -> dict:
+def _init_place(params: dict) -> dict:
     return {"occupancy": 0}
 
 

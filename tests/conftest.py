@@ -35,15 +35,25 @@ def config_from(raw: dict) -> ScenarioConfig:
 
 def disease_params(**overrides) -> dict:
     params = dict(DISEASE_DEFAULTS)
-    params.update(home_hospital=None, district=None, vaccinated=False,
-                  initially_infected=False)
+    params.update(home_hospital=None, vaccinated=False)
     params.update(overrides)
     return params
 
 
+def seed_cases(world: World, patients: list[str]) -> None:
+    """Infect each patient of a run at tick 0, as a hazard would, through
+    ``World.change``: mild, for hours drawn on its ``init_course`` stream."""
+    for pid in patients:
+        lo, hi = world.params[pid]["mild_hours"]
+        end = world.records[pid].stream.at(0, "init_course").randint(int(lo), int(hi))
+        world.change(pid, dict(world.states[pid], infection="infected", severity="mild",
+                               stage_end=end))
+
+
 def build_patient_world(n: int, seed: int = 7, hospitals: list[dict] | None = None,
-                        **disease_overrides) -> World:
-    """Healthcare-only world: n patient agents, optional hospitals, no city."""
+                        infected: bool = False, **disease_overrides) -> World:
+    """Healthcare-only world: n patient agents, every one infected at tick
+    0 if ``infected``, optional hospitals, no city."""
     world = World(seed, default_registry())
     for spec in hospitals or []:
         world.add_agent(spec["id"], [(
@@ -52,7 +62,6 @@ def build_patient_world(n: int, seed: int = 7, hospitals: list[dict] | None = No
                 "nominal_icu_capacity": spec.get("icu", 2),
                 "base_care_quality": spec.get("care_quality", 1.0),
                 "referral_peers": [f"{p}::healthcare" for p in spec.get("peers", [])],
-                "district": spec.get("district"),
                 "capacity_degradation_factor": 0.5,
                 "quality_degradation_factor": 0.75,
             })])
@@ -61,7 +70,10 @@ def build_patient_world(n: int, seed: int = 7, hospitals: list[dict] | None = No
             f"p{i:04d}::healthcare", "healthcare", "patient",
             disease_params(**disease_overrides))])
     world.finalize()
-    return world.start()
+    run = world.start()
+    if infected:
+        seed_cases(run, run.role_members("patient"))
+    return run
 
 
 def build_sir_world(n: int, seeds: int, beta: float, contact_k: int,
@@ -69,32 +81,32 @@ def build_sir_world(n: int, seeds: int, beta: float, contact_k: int,
                     **disease_overrides) -> World:
     """Fully mixed epidemic toy: everyone shares one place around the clock.
 
-    Bystanders are citizens without a patient sibling; their ids sort before
-    every other citizen's."""
+    The first ``seeds`` patients are infected at tick 0.  Bystanders are
+    citizens without a patient sibling; their ids sort before every other
+    citizen's."""
     world = World(master_seed, default_registry())
     world.add_agent("commons", [(
-        "commons::urban_landscape", "urban_landscape", "place", {
-            "district": None, "capacity": None,
-        })])
+        "commons::urban_landscape", "urban_landscape", "place", {"capacity": None})])
     schedule = [("commons", "commons")] * 24
     for i in range(n):
         cid = f"c{i:04d}"
         world.add_agent(cid, [
             (f"{cid}::social", "social", "citizen", {
-                "home_place": "commons", "district": None, "household": [],
+                "home_place": "commons", "household": [],
                 "contact_k": contact_k, "schedule": schedule,
             }),
             (f"{cid}::healthcare", "healthcare", "patient", disease_params(
-                beta=beta, mild_hours=[duration, duration],
-                initially_infected=i < seeds, **disease_overrides)),
+                beta=beta, mild_hours=[duration, duration], **disease_overrides)),
         ])
     for i in range(bystanders):
         world.add_agent(f"b{i:04d}", [(f"b{i:04d}::social", "social", "citizen", {
-            "home_place": "commons", "district": None, "household": [],
+            "home_place": "commons", "household": [],
             "contact_k": contact_k, "schedule": schedule,
         })])
     world.finalize()
-    return world.start()
+    run = world.start()
+    seed_cases(run, [f"c{i:04d}::healthcare" for i in range(seeds)])
+    return run
 
 
 def eager_contacts(world: World) -> dict[str, tuple[str, ...]]:
@@ -147,7 +159,7 @@ def toy_registry(**rulesets: RuleSet) -> Registry:
 
 
 def blank_state_init(defaults: dict):
-    return lambda params, stream: dict(defaults)
+    return lambda params: dict(defaults)
 
 
 def write_scenario(tmp_path: Path, raw: dict) -> Path:

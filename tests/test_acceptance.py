@@ -102,7 +102,7 @@ def _random_patient_world(rng: random.Random):
     }][: rng.randint(1, 2)]
     world = build_patient_world(
         rng.randint(5, 40), seed=rng.randrange(1 << 30), hospitals=hospitals,
-        initially_infected=True,
+        infected=True,
         beta=rng.random() * 0.05,
         p_severe=rng.random(), p_worsen=rng.random(),
         p_die_treated=rng.random(), p_die_untreated=rng.random(),

@@ -38,7 +38,7 @@ def test_severity_fraction_matches_binomial_oracle():
     sit within 3 sigma of Binomial(1000, p_severe)."""
     p_severe = 0.3
     world = build_patient_world(
-        1000, seed=31, initially_infected=True,
+        1000, seed=31, infected=True,
         p_severe=p_severe, mild_hours=[24, 48], severe_hours=[400, 400],
     )
     tick_n(world, 60)  # all mild stages resolved by tick 48
@@ -53,7 +53,7 @@ def test_severity_fraction_matches_binomial_oracle():
 
 def test_forced_death_of_unattended_criticals():
     world = build_patient_world(
-        30, seed=8, initially_infected=True,
+        30, seed=8, infected=True,
         p_severe=1.0, p_worsen=1.0, p_die_untreated=1.0,
         mild_hours=[2, 2], severe_hours=[2, 2], critical_hours=[2, 2],
     )
@@ -66,7 +66,7 @@ def test_treated_critical_survival_differs_from_untreated():
     # [p_treated, p_untreated) to survival
     def deaths_with_icu(icu):
         world = build_patient_world(
-            60, seed=77, initially_infected=True,
+            60, seed=77, infected=True,
             hospitals=[{"id": "h", "general": 200, "icu": icu}],
             p_severe=1.0, p_worsen=1.0, p_die_treated=0.05, p_die_untreated=0.9,
             mild_hours=[2, 2], severe_hours=[2, 2], critical_hours=[4, 4],
@@ -80,7 +80,7 @@ def test_treated_critical_survival_differs_from_untreated():
 
 def test_admission_fills_hospital_and_counts_unattended():
     world = build_patient_world(
-        10, seed=3, initially_infected=True,
+        10, seed=3, infected=True,
         hospitals=[{"id": "h", "general": 4, "icu": 1}],
         p_severe=1.0, p_worsen=0.0,
         mild_hours=[1, 1], severe_hours=[200, 200], home_hospital="h::healthcare",
@@ -99,7 +99,7 @@ def test_admission_fills_hospital_and_counts_unattended():
 
 def test_referral_to_peer_with_space():
     world = build_patient_world(
-        3, seed=5, initially_infected=True,
+        3, seed=5, infected=True,
         hospitals=[
             {"id": "a", "general": 1, "icu": 0, "peers": ["b", "c"]},
             {"id": "b", "general": 5, "icu": 0, "peers": ["a"]},
@@ -118,7 +118,7 @@ def test_referral_to_peer_with_space():
 
 def test_discharge_frees_bed_same_tick():
     world = build_patient_world(
-        1, seed=9, initially_infected=True,
+        1, seed=9, infected=True,
         hospitals=[{"id": "h", "general": 1, "icu": 0}],
         p_severe=1.0, p_worsen=0.0, mild_hours=[1, 1], severe_hours=[5, 5],
         convalescence_hours=0, home_hospital="h::healthcare",
@@ -146,7 +146,7 @@ def test_no_admissions_means_constant_occupancy():
 
 def test_occupancy_bookkeeping_mismatch_aborts():
     world = build_patient_world(
-        2, seed=4, initially_infected=True,
+        2, seed=4, infected=True,
         hospitals=[{"id": "h", "general": 5, "icu": 1}],
         p_severe=1.0, p_worsen=0.0, mild_hours=[1, 1], severe_hours=[50, 50],
         home_hospital="h::healthcare",
@@ -258,7 +258,7 @@ def test_new_infections_match_contact_graph_oracle():
 
 
 def test_stage_ends_at_its_due_tick_without_copying_the_state():
-    world = build_patient_world(1, initially_infected=True, mild_hours=[3, 3], p_severe=0.0)
+    world = build_patient_world(1, infected=True, mild_hours=[3, 3], p_severe=0.0)
     sid = "p0000::healthcare"
     start = world.states[sid]
     for tick in (1, 2):
@@ -286,6 +286,16 @@ def test_convalescence_ends_at_rest_until_with_a_coupling_call():
     assert homebound == [False] * 2 + [True] * 9 + [False] * 5
     # the patient changes at ticks 3, 7 and 12; the citizen at 3 and 12
     assert calls == [1, 3, 4, 7, 12, 13]
+
+
+def test_convalescence_hours_are_rounded_where_read():
+    # mild for 3 ticks, severe for 4, then 11.988 hours of convalescence
+    # round to 12 ticks, as bed counts and recovery_ticks do
+    world = build_patient_world(1, infected=True, mild_hours=[3, 3], p_severe=1.0,
+                                severe_hours=[4, 4], p_worsen=0.0, convalescence_hours=11.988)
+    tick_n(world, 7)
+    assert world.states["p0000::healthcare"]["infection"] == "recovered"
+    assert world.states["p0000::healthcare"]["rest_until"] == 7 + 12
 
 
 def test_seeded_case_resolves_window_ticks_after_its_seed():

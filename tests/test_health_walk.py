@@ -122,8 +122,9 @@ def with_reference_walk(world):
 
 def assert_walk_matches_reference(monkeypatch, make, until, schedule=None):
     """Step ``make()``'s run as shipped and with the reference walk to tick
-    ``until``, applying the schedule's events as a run does.  Returns the
-    patients walked per tick and the convalescences that ended."""
+    ``until``, applying the schedule's events as a run does; tick 1 walks
+    exactly the patients infected at tick 0.  Returns the patients walked
+    per tick and the convalescences that ended."""
     walked: list[str] = []
     monkeypatch.setattr(health, "_progress",
                         lambda cctx, pid, state: walked.append(pid) or _progress(cctx, pid, state))
@@ -132,6 +133,7 @@ def assert_walk_matches_reference(monkeypatch, make, until, schedule=None):
     patients = shipped.role_members(ROLE_PATIENT)
     for world in (shipped, reference):
         apply_due(world, 0, schedule)
+    seeded = [pid for pid in patients if shipped.states[pid]["infection"] == "infected"]
     sizes, ended = [], 0
     while shipped.tick < until:
         tick, before = shipped.tick + 1, shipped.states
@@ -145,9 +147,10 @@ def assert_walk_matches_reference(monkeypatch, make, until, schedule=None):
             assert state["infection"] != "infected" and state["located_in"] is None, (tick, pid)
             assert state["rest_until"] != tick, (tick, pid)
         ended += sum(1 for pid in walked if before[pid]["rest_until"] == tick)
+        if tick == 1:
+            assert walked == seeded
         sizes.append(len(walked))
         assert shipped.states == reference.states, tick
-    assert sizes[0] == len(patients)
     return sizes, ended
 
 
@@ -158,8 +161,10 @@ def test_casestudy_walk_matches_full_walk(monkeypatch, variant):
     sizes, ended = assert_walk_matches_reference(
         monkeypatch, lambda: build_world(config_from(short_casestudy()), variant),
         config.horizon_ticks, schedule)
-    # the walk is a small part of the population after the first tick
-    assert max(sizes[1:]) < sizes[0] // 4
+    # tick 1 walks the 40 seeded cases, none without the seed; every walk is
+    # a small part of the population
+    assert sizes[0] == (0 if variant == BASELINE else 40)
+    assert max(sizes) < len(build_world(config).role_members(ROLE_PATIENT)) / 4
     if variant != BASELINE:
         assert ended > 0
 

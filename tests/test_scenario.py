@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from citysim.build import build_world
 from citysim.cli import main
 from citysim.export import export_report
-from citysim.hazards import AS_BUILT
 from citysim.metrics import Recorder
 from citysim.runner import InvariantMonitor, run, run_paired, run_variant
 from citysim.scenario import PARAM_SPECS, load_scenario, parse_config
@@ -488,6 +487,16 @@ def _mitigation(*ops):
         for role, param, op, value in ops])
 
 
+# changes of keys that are no params: a district, which selectors match on
+# the structure, and an initial infection, which only disease_seed makes
+UNKNOWN_PARAMS = {
+    "override-district": _add_hazard(_override_event({"role": "citizen"}, {"district": "north"})),
+    "mitigation-district": _mitigation(("hospital", "district", "set", "north")),
+    "override-initially-infected": _add_hazard(_override_event(
+        {"role": "patient"}, {"initially_infected": True})),
+    "mitigation-initially-infected": _mitigation(("patient", "initially_infected", "set", True)),
+}
+
 BAD_INPUTS = {
     "hospital-without-general_beds": _drop("health", "hospitals", 0, "general_beds"),
     "roadway-without-length_m": _drop("landscape", "roadways", 0, "length_m"),
@@ -555,15 +564,7 @@ BAD_INPUTS = {
     "override-attacker-target": _add_hazard(_override_event(
         {"id": "attacker_main::ict"}, {"target": "ict_city::ict"})),
     "mitigation-roadway-length": _mitigation(("roadway", "length_m", "scale", 2)),
-    # selectors read a district as built; unchecked, these validated and
-    # changed nothing in a run
-    "override-district": _add_hazard(_override_event({"role": "citizen"}, {"district": "north"})),
-    "mitigation-district": _mitigation(("hospital", "district", "set", "north")),
-    # a run reads the initial infection only at its start; seeding an
-    # epidemic is the disease_seed hazard's job
-    "override-initially-infected": _add_hazard(_override_event(
-        {"role": "patient"}, {"initially_infected": True})),
-    "mitigation-initially-infected": _mitigation(("patient", "initially_infected", "set", True)),
+    **UNKNOWN_PARAMS,
     # a change meets the spec of the field its parameter is built from;
     # unchecked, these validated and ran (a degraded hospital with 5x its beds)
     "mitigation-vaccination-factor-negative": _mitigation(
@@ -604,6 +605,14 @@ def test_bad_input_gives_errors_and_exit_2(tmp_path, capsys, mutate):
     assert config is None and errors
     assert main(["validate", str(path)]) == 2
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate", list(UNKNOWN_PARAMS.values()), ids=list(UNKNOWN_PARAMS))
+def test_a_district_or_initial_infection_change_is_an_unknown_parameter(tmp_path, mutate):
+    raw = casestudy_copy()
+    mutate(raw)
+    _, errors = load_scenario(write_scenario(tmp_path, raw))
+    assert errors and all(error.endswith(": unknown parameter") for error in errors), errors
 
 
 NON_FINITE = {"NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf")}
@@ -669,44 +678,44 @@ def test_overrides_and_mitigations_that_fit_validate_and_build(tmp_path):
             for s in world.role_members("cyber-infrastructure")} == {1.0}
 
 
-# each role's params as built: what a run reads, and the district that
-# selectors read
+# each role's params as built: what a run reads
 BUILT_PARAMS = {
-    "citizen": {"contact_k", "district", "home_place", "household", "schedule"},
-    "cyber-attacker": {"attack_type", "district", "propagation_probability"},
-    "cyber-infrastructure": {"district", "recovery_ticks", "vulnerability"},
-    "fixed-entity": {"district"},
-    "hospital": {"base_care_quality", "capacity_degradation_factor", "district",
+    "citizen": {"contact_k", "home_place", "household", "schedule"},
+    "cyber-attacker": {"attack_type", "propagation_probability"},
+    "cyber-infrastructure": {"recovery_ticks", "vulnerability"},
+    "fixed-entity": set(),
+    "hospital": {"base_care_quality", "capacity_degradation_factor",
                  "nominal_general_capacity", "nominal_icu_capacity",
                  "quality_degradation_factor", "referral_peers"},
-    "moving-entity": {"district"},
-    "passenger": {"district"},
-    "patient": {"beta", "convalescence_hours", "critical_hours", "district", "home_hospital",
-                "initially_infected", "mild_hours", "p_die_treated", "p_die_untreated",
-                "p_severe", "p_worsen", "severe_hours", "vaccinated", "vaccination_factor"},
-    "place": {"capacity", "district"},
-    "roadway": {"capacity", "district", "free_flow_mps", "station"},
-    "street": {"district"},
-    "traffic-light": {"district"},
+    "moving-entity": set(),
+    "passenger": set(),
+    "patient": {"beta", "convalescence_hours", "critical_hours", "home_hospital", "mild_hours",
+                "p_die_treated", "p_die_untreated", "p_severe", "p_worsen", "severe_hours",
+                "vaccinated", "vaccination_factor"},
+    "place": {"capacity"},
+    "roadway": {"capacity", "free_flow_mps", "station"},
+    "street": set(),
+    "traffic-light": set(),
 }
 
 
 def test_built_params_hold_only_what_a_run_reads(casestudy):
-    # relations are layer edges, a place's id is its agent's id, and the
-    # street graph and place nodes come from the document
+    # relations are layer edges, a place's id is its agent's id, a district
+    # is on the records, and the street graph and place nodes come from the
+    # document
     records = casestudy.structure.records.values()
     assert {rec.role for rec in records} == set(BUILT_PARAMS)
     for rec in records:
         assert set(rec.params) == BUILT_PARAMS[rec.role], rec.id
-    assert {"target", "roadways", "a", "b", "length_m", "node", "kind",
-            "place_id"}.isdisjoint(set().union(*BUILT_PARAMS.values()))
+    assert {"target", "roadways", "a", "b", "length_m", "node", "kind", "place_id", "district",
+            "initially_infected"}.isdisjoint(set().union(*BUILT_PARAMS.values()))
 
 
-def test_every_built_param_has_one_spec_or_is_read_only_as_built(casestudy):
+def test_every_built_param_has_one_spec(casestudy):
     # a change meets only its parameter's spec, so every parameter a change
     # may reach has one
     for rec in casestudy.structure.records.values():
-        assert set(PARAM_SPECS.get(rec.role, {})) == set(rec.params) - set(AS_BUILT), rec.id
+        assert set(PARAM_SPECS.get(rec.role, {})) == set(rec.params), rec.id
     assert set(PARAM_SPECS) <= set(BUILT_PARAMS)
 
 

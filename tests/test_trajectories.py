@@ -9,12 +9,16 @@ rules moved into the settlements).  A refactor that changes any
 state on any tick changes the digest.
 """
 
+import copy
 import hashlib
+import random
 
 import pytest
 
 from citysim.build import build_world
+from citysim.export import export_report
 from citysim.hazards import HazardSchedule, apply_due
+from citysim.runner import run_paired
 from citysim.scenario import BASELINE
 
 from conftest import build_ict_world, build_sir_world, config_from
@@ -75,3 +79,34 @@ def test_ict_hierarchy_trajectory():
     world, _ = build_ict_world(nodes, attackers)
     digest = trajectory_digest(world, 40, HazardSchedule.from_config(staggered_attacks(), 24))
     assert digest == PINS["ict-hierarchy"]
+
+
+# the id-keyed entity lists of a scenario document; hazards and mitigation
+# ops are ordered, so they keep their order
+ID_LISTS = (("landscape", "nodes"), ("landscape", "roadways"), ("landscape", "places"),
+            ("ict", "nodes"), ("ict", "attackers"), ("health", "hospitals"),
+            ("mobility", "traffic_lights"))
+
+
+def reordered(raw, order):
+    """A copy of the document with ``order`` applied in place to each id-keyed list."""
+    raw = copy.deepcopy(raw)
+    for section, key in ID_LISTS:
+        order(raw[section][key])
+    return raw
+
+
+def test_document_order_does_not_change_the_exports(tmp_path):
+    raw = short_casestudy()
+    documents = {"as-written": raw, "reversed": reordered(raw, list.reverse)}
+    for seed in (1, 2):
+        documents[f"shuffled-{seed}"] = reordered(raw, random.Random(seed).shuffle)
+    exports = {}
+    for name, doc in documents.items():
+        report = run_paired(config_from(doc), ["baseline", "risk", "beds", "cybersecurity"])
+        export_report(report, tmp_path / name)
+        exports[name] = {path.name: path.read_bytes()
+                         for path in sorted((tmp_path / name).iterdir())
+                         if path.name != "manifest.json"}
+    for name, files in exports.items():
+        assert files == exports["as-written"], name
